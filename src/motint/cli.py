@@ -7,8 +7,7 @@ Configuration values may be preloaded from a ``key = value`` file passed
 as ``--config``; explicit flags win over the file.  The enumeration cap
 falls back to the MOTINT_CAP environment variable when neither a flag
 nor a config entry sets it.  Reports are deterministic for a given
-configuration; JSON output is key-sorted and byte-identical across
-thread counts.
+configuration, and JSON output is key-sorted.
 
 Exit status: 0 on success (including a verification that matched
 everywhere), 2 when a verification ran to completion and found a
@@ -20,22 +19,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as F
 from . import ring_a as R
 from .cplus import specialize
-from .errors import CapExceeded, MotintError, ParseError, UnsupportedH
-from .padic import PContext, enumeration_cap, eval_formula
+from .errors import (CapExceeded, MotintError, NotIntegrable, ParseError,
+                     UnsupportedH)
+from .padic import PContext, count_points
 from .presburger import PFun, sum_fibers
 from .vfint import integrate_iterated
 from .zeta import (parse_poly, scalar_of, verify_meuser, zmot_monomial,
                    zprime_count)
 
-CONFIG_KEYS = ("p", "d", "level", "imax", "cap", "threads", "q", "method",
-               "json")
+CONFIG_KEYS = ("p", "d", "level", "imax", "cap", "q", "method", "json")
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +51,6 @@ class RunConfig:
     level: int | None = None
     i_max: int | None = None
     cap: int | None = None
-    threads: int = 1
     q: int | None = None
     method: str = "auto"
 
@@ -68,8 +65,6 @@ class RunConfig:
             raise ParseError(f"imax must be >= 0, got {self.i_max}")
         if self.cap is not None and self.cap < 1:
             raise ParseError(f"cap must be >= 1, got {self.cap}")
-        if self.threads < 1:
-            raise ParseError(f"threads must be >= 1, got {self.threads}")
         if self.q is not None and self.q < 2:
             raise ParseError(f"q must be >= 2, got {self.q}")
         if self.method not in ("auto", "shells", "cylinder", "enumerate"):
@@ -140,7 +135,6 @@ def _runconfig(args: argparse.Namespace) -> RunConfig:
                      level=getattr(args, "level", None),
                      i_max=getattr(args, "imax", None),
                      cap=getattr(args, "cap", None),
-                     threads=getattr(args, "threads", None) or 1,
                      q=getattr(args, "q", None),
                      method=getattr(args, "method", None) or "auto")
 
@@ -329,33 +323,12 @@ def _cmd_count(cfg: RunConfig, args) -> tuple:
             f"count needs residue-sorted free variables; {', '.join(bad)} "
             f"are not (quantify value-group variables with bounded "
             f"quantifiers)")
-    rings = [ctx.residue_ring(v.var_sort.depth) for v in free]
-    cap = cfg.cap if cfg.cap is not None else enumeration_cap()
-    total = 1
-    for ring in rings:
-        total *= ring.size
-    if total > cap:
-        raise CapExceeded(
-            f"counting needs {total} assignments, over the cap {cap}",
-            needed=total, cap=cap)
-    count = 0
-    for values in _assignments(rings, cap):
-        env = {v.name: x for v, x in zip(free, values)}
-        if eval_formula(f, env, ctx, cap=cap):
-            count += 1
+    count = count_points(f, ctx, cap=cfg.cap)
     report = {"formula": F.formula_str(f), "p": p, "d": d, "level": level,
               "free_vars": [v.name for v in free],
-              "assignments": total, "count": count}
+              "assignments": ctx.q ** sum(v.var_sort.depth for v in free),
+              "count": count}
     return 0, report, [str(count)]
-
-
-def _assignments(rings, cap):
-    if not rings:
-        yield ()
-        return
-    for head in rings[0].elements(cap=cap):
-        for rest in _assignments(rings[1:], cap):
-            yield (head,) + rest
 
 
 def _integrate_common(cfg: RunConfig, args, weight) -> tuple:
@@ -371,13 +344,16 @@ def _integrate_common(cfg: RunConfig, args, weight) -> tuple:
     report = {"condition": F.formula_str(cond), "order": list(order),
               "p": p, "d": d,
               "weight": [[m, v, str(c)] for m, v, c in weight],
-              "result": out.to_json(), "value": _fun_str(out.value)}
-    lines = [f"value = {report['value']}"]
-    if not out.integrable:
-        lines.append("not integrable in some direction")
+              "result": out.to_json(),
+              "value": _fun_str(out.value) if out.integrable else None}
+    lines = [f"value = {report['value']}" if out.integrable
+             else "not integrable in some direction"]
     if out.discarded:
         lines.append(f"discarded {len(out.discarded)} measure-zero loci")
     if getattr(args, "count", False):
+        if not out.integrable:
+            raise NotIntegrable("cannot count a value that is not "
+                                "integrable in some direction")
         spec = specialize(out.value, ctx)
         report["counted"] = {"q": ctx.q, "value": str(spec)}
         lines.append(f"N at q={ctx.q}: {spec}")
@@ -445,17 +421,11 @@ def _cmd_verify_meuser(cfg: RunConfig, args) -> tuple:
     except UnsupportedH:
         series = None                  # coefficient valuation depends on p
 
-    def one(pd):
-        p, d = pd
+    entries = []
+    for p, d in grid:
         rs = series if series is not None else zmot_monomial(h, p=p)
-        return verify_meuser(h, p, d, cfg.i_max, cap=cfg.cap,
-                             series=rs, method=cfg.method)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            entries = list(pool.map(one, grid))
-    else:
-        entries = [one(pd) for pd in grid]
+        entries.append(verify_meuser(h, p, d, cfg.i_max, cap=cfg.cap,
+                                     series=rs, method=cfg.method))
     all_match = all(e["all_match"] for e in entries)
     report = {"h": str(h), "i_max": cfg.i_max, "entries": entries,
               "all_match": all_match}
@@ -498,7 +468,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--imax", type=int, help="largest series index")
     common.add_argument("--cap", type=int,
                         help="enumeration cap (default MOTINT_CAP or 10^8)")
-    common.add_argument("--threads", type=int, help="worker thread count")
     common.add_argument("--q", type=int, help="residue-field size for theta")
     common.add_argument("--method",
                         choices=("auto", "shells", "cylinder", "enumerate"),

@@ -126,30 +126,12 @@ class MotFun:
                       tuple(CTerm(t.guard, t.pf.scale(c), t.rc)
                             for t in self.terms))
 
-    def scale_class(self, rc: ResClass) -> "MotFun":
-        return MotFun(self.res_vars, self.vg_vars,
-                      tuple(CTerm(t.guard, t.pf, t.rc * rc)
-                            for t in self.terms))
-
     # -- frame maps ---------------------------------------------------
 
     def extend_vg(self, new_vg) -> "MotFun":
         new_vg = tuple(new_vg)
         return MotFun(self.res_vars, new_vg,
                       tuple(CTerm(t.guard, t.pf.extend(new_vg), t.rc)
-                            for t in self.terms))
-
-    def extend_res(self, new_res) -> "MotFun":
-        new_res = tuple(new_res)
-        it = iter(new_res)
-        if any(rv not in it for rv in self.res_vars):
-            raise FrameMismatch(f"{self.res_vars} not within {new_res}")
-        return MotFun(new_res, self.vg_vars, self.terms)
-
-    def reorder_vg(self, new_vg) -> "MotFun":
-        new_vg = tuple(new_vg)
-        return MotFun(self.res_vars, new_vg,
-                      tuple(CTerm(t.guard, t.pf.reorder(new_vg), t.rc)
                             for t in self.terms))
 
     def to_json(self):
@@ -169,14 +151,6 @@ class MotFun:
                   ResClass.from_json(t["rc"]))
             for t in data["terms"])
         return MotFun(res_vars, vg_vars, terms)
-
-
-def semiring(a: MotFun, b: MotFun, op: str) -> MotFun:
-    if op == "+":
-        return a + b
-    if op in ("*", "x"):
-        return a * b
-    raise MotintError(f"unknown semiring operation {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +224,7 @@ def _extract_gen(gen: ResGen):
     ground conjuncts, and full torus factors.  Returns (coef, ground parts,
     reduced generator or None)."""
     coef = R.L_pow(gen.lpow)
-    parts = list(_gen_conjuncts(gen.phi))
+    parts = list(F.conjuncts(gen.phi))
     ground = [p for p in parts if not F.free_vars(p)]
     parts = [p for p in parts if F.free_vars(p)]
     vars_ = list(gen.vars)
@@ -275,14 +249,6 @@ def _extract_gen(gen: ResGen):
         return coef, ground, None
     return coef, ground, ResGen(tuple(vars_), F.land(*parts) if parts
                                 else F.TRUE, 0)
-
-
-def _gen_conjuncts(phi: F.Formula) -> tuple:
-    if isinstance(phi, F.And):
-        return phi.parts
-    if isinstance(phi, F.TrueF):
-        return ()
-    return (phi,)
 
 
 def _canon_pfun(pf: PFun) -> PFun:
@@ -437,7 +403,7 @@ def specialize(a: MotFun, ctx: PContext, env: dict | None = None,
 
 def _split_guard(guard: F.Formula, out_names: set):
     kept, moved = [], []
-    for c in _gen_conjuncts(guard):
+    for c in F.conjuncts(guard):
         names = {v.name for v in F.free_vars(c)}
         if names & out_names:
             if names <= out_names:

@@ -12,7 +12,8 @@ Formulas: equality at any sort, <= and congruence on vg, boolean
 connectives, and quantifiers over res and vg sorts only.  Quantifying over
 the valued field is rejected.
 
-The concrete grammar is shipped in docs/grammar.md.  The printer emits a
+The concrete grammar is defined by the recursive-descent parser _Parser
+below (entry points parse_formula and parse_term).  The printer emits a
 canonical form on which print . parse is the identity.
 """
 
@@ -257,6 +258,15 @@ def lor(*parts: Formula) -> Formula:
     if len(flat) == 1:
         return flat[0]
     return Or(tuple(flat))
+
+
+def conjuncts(phi: Formula) -> tuple:
+    """The parts of a conjunction; () for true, (phi,) for anything else."""
+    if isinstance(phi, And):
+        return phi.parts
+    if isinstance(phi, TrueF):
+        return ()
+    return (phi,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Concrete p-adic side: Galois rings, exact elements of unramified
-extensions, formula evaluation over them, and counting.
+extensions, formula evaluation over them, and counting of formula points.
 
 The degree-d unramified extension of Q_p has residue rings
 O/M^n = GR(p^n, d) = Z[w]/(p^n, f) for a monic degree-d polynomial f that
@@ -8,8 +8,7 @@ an integral basis and the order of an element is the minimum of the
 p-adic orders of its coordinates.
 
 Everything here is exact: elements are Fraction vectors or residue
-tuples, counts are integers, volumes are Fractions obtained as
-count / p^(d * level * n_vars).
+tuples, and counts are integers.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import inf
 
 from .errors import CapExceeded, InsufficientPrecision, MotintError, SortError
@@ -251,9 +251,6 @@ class GaloisRing:
 class GRElem:
     ring: GaloisRing
     coeffs: tuple
-
-    def _lift(self) -> list:
-        return list(self.coeffs)
 
     def __add__(self, other: "GRElem") -> "GRElem":
         self._same(other)
@@ -648,9 +645,9 @@ def eval_formula(f: F.Formula, env: dict, ctx: PContext, cap: int | None = None)
 # ---------------------------------------------------------------------------
 # counting
 
-def _box_product(named_ranges: list, cap: int):
+def _box_product(sizes: list, cap: int) -> int:
     total = 1
-    for _, n, _ in named_ranges:
+    for n in sizes:
         total *= n
     if total > cap:
         raise CapExceeded(
@@ -660,139 +657,29 @@ def _box_product(named_ranges: list, cap: int):
 
 def count_points(f: F.Formula, ctx: PContext,
                  boxes: dict | None = None,
-                 cap: int | None = None,
-                 chunks: int = 1) -> int:
+                 cap: int | None = None) -> int:
     """Count assignments of the free residue and value-group variables
-    satisfying f.  Free vg variables take values from boxes[name] =
-    (lo, hi) inclusive.  The frame must not contain vf variables.
+    satisfying f; this is the library's one enumerator of formula points.
 
-    chunks splits the first coordinate's range into that many slices and
-    sums the per-slice counts; the result does not depend on it.
+    Free residue variables range over their residue rings and free vg
+    variables over boxes[name] = (lo, hi) inclusive.  The frame must not
+    contain vf variables.  The size of the whole box is checked against
+    the cap before any point is evaluated.
     """
     cap = enumeration_cap() if cap is None else cap
     boxes = boxes or {}
     frame = F.frame_of(f)
     if frame.vf:
         raise SortError(f"count_points does not accept vf variables: {frame.vf}")
-    named: list = []
-    for name, depth in frame.res:
-        ring = ctx.residue_ring(depth)
-        named.append((name, ring.size, ("res", ring)))
+    rings = [ctx.residue_ring(depth) for _, depth in frame.res]
+    ranges = []
     for name in frame.vg:
         if name not in boxes:
             raise MotintError(f"free value-group variable {name} needs a box")
         lo, hi = boxes[name]
-        named.append((name, max(hi - lo + 1, 0), ("vg", (lo, hi))))
-    _box_product(named, cap)
-
-    def values_for(kind) -> list:
-        tag, data = kind
-        if tag == "res":
-            return list(data.elements(cap))
-        lo, hi = data
-        return list(range(lo, hi + 1))
-
-    if not named:
-        return 1 if eval_formula(f, {}, ctx, cap) else 0
-
-    first_name, _, first_kind = named[0]
-    first_values = values_for(first_kind)
-    rest = named[1:]
-    rest_values = [values_for(k) for _, _, k in rest]
-
-    def count_slice(vals) -> int:
-        total = 0
-        env: dict = {}
-
-        def rec(i: int) -> int:
-            if i == len(rest):
-                return 1 if eval_formula(f, env, ctx, cap) else 0
-            name = rest[i][0]
-            s = 0
-            for v in rest_values[i]:
-                env[name] = v
-                s += rec(i + 1)
-            del env[name]
-            return s
-
-        for v in vals:
-            env[first_name] = v
-            total += rec(0)
-        return total
-
-    chunks = max(1, min(chunks, len(first_values) or 1))
-    out = 0
-    n = len(first_values)
-    for c in range(chunks):
-        lo = c * n // chunks
-        hi = (c + 1) * n // chunks
-        out += count_slice(first_values[lo:hi])
-    return out
-
-
-def vol_level(f: F.Formula, level: int, ctx: PContext,
-              cap: int | None = None, chunks: int = 1) -> Fraction:
-    """Volume of a level-determined condition on integral vf variables:
-    count representatives modulo p^level and divide by p^(d*level*n).
-
-    The caller asserts that membership only depends on the variables
-    modulo p^level; representatives are evaluated exactly.
-    """
-    cap = enumeration_cap() if cap is None else cap
-    frame = F.frame_of(f)
-    if frame.res or frame.vg:
-        raise SortError("vol_level expects only vf variables; "
-                        "specialize residue and value-group parameters first")
-    names = list(frame.vf)
-    ring = ctx.residue_ring(level)
-    total = ring.size ** len(names)
-    if total > cap:
-        raise CapExceeded(
-            f"enumerating {total} tuples exceeds the cap {cap}", needed=total, cap=cap)
-    reps = [PadicElem.exact(ctx.p, ctx.d, tuple(Fraction(c) for c in e.coeffs), ctx.modulus)
-            for e in ring.elements(cap)]
-    if not names:
-        return Fraction(1 if eval_formula(f, {}, ctx, cap) else 0)
-
-    count = 0
-    env: dict = {}
-
-    def rec(i: int) -> int:
-        if i == len(names):
-            return 1 if eval_formula(f, env, ctx, cap) else 0
-        s = 0
-        for r in reps:
-            env[names[i]] = r
-            s += rec(i + 1)
-        del env[names[i]]
-        return s
-
-    chunks = max(1, min(chunks, len(reps)))
-    n = len(reps)
-    for c in range(chunks):
-        lo = c * n // chunks
-        hi = (c + 1) * n // chunks
-        for r in reps[lo:hi]:
-            env[names[0]] = r
-            count += rec(1)
-    return Fraction(count, total)
-
-
-def shell_volume(a: int, ctx: PContext, cap: int | None = None) -> Fraction:
-    """Haar volume of {x in O : ord x = a}, computed by counting.
-
-    For small levels this enumerates GR(p^(a+1), d) directly.  Otherwise
-    it counts the unit digit alone: a class mod p^(a+1) has order exactly
-    a iff digits 0..a-1 vanish and digit a is a unit, so the count equals
-    the number of nonzero residues at depth 1 and the remaining digits
-    contribute the cylinder factor p^(d*a).
-    """
-    cap = enumeration_cap() if cap is None else cap
-    if a < 0:
-        raise ValueError("shells live inside the integers: a >= 0")
-    ring = ctx.residue_ring(a + 1)
-    if ring.size <= min(cap, 10 ** 6):
-        count = sum(1 for e in ring.elements(cap) if e.ord_capped() == a)
-        return Fraction(count, ring.size)
-    units = sum(1 for e in ctx.residue_ring(1).elements(cap) if not e.is_zero())
-    return Fraction(units, ctx.q ** (a + 1))
+        ranges.append(range(lo, hi + 1))
+    _box_product([r.size for r in rings] + [len(r) for r in ranges], cap)
+    names = [name for name, _ in frame.res] + list(frame.vg)
+    values = [list(r.elements(cap)) for r in rings] + ranges
+    return sum(1 for point in product(*values)
+               if eval_formula(f, dict(zip(names, point)), ctx, cap))

@@ -34,10 +34,6 @@ def is_zero(p: Poly) -> bool:
     return len(p) == 0
 
 
-def constant(c) -> Poly:
-    return trim([c])
-
-
 X: Poly = (0, 1)
 
 

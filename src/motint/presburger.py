@@ -22,7 +22,7 @@ from .cells import (
     AffineForm, PCell, VarCell, add_ineq, ensure_known_value_mod,
     intersect, refine_residue, reorder as reorder_cell, subtract_many,
 )
-from .errors import FrameMismatch, MotintError, NotIntegrable
+from .errors import FrameMismatch, MotintError, NotIntegrable, ParseError
 from .ring_a import ARat
 
 
@@ -222,12 +222,17 @@ class PFun:
 
     @staticmethod
     def from_json(data) -> "PFun":
+        if not isinstance(data, dict):
+            raise ParseError("function JSON must be an object")
         if data.get("format", "motint.pfun/1") != "motint.pfun/1":
             raise ParseError(f"unsupported function format {data['format']!r}")
-        pieces = tuple((PCell.from_json(p["cell"]),
-                        tuple(PTerm.from_json(t) for t in p["terms"]))
-                       for p in data["pieces"])
-        return PFun(tuple(data["vars"]), pieces)
+        try:
+            pieces = tuple((PCell.from_json(p["cell"]),
+                            tuple(PTerm.from_json(t) for t in p["terms"]))
+                           for p in data["pieces"])
+            return PFun(tuple(data["vars"]), pieces)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed function JSON: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +262,12 @@ def _geom_power_sum(e: int, t: int) -> ARat:
 
 
 @lru_cache(maxsize=None)
-def _stirling2(t: int, j: int) -> int:
+def stirling2(t: int, j: int) -> int:
     if j == 0:
         return 1 if t == 0 else 0
     if j > t:
         return 0
-    return j * _stirling2(t - 1, j) + _stirling2(t - 1, j - 1)
+    return j * stirling2(t - 1, j) + stirling2(t - 1, j - 1)
 
 
 def _split_factors(term: PTerm, var: str, start: AffineForm, m: int):
@@ -309,7 +314,7 @@ def _flat_terms(term: PTerm, var: str, start: AffineForm, m: int,
             base = tuple(pairs[i][0] for i in range(len(pairs)) if i not in S)
             t = size
             for j in range(t + 1):
-                s2 = _stirling2(t, j)
+                s2 = stirling2(t, j)
                 if s2 == 0:
                     continue
                 coef = term.coef * R.from_rational(gmul * Fraction(s2, j + 1))

@@ -292,7 +292,7 @@ def _pin_once(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
     nowhere else, the fiber in the v direction is one point, so projecting
     v away is a bijection on points for every residue ring.
     """
-    parts = _conjuncts(gen.phi)
+    parts = F.conjuncts(gen.phi)
     declared = {n for n, _ in gen.vars}
     for i, part in enumerate(parts):
         if not isinstance(part, F.Eq):
@@ -317,14 +317,6 @@ def _pin_once(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
 # ---------------------------------------------------------------------------
 # eq0: canonical form of a single generator
 
-def _conjuncts(phi: F.Formula) -> tuple:
-    if isinstance(phi, F.And):
-        return phi.parts
-    if isinstance(phi, F.TrueF):
-        return ()
-    return (phi,)
-
-
 def _components(gen: ResGen) -> list:
     """Partition the variables by co-occurrence in conjuncts; conjuncts
     with no variables attach to the first group."""
@@ -340,7 +332,7 @@ def _components(gen: ResGen) -> list:
     def union(x, y):
         parent[find(x)] = find(y)
 
-    parts = _conjuncts(gen.phi)
+    parts = F.conjuncts(gen.phi)
     part_vars = []
     for p in parts:
         vs = [v.name for v in F.free_vars(p)]
@@ -421,7 +413,7 @@ def _complementary(a: F.Formula, b: F.Formula) -> bool:
 
 
 def _eq1_once(gen: ResGen, log: RewriteLog | None):
-    parts = _conjuncts(gen.phi)
+    parts = F.conjuncts(gen.phi)
     for i, p in enumerate(parts):
         if not isinstance(p, F.Or):
             continue
@@ -429,8 +421,8 @@ def _eq1_once(gen: ResGen, log: RewriteLog | None):
         ok = True
         for x in range(len(branches)):
             for y in range(x + 1, len(branches)):
-                cx = _conjuncts(branches[x])
-                cy = _conjuncts(branches[y])
+                cx = F.conjuncts(branches[x])
+                cy = F.conjuncts(branches[y])
                 if not any(_complementary(a, b) for a in cx for b in cy):
                     ok = False
                     break
@@ -453,7 +445,7 @@ def _merge_pair(a: ResGen, b: ResGen) -> ResGen | None:
     if a.lpow != b.lpow:
         return None
     if a.vars == b.vars:
-        pa, pb = set(_conjuncts(a.phi)), set(_conjuncts(b.phi))
+        pa, pb = set(F.conjuncts(a.phi)), set(F.conjuncts(b.phi))
         if len(pa) != len(pb):
             return None
         da, db = pa - pb, pb - pa
@@ -471,7 +463,7 @@ def _merge_pair(a: ResGen, b: ResGen) -> ResGen | None:
         if not (set(small.vars) <= set(big.vars) and len(extra) == 1):
             continue
         x, _ = next(iter(extra))
-        ps, pg = set(_conjuncts(small.phi)), set(_conjuncts(big.phi))
+        ps, pg = set(F.conjuncts(small.phi)), set(F.conjuncts(big.phi))
         if not (ps <= pg and len(pg - ps) == 1):
             continue
         c = next(iter(pg - ps))
@@ -585,15 +577,6 @@ def adjoin(rc: ResClass, names_depths, psi: F.Formula) -> ResClass:
         g2 = g.rename(mapping) if mapping else g
         out.append(ResGen(g2.vars + names_depths, F.land(g2.phi, psi), g2.lpow))
     return ResClass(tuple(out))
-
-
-def mu_res(rc: ResClass, names_depths=(), psi: F.Formula = F.TRUE) -> ResClass:
-    """Formal integral over residue fibers: the total space of the class is
-    unchanged, but the named base coordinates become generator variables,
-    constrained by psi."""
-    if not names_depths:
-        return rc
-    return adjoin(rc, names_depths, psi)
 
 
 def count_class(rc: ResClass, ctx: PContext, cap: int | None = None) -> Fraction:

@@ -343,7 +343,7 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
                 v = v * w
             else:
                 if P.is_zero(w.numer):
-                    raise ZeroDivisionError("division by zero in ring expression")
+                    raise ParseError("division by zero in ring expression")
                 v = lax(P.mul(v.numer, w.denom), P.mul(v.denom, w.numer))
         return v
 
@@ -367,5 +367,5 @@ def _pow_lax(v: ARat, k: int) -> ARat:
     if k >= 0:
         return lax(P.poly_pow(v.numer, k), P.poly_pow(v.denom, k))
     if P.is_zero(v.numer):
-        raise ZeroDivisionError("0 has no negative power")
+        raise ParseError("0 has no negative power in ring expression")
     return lax(P.poly_pow(v.denom, -k), P.poly_pow(v.numer, -k))

@@ -24,14 +24,14 @@ unramified extension of the base field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
 from . import formula as F
 from . import ring_a as R
-from .cells import (AffineForm, PCell, from_constraints, intersect,
-                    subtract_many, universe)
+from .cells import (AffineForm, from_constraints, intersect, subtract_many,
+                    universe)
 from .errors import (FrameMismatch, MotintError, NotCellPresented,
                      NotIntegrable, OutsideFragment, ZeroDerivative)
 from .padic import (PadicElem, PContext, eval_formula, rational_ac,
@@ -134,10 +134,6 @@ class CellDecomposition:
     def with_values(self, values) -> "CellDecomposition":
         return CellDecomposition(self.var, self.base_res, self.base_vg,
                                  self.cells, tuple(values), self.depth)
-
-    def map_values(self, fn) -> "CellDecomposition":
-        return self.with_values(tuple(fn(c, v)
-                                      for c, v in zip(self.cells, self.values)))
 
     def to_json(self):
         return {

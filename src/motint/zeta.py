@@ -27,18 +27,16 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import formula as F
 from . import ring_a as R
 from .cells import AffineForm, universe
 from .cplus import CTerm, MotFun, normal_form, specialize, unit_class
 from .errors import (CapExceeded, FrameMismatch, MotintError,
-                     NonGeometricFamily, NotIntegrable, ParseError,
-                     UnsupportedH)
+                     NonGeometricFamily, ParseError, UnsupportedH)
 from .padic import PContext, enumeration_cap, rational_ord
-from .presburger import PFun, PTerm
-from .vfint import CellDecomposition, integrate_cell_family, integrate_iterated
+from .presburger import PFun, PTerm, stirling2
+from .vfint import integrate_cell_family, integrate_iterated
 
 __all__ = [
     "Poly", "parse_poly", "RatSeries", "CoeffList",
@@ -366,15 +364,6 @@ class CoeffList:
 # closed form extraction from a parametrized value
 
 
-@lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
 def _poly_mul(a: list, b: list) -> list:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -429,7 +418,7 @@ def _infinite_piece(coef, lpow, factors, start: int, m: int, rc, contribs,
     falling = [Fraction(0)] * (deg + 1)
     for s, c in enumerate(poly):
         for j in range(s + 1):
-            falling[j] += c * _stirling2(s, j)
+            falling[j] += c * stirling2(s, j)
     base = coef * R.L_pow(int(beta0))
     num: dict = {}
     for j in range(deg + 1):

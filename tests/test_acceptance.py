@@ -5,10 +5,8 @@ PASS line with its headline numbers (visible with ``pytest -rP`` or
 ``-s``; the pytest verdict line itself is the pass/fail record).
 """
 
-import itertools
 import random
 from fractions import Fraction
-from math import inf
 
 from motint import formula as F
 from motint import qplus
@@ -22,6 +20,8 @@ from motint.qplus import (ResClass, ResGen, RewriteLog, count_class,
 from motint.vfint import (cell_contains, change_of_variables_1d,
                           decompose_fragment, integrate_iterated)
 from motint.zeta import parse_poly, verify_meuser, zmot_monomial
+
+from haar import haar_sum
 
 GRID4 = [PContext(2, 1), PContext(3, 1), PContext(2, 2), PContext(3, 2)]
 
@@ -42,35 +42,6 @@ def integral(cond, order, ctx, weight=(), log=None):
     out = integrate_iterated(cond, order, ctx, weight=weight, log=log)
     assert out.integrable
     return out.value
-
-
-def haar_sum(cond, weight, ctx, level, var="t"):
-    """Truncated Riemann sum over representatives of O mod M^level.
-
-    Exact for conditions and weights determined below the level; the
-    class around each weight center is skipped when the representative
-    hits the center, so for weighted integrands the truncation error
-    lies in [0, 4 q^-(1+m) level].
-    """
-    q = Fraction(ctx.q)
-    centers = [(m, PadicElem.from_rational(ctx.p, ctx.d, Fraction(ctr)))
-               for m, _, ctr in weight]
-    total = Fraction(0)
-    for coeffs in itertools.product(range(ctx.p ** level), repeat=ctx.d):
-        t = PadicElem.exact(ctx.p, ctx.d, list(coeffs))
-        if not eval_formula(cond, {var: t}, ctx):
-            continue
-        w = Fraction(1)
-        ok = True
-        for m, ctr in centers:
-            o = (t - ctr).ord()
-            if o == inf:
-                ok = False
-                break
-            w *= q ** (-m * o)
-        if ok:
-            total += w
-    return total / q ** level
 
 
 def random_points(rng, ctx, count):

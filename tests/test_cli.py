@@ -112,6 +112,35 @@ def test_theta_needs_q(capsys):
     assert status == 1 and "needs --q" in err
 
 
+def error_of(capsys, *argv):
+    """Run a command that must fail; return its JSON error object."""
+    status, out, _ = run(capsys, *argv, "--json")
+    assert status == 1
+    return json.loads(out)["error"]
+
+
+def test_theta_division_by_zero(capsys):
+    error = error_of(capsys, "theta", "--expr", "1/(L-L)", "--q", "2")
+    assert error["code"] == "ParseError"
+    assert "division by zero" in error["message"]
+
+
+@pytest.mark.parametrize("data", [
+    {"vars": ["n"]},                                  # no pieces
+    {"format": "motint.other/1", "vars": ["n"], "pieces": []},
+    {"vars": ["n"], "pieces": 3},
+    {"vars": ["n"], "pieces": [{"cell": {"vars": ["n"], "tower": [
+        {"lo": {"terms": {}, "const": "abc"}, "hi": None, "mod": 1,
+         "res": 0}]}, "terms": []}]},
+    ["n"],
+])
+def test_sum_malformed_json(capsys, tmp_path, data):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    error = error_of(capsys, "sum", "--file", str(path))
+    assert error["code"] == "ParseError"
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -149,6 +178,19 @@ def test_count_cap(capsys):
                          "--p", "2", "--level", "3", "--cap", "10")
     assert status == 1
     assert "CapExceeded" in err
+    error = error_of(capsys, "count", "--formula", "x*y = 0",
+                     "--p", "2", "--level", "3", "--cap", "10")
+    assert (error["code"], error["needed"], error["cap"]) == \
+        ("CapExceeded", 64, 10)
+
+
+def test_count_json_report(capsys):
+    status, out, _ = run(capsys, "count", "--formula", "x*y = 0",
+                         "--p", "3", "--level", "2", "--json")
+    assert status == 0
+    assert json.loads(out) == {
+        "assignments": 81, "count": 21, "d": 1, "formula": "x*y = 0",
+        "free_vars": ["x", "y"], "level": 2, "p": 3}
 
 
 def test_nonprime_p_rejected(capsys):
@@ -164,6 +206,19 @@ def test_bad_config_key(capsys, tmp_path):
                          "--config", str(cfg))
     assert status == 1
     assert "unknown config keys: prime" in err
+
+
+def test_threads_option_rejected(capsys, tmp_path):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["count", "--formula", "x = 0", "--threads", "2"])
+    assert ei.value.code == 1
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    status, _, err = run(capsys, "count", "--formula", "x = 0",
+                         "--config", str(cfg))
+    assert status == 1
+    assert "unknown config keys: threads" in err
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +250,21 @@ def test_integrate_divergence_is_an_error(capsys):
                          "--order", "t", "--p", "2")
     assert status == 1
     assert "NotIntegrable" in err
+
+
+def test_vol_lenient_not_integrable(capsys):
+    argv = ["vol", "--cond", "ord(t - 1) = ord(t - 2)", "--order", "t",
+            "--lenient"]
+    status, out, _ = run(capsys, *argv)
+    assert status == 0
+    assert out.splitlines() == ["not integrable in some direction"]
+    status, out, _ = run(capsys, *argv, "--json")
+    assert status == 0
+    report = json.loads(out)
+    assert report["value"] is None
+    assert report["result"]["integrable"] is False
+    error = error_of(capsys, *argv, "--count")
+    assert error["code"] == "NotIntegrable"
 
 
 def test_integrate_bad_weight(capsys):
@@ -249,13 +319,13 @@ def test_verify_meuser_grid(capsys):
     assert out.splitlines()[-1] == "all match: yes"
 
 
-def test_verify_meuser_thread_determinism(capsys):
+def test_verify_meuser_deterministic(capsys):
     argv = ["verify-meuser", "--H", "x^2", "--grid", "p=2,3;d=1",
             "--imax", "3", "--json"]
-    status1, out1, _ = run(capsys, *argv, "--threads", "1")
-    status4, out4, _ = run(capsys, *argv, "--threads", "4")
-    assert status1 == status4 == 0
-    assert out1 == out4                      # byte-identical report
+    status1, out1, _ = run(capsys, *argv)
+    status2, out2, _ = run(capsys, *argv)
+    assert status1 == status2 == 0
+    assert out1 == out2                      # byte-identical report
 
 
 def test_verify_meuser_mismatch_exits_2(capsys, monkeypatch):

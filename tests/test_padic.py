@@ -1,4 +1,4 @@
-"""Galois rings, exact p-adic elements, counting, and level volumes."""
+"""Galois rings, exact p-adic elements, formula evaluation and counting."""
 
 import random
 from fractions import Fraction
@@ -10,8 +10,10 @@ from motint.errors import CapExceeded, InsufficientPrecision, MotintError, SortE
 from motint.formula import RES, VF, VG, parse_formula
 from motint.padic import (
     GaloisRing, PadicElem, PContext, TruncatedElem, count_points,
-    default_modulus, rational_ac, rational_ord, shell_volume, vol_level,
+    default_modulus, eval_formula, rational_ac, rational_ord,
 )
+
+from haar import haar_sum
 
 
 def test_default_moduli_small_cases():
@@ -120,13 +122,11 @@ def test_count_residue_square_zero():
     assert count_points(f3, PContext(2, 1)) == 2
 
 
-def test_count_with_vg_box_and_chunks():
+def test_count_with_vg_box():
     f = parse_formula("x^2 = 0 && 0 <= n && n <= 5", defaults={"x": RES(2), "n": VG})
     ctx = PContext(2, 1)
-    base = count_points(f, ctx, boxes={"n": (-3, 10)})
-    assert base == 2 * 6
-    for chunks in (2, 3, 7):
-        assert count_points(f, ctx, boxes={"n": (-3, 10)}, chunks=chunks) == base
+    assert count_points(f, ctx, boxes={"n": (-3, 10)}) == 2 * 6
+    assert count_points(f, ctx, boxes={"n": (3, 2)}) == 0        # empty box
     with pytest.raises(MotintError):
         count_points(f, ctx)
 
@@ -135,6 +135,36 @@ def test_count_cap():
     f = parse_formula("x = x", defaults={"x": RES(4)})
     with pytest.raises(CapExceeded):
         count_points(f, PContext(2, 1), cap=10)
+    # the cap applies to the whole box, not to each coordinate
+    g = parse_formula("x = y && 0 <= n", defaults={"x": RES(2), "y": RES(2), "n": VG})
+    with pytest.raises(CapExceeded) as ei:
+        count_points(g, PContext(2, 1), boxes={"n": (0, 9)}, cap=100)
+    assert (ei.value.needed, ei.value.cap) == (4 * 4 * 10, 100)
+    assert count_points(g, PContext(2, 1), boxes={"n": (0, 9)}, cap=160) == 40
+
+
+def test_unary_minus_and_powers_in_formulas():
+    # residue terms: -x = 1 has one solution in F_3, -(x^2) = 2 has two
+    ctx3 = PContext(3, 1)
+    assert count_points(parse_formula("-x = 1", defaults={"x": RES(1)}), ctx3) == 1
+    assert count_points(parse_formula("-(x^2) = 2", defaults={"x": RES(1)}), ctx3) == 2
+    # over GR(9, 2), against a direct enumeration of the ring
+    ctx32 = PContext(3, 2)
+    f = parse_formula("x^3 = -x", defaults={"x": RES(2)})
+    want = sum(1 for e in ctx32.residue_ring(2).elements() if e ** 3 == -e)
+    assert count_points(f, ctx32) == want
+    # valued-field terms, exact and truncated
+    g = parse_formula("ord(-t) = 1 && ord(t^3) = 3 && ac_1(-t) = 2",
+                      default_sort=VF)
+    exact = PadicElem.from_rational(3, 1, Fraction(3))
+    assert eval_formula(g, {"t": exact}, ctx3)
+    assert eval_formula(g, {"t": TruncatedElem.make(3, 1, 5, (3,))}, ctx3)
+    assert not eval_formula(g, {"t": PadicElem.from_rational(3, 1, Fraction(-3))}, ctx3)
+    h = parse_formula("ord(-t) = 0 && ord(t^2) = 0", default_sort=VF)
+    assert eval_formula(h, {"t": PadicElem.from_rational(3, 1, Fraction(1))}, ctx3)
+    # value-group negation
+    k = parse_formula("ord(t) = -n", defaults={"t": VF, "n": VG})
+    assert eval_formula(k, {"t": PadicElem.from_rational(3, 1, Fraction(1, 9)), "n": 2}, ctx3)
 
 
 def test_count_projection():
@@ -165,56 +195,66 @@ def test_reducible_modulus_rejected():
 
 def test_vol_ord_equals_two():
     f = parse_formula("ord(x) = 2", default_sort=VF)
-    assert vol_level(f, 3, PContext(2, 1)) == Fraction(1, 8)
-    assert vol_level(f, 5, PContext(2, 1)) == Fraction(1, 8)
-    assert vol_level(f, 3, PContext(3, 1)) == Fraction(2, 27)
-    assert vol_level(f, 3, PContext(3, 2)) == Fraction(8, 729)
+    assert haar_sum(f, (), PContext(2, 1), 3) == Fraction(1, 8)
+    assert haar_sum(f, (), PContext(2, 1), 5) == Fraction(1, 8)
+    assert haar_sum(f, (), PContext(3, 1), 3) == Fraction(2, 27)
+    assert haar_sum(f, (), PContext(3, 2), 3) == Fraction(8, 729)
 
 
 def test_vol_unit_product():
     f = parse_formula("ord(x * y) = 0", default_sort=VF)
-    assert vol_level(f, 1, PContext(2, 1)) == Fraction(1, 4)
-    assert vol_level(f, 2, PContext(2, 1)) == Fraction(1, 4)
-    assert vol_level(f, 1, PContext(3, 1)) == Fraction(4, 9)
+    assert haar_sum(f, (), PContext(2, 1), 1) == Fraction(1, 4)
+    assert haar_sum(f, (), PContext(2, 1), 2) == Fraction(1, 4)
+    assert haar_sum(f, (), PContext(3, 1), 1) == Fraction(4, 9)
 
 
 def test_vol_with_quantifier_and_ac():
     # units whose angular component is a square in the residue field
     f = parse_formula("ord(x) = 0 && (exists u : res(1) . u * u = ac_1(x))",
                       default_sort=VF)
-    assert vol_level(f, 1, PContext(3, 1)) == Fraction(1, 3)
-    assert vol_level(f, 2, PContext(3, 1)) == Fraction(1, 3)
-    assert vol_level(f, 1, PContext(5, 1)) == Fraction(2, 5)
+    assert haar_sum(f, (), PContext(3, 1), 1) == Fraction(1, 3)
+    assert haar_sum(f, (), PContext(3, 1), 2) == Fraction(1, 3)
+    assert haar_sum(f, (), PContext(5, 1), 1) == Fraction(2, 5)
 
 
 def test_shell_volume_known_values():
-    ctx2 = PContext(2, 1)
-    assert shell_volume(0, ctx2) == Fraction(1, 2)
-    assert shell_volume(2, ctx2) == Fraction(1, 8)
-    ctx32 = PContext(3, 2)
-    assert shell_volume(0, ctx32) == Fraction(8, 9)
-    assert shell_volume(1, ctx32) == Fraction(8, 81)
-    # large level exercises the cylinder path; compare with the formula
-    assert shell_volume(25, ctx2) == Fraction(1, 2 ** 26)
+    # vol{ord x = a} = (q - 1) / q^(a + 1), determined at level a + 1
+    for ctx, a, want in ((PContext(2, 1), 0, Fraction(1, 2)),
+                         (PContext(2, 1), 2, Fraction(1, 8)),
+                         (PContext(3, 2), 0, Fraction(8, 9)),
+                         (PContext(3, 2), 1, Fraction(8, 81))):
+        f = parse_formula(f"ord(x) = {a}", default_sort=VF)
+        assert haar_sum(f, (), ctx, a + 1) == want
+
+
+def test_haar_sum_weights_and_variables():
+    ctx = PContext(2, 1)
+    # a weighted variable the condition does not mention still ranges
+    f = parse_formula("ord(x) >= 1", default_sort=VF)
+    assert haar_sum(f, ((1, "y", 0),), ctx, 1) == Fraction(1, 2) * Fraction(1, 2)
+    # L^{-ord x} over the units is 1/2; the class of the center is skipped
+    g = parse_formula("ord(x) >= 0", default_sort=VF)
+    assert haar_sum(g, ((1, "x", 0),), ctx, 1) == Fraction(1, 2)
+    assert haar_sum(g, ((1, "x", 0),), ctx, 2) == Fraction(1, 2) + Fraction(1, 8)
 
 
 def test_eval_vg_quantifier_bounds():
     f = parse_formula("exists z : vg in [0, 3] . ord(x) = z", default_sort=VF)
     ctx = PContext(2, 1)
-    assert vol_level(f, 5, ctx) == Fraction(15, 16)  # ord in 0..3
+    assert haar_sum(f, (), ctx, 5) == Fraction(15, 16)  # ord in 0..3
     g = parse_formula("forall z : vg in [0, 1] . ord(x) <= z", default_sort=VF)
-    assert vol_level(g, 3, ctx) == Fraction(1, 2)    # ord x = 0 and below
+    assert haar_sum(g, (), ctx, 3) == Fraction(1, 2)    # ord x = 0 and below
 
 
 def test_ord_infinite_comparisons():
     ctx = PContext(2, 1)
     f = parse_formula("ord(x) >= 5", default_sort=VF)
     # the zero representative has infinite order, which satisfies >= 5
-    assert vol_level(f, 5, ctx) == Fraction(1, 32)
+    assert haar_sum(f, (), ctx, 5) == Fraction(1, 32)
     # odd order below the level: 2, 6, 10, 14 and 8 modulo 16; the zero
     # class has infinite order and congruences never hold there
     g = parse_formula("ord(x) = 3 mod 2", default_sort=VF)
-    assert vol_level(g, 4, ctx) == Fraction(5, 16)
+    assert haar_sum(g, (), ctx, 4) == Fraction(5, 16)
 
 
 def test_random_ord_ac_multiplicativity():

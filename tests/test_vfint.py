@@ -1,9 +1,7 @@
 """Valued-field cell decomposition and integration."""
 
-import itertools
 import random
 from fractions import Fraction
-from math import inf
 
 import pytest
 
@@ -18,6 +16,8 @@ from motint.presburger import PFun, PTerm
 from motint.vfint import (CellDecomposition, VFCell, cell_contains,
                           change_of_variables_1d, decompose_fragment,
                           integrate_cell_family, integrate_iterated)
+
+from haar import haar_sum
 
 Q2 = PContext(2, 1)
 Q3 = PContext(3, 1)
@@ -40,28 +40,6 @@ def integral(cond, order, ctx, weight=()):
     out = integrate_iterated(cond, order, ctx, weight=weight)
     assert out.integrable
     return out.value
-
-
-def haar_sum(cond, weight, ctx, level, var="t"):
-    """Brute-force Riemann sum over representatives of O mod M^level."""
-    q = Fraction(ctx.q)
-    total = Fraction(0)
-    for coeffs in itertools.product(range(ctx.p ** level), repeat=ctx.d):
-        t = PadicElem.exact(ctx.p, ctx.d, [Fraction(c) for c in coeffs])
-        if not eval_formula(cond, {var: t}, ctx):
-            continue
-        w = Fraction(1)
-        ok = True
-        for m, wv, ctr in weight:
-            o = (t - PadicElem.from_rational(ctx.p, ctx.d,
-                                             Fraction(ctr))).ord()
-            if o == inf:
-                ok = False
-                break
-            w *= q ** (-m * o)
-        if ok:
-            total += w
-    return total / q ** level
 
 
 def random_points(rng, ctx, count):
@@ -378,19 +356,7 @@ def test_three_variables():
 def test_iterated_numeric_check():
     cond = vf("ord(x) >= 0 && ord(y) >= ord(x)")
     val = integral(cond, ("x", "y"), Q2)
-    q = Fraction(2)
-    total = Fraction(0)
-    level = 7
-    for a in range(2 ** level):
-        for b in range(2 ** level):
-            x = PadicElem.from_rational(2, 1, Fraction(a))
-            y = PadicElem.from_rational(2, 1, Fraction(b))
-            ox = min(x.ord(), level)
-            oy = min(y.ord(), level)
-            if oy >= ox:
-                total += 1
-    got = total / q ** (2 * level)
-    diff = abs(specialize(val, Q2) - got)
+    diff = abs(specialize(val, Q2) - haar_sum(cond, (), Q2, 7))
     assert diff < Fraction(1, 2 ** 11)
 
 
