@@ -77,25 +77,29 @@ def rational_ac(c: Fraction, p: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic mod p (for irreducibility testing)
+# arithmetic in Z[w]/(f)
 
-def _pmul(a: tuple, b: tuple, f: tuple, p: int) -> tuple:
-    """Multiply mod (p, f) with f monic; operands have degree < deg f."""
+def zw_mul(a: tuple, b: tuple, f: tuple) -> tuple:
+    """Product in Z[w]/(f) for monic f of degree d, on coefficient tuples of
+    length <= d; the result has length d.  Nothing is reduced modulo a
+    prime power: callers that work in a residue ring reduce afterwards."""
     d = len(f) - 1
-    out = [0] * (len(a) + len(b) - 1 or 1)
+    out = [0] * max(len(a) + len(b) - 1, d)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
+                out[i + j] += ca * cb
     for k in range(len(out) - 1, d - 1, -1):
         c = out[k]
         if c:
-            out[k] = 0
             for j in range(d):
-                out[k - d + j] = (out[k - d + j] - c * f[j]) % p
-    while len(out) < d:
-        out.append(0)
+                out[k - d + j] -= c * f[j]
     return tuple(out[:d])
+
+
+def _pmul(a: tuple, b: tuple, f: tuple, p: int) -> tuple:
+    """Multiply mod (p, f) with f monic; operands have degree < deg f."""
+    return tuple(c % p for c in zw_mul(a, b, f))
 
 
 def _ppow_x(e: int, f: tuple, p: int) -> tuple:
@@ -265,22 +269,7 @@ class GRElem:
 
     def __mul__(self, other: "GRElem") -> "GRElem":
         self._same(other)
-        r = self.ring
-        m = r.char
-        f = r.modulus
-        d = r.degree
-        out = [0] * (2 * d - 1 or 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca:
-                for j, cb in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + ca * cb) % m
-        for k in range(len(out) - 1, d - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = 0
-                for j in range(d):
-                    out[k - d + j] = (out[k - d + j] - c * f[j]) % m
-        return r.make(out[:d])
+        return self.ring.make(zw_mul(self.coeffs, other.coeffs, self.ring.modulus))
 
     def __pow__(self, e: int) -> "GRElem":
         if e < 0:
@@ -369,20 +358,9 @@ class PadicElem:
 
     def __mul__(self, other: "PadicElem") -> "PadicElem":
         self._compat(other)
-        d = self.degree
-        out = [Fraction(0)] * (2 * d - 1 or 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca:
-                for j, cb in enumerate(other.coeffs):
-                    out[i + j] += ca * cb
-        f = self.modulus
-        for k in range(len(out) - 1, d - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = Fraction(0)
-                for j in range(d):
-                    out[k - d + j] -= c * f[j]
-        return PadicElem(self.p, self.degree, tuple(out[:d]), self.modulus)
+        out = zw_mul(self.coeffs, other.coeffs, self.modulus)
+        return PadicElem(self.p, self.degree, tuple(Fraction(c) for c in out),
+                         self.modulus)
 
     def __pow__(self, e: int) -> "PadicElem":
         if e < 0:

@@ -546,38 +546,7 @@ def is_equal(a: ResClass, b: ResClass) -> str:
 
 
 # ---------------------------------------------------------------------------
-# residue integration and counting
-
-def adjoin(rc: ResClass, names_depths, psi: F.Formula) -> ResClass:
-    """Sum over new residue variables constrained by psi: each generator
-    gains the variables with psi conjoined.  Free variables of psi must be
-    among the new names."""
-    names_depths = tuple(names_depths)
-    declared = dict(names_depths)
-    frame = F.frame_of(psi)
-    if frame.vf or frame.vg:
-        raise SortError("residue integration guard must be residue-sorted")
-    for name, depth in frame.res:
-        if name not in declared or declared[name] != depth:
-            raise MotintError(
-                f"guard variable {name}:{depth} is not being adjoined")
-    out = []
-    for g in rc.gens:
-        taken = set(declared)
-        mapping = {}
-        for n, _ in g.vars:
-            new = n
-            k = 0
-            while new in taken:
-                k += 1
-                new = f"{n}_{k}"
-            taken.add(new)
-            if new != n:
-                mapping[n] = new
-        g2 = g.rename(mapping) if mapping else g
-        out.append(ResGen(g2.vars + names_depths, F.land(g2.phi, psi), g2.lpow))
-    return ResClass(tuple(out))
-
+# counting
 
 def count_class(rc: ResClass, ctx: PContext, cap: int | None = None) -> Fraction:
     """Specialize at a prime power: points are counted and powers of L

@@ -34,7 +34,8 @@ from .cells import AffineForm, universe
 from .cplus import CTerm, MotFun, normal_form, specialize, unit_class
 from .errors import (CapExceeded, FrameMismatch, MotintError,
                      NonGeometricFamily, ParseError, UnsupportedH)
-from .padic import PContext, enumeration_cap, rational_ord
+from .padic import (PContext, enumeration_cap, rational_mod, rational_ord,
+                    vp_int, zw_mul)
 from .presburger import PFun, PTerm, stirling2
 from .vfint import integrate_cell_family, integrate_iterated
 
@@ -101,6 +102,55 @@ class Poly:
                 val = val * (env[v] ** e)
             total = total + val
         return total
+
+    def compile_residue(self, ctx: PContext, level: int):
+        """Compile H for evaluation modulo p^level.
+
+        Each coefficient is reduced once.  The result maps a tuple of
+        per-variable coordinate tuples, in the order of ``variables()``,
+        to the coordinate tuple of H mod p^level; it is the integer form
+        of ``eval_residue`` on ``ctx.residue_ring(level)``.
+        """
+        p, d, f = ctx.p, ctx.d, ctx.modulus
+        m = p ** level
+        index = {v: j for j, v in enumerate(self.variables())}
+        terms = [(rational_mod(c, p, level),
+                  tuple((index[v], e) for v, e in mono))
+                 for c, mono in self.terms]
+        if d == 1:
+            def value(point):
+                total = 0
+                for c, mono in terms:
+                    for j, e in mono:
+                        c *= point[j][0] ** e
+                    total += c
+                return (total % m,)
+            return value
+
+        tops = [0] * len(index)
+        for _, mono in terms:
+            for j, e in mono:
+                tops[j] = max(tops[j], e)
+
+        def value(point):
+            pows = []
+            for x, top in zip(point, tops):
+                row = [None, x]
+                for _ in range(top - 1):
+                    row.append(zw_mul(row[-1], x, f))
+                pows.append(row)
+            total = [0] * d
+            for c, mono in terms:
+                acc = None
+                for j, e in mono:
+                    acc = pows[j][e] if acc is None else zw_mul(acc, pows[j][e], f)
+                if acc is None:
+                    total[0] += c
+                else:
+                    for t, a in enumerate(acc):
+                        total[t] += c * a
+            return tuple(a % m for a in total)
+        return value
 
     def __str__(self) -> str:
         if not self.terms:
@@ -613,66 +663,79 @@ def _shell_volumes(powers, shift: int, q: int, i_max: int) -> list:
     return vols
 
 
-def _count_cylinders(h: Poly, ctx: PContext, i_max: int, cap: int) -> list:
-    """Refine residue classes level by level, crediting each class whose
-    valuation becomes determined; classes still vanishing beyond level
-    i_max + 1 cannot meet any requested coefficient and are dropped."""
-    names = h.variables()
-    n = len(names)
+def _feasible(i_max: int) -> str:
+    """Cap-error hint: the largest i_max that fits under the cap."""
+    if i_max < 0:
+        return "no i_max fits under the cap"
+    return f"the largest feasible i_max is {i_max}"
+
+
+def _count_cylinders(h: Poly, ctx: PContext, i_max: int, cap: int,
+                     shift: int) -> list:
+    """Volumes of {ord h = shift + i} for i = 0..i_max, h p-integral.
+
+    Residue classes are refined level by level on integer coordinate
+    tuples, with h compiled once per level.  A class whose value is
+    nonzero mod p^level has a determined valuation, below the level, and
+    is credited; classes still vanishing beyond level i_max + shift + 1
+    cannot meet any requested coefficient and are dropped.  Cap errors
+    count i_max from ord h = shift."""
+    n = len(h.variables())
     p, d = ctx.p, ctx.d
     q = p ** d
-    counts = [Fraction(0)] * (i_max + 1)
-    frontier = [tuple((0,) * d for _ in names)]
+    top = i_max + shift
+    counts = [Fraction(0)] * (top + 1)
+    frontier = [tuple((0,) * d for _ in range(n))]
     visited = 0
-    digits = list(itertools.product(range(p), repeat=d * n))
-    for level in range(1, i_max + 2):
-        need = len(frontier) * len(digits)
+    lifts = list(itertools.product(range(p), repeat=d))
+    for level in range(1, top + 2):
+        need = len(frontier) * q ** n
         if visited + need > cap:
             raise CapExceeded(
                 f"refining {len(frontier)} classes to level {level} needs "
-                f"{visited + need} evaluations, over the cap {cap}; the "
-                f"largest feasible i_max is {level - 2}",
+                f"{visited + need} evaluations, over the cap {cap}; "
+                f"{_feasible(level - 2 - shift)}",
                 needed=visited + need, cap=cap)
         visited += need
-        ring = ctx.residue_ring(level)
+        value = h.compile_residue(ctx, level)
         step = p ** (level - 1)
-        vol = Fraction(1, q ** (n * level))
+        hits = [0] * level
         nxt = []
         for coords in frontier:
-            for delta in digits:
-                child = tuple(
-                    tuple(cv + step * delta[j * d + t]
-                          for t, cv in enumerate(coord))
-                    for j, coord in enumerate(coords))
-                env = {v: ring.make(child[j]) for j, v in enumerate(names)}
-                val = h.eval_residue(ring, env)
-                if val.is_zero():
-                    if level <= i_max:
+            choices = [[tuple(c + step * t for c, t in zip(coord, lift))
+                        for lift in lifts] for coord in coords]
+            for child in itertools.product(*choices):
+                val = value(child)
+                if not any(val):
+                    if level <= top:
                         nxt.append(child)
                     continue
-                v = val.ord_capped()
-                if v <= i_max:
-                    counts[v] += vol
+                hits[min(vp_int(c, p) for c in val if c)] += 1
+        for v, k in enumerate(hits):
+            if k:
+                counts[v] += Fraction(k, q ** (n * level))
         frontier = nxt
         if not frontier:
             break
-    return counts
+    return counts[shift:]
 
 
-def _count_enumerate(h: Poly, ctx: PContext, i_max: int, cap: int) -> list:
-    """Per-level full enumeration: count solutions of ord H = i over the
-    residue ring at level i + 1 and divide by the ring size."""
+def _count_enumerate(h: Poly, ctx: PContext, i_max: int, cap: int,
+                     shift: int) -> list:
+    """Per-level full enumeration: count solutions of ord h = shift + i
+    over the residue ring at level shift + i + 1 and divide by the ring
+    size.  h is p-integral; cap errors count i_max from ord h = shift."""
     names = h.variables()
     n = len(names)
     q = ctx.p ** ctx.d
     vols = []
-    for i in range(i_max + 1):
+    for i in range(shift, i_max + shift + 1):
         ring = ctx.residue_ring(i + 1)
         total = ring.size ** n
         if total > cap:
             raise CapExceeded(
                 f"counting at level {i + 1} needs {total} tuples, over the "
-                f"cap {cap}; the largest feasible i_max is {i - 1}",
+                f"cap {cap}; {_feasible(i - 1 - shift)}",
                 needed=total, cap=cap)
         count = 0
         for tup in itertools.product(list(ring.elements(cap=cap)), repeat=n):
@@ -688,12 +751,18 @@ def zprime_count(h, p: int, d: int, i_max: int, *, cap: int | None = None,
     """Exact volumes of {x : ord H(x) = i} over the unramified degree-d
     extension, for i = 0..i_max.
 
-    Methods: ``enumerate`` counts full residue-ring tuples at each level;
-    ``cylinder`` refines residue classes level by level, crediting a
-    class once its valuation is determined (same counts, far fewer
-    evaluations); ``shells`` aggregates per-variable valuation shells and
-    applies only to monomials; ``auto`` picks shells for monomials and
-    cylinder refinement otherwise.
+    Methods: ``enumerate`` counts full residue-ring tuples at each level
+    through ``Poly.eval_residue`` (the reference); ``cylinder`` refines
+    residue classes level by level on integer coordinates with H compiled
+    once per level (``Poly.compile_residue``), crediting a class once its
+    valuation is determined (same counts, far fewer evaluations);
+    ``shells`` aggregates per-variable valuation shells and applies only
+    to monomials; ``auto`` picks shells for monomials and cylinder
+    refinement otherwise.
+
+    Coefficients need not be p-integral: with k = max(0, -min ord of the
+    coefficients), the counting methods count p^k * H, whose order is
+    ord H + k, and report volumes and cap errors in H's own index.
     """
     h = _as_poly(h)
     if i_max < 0:
@@ -717,14 +786,14 @@ def zprime_count(h, p: int, d: int, i_max: int, *, cap: int | None = None,
             vols = [Fraction(int(i == shift)) for i in range(i_max + 1)]
         else:
             vols = _shell_volumes(powers, shift, q, i_max)
-    elif method == "cylinder":
+    elif method in ("cylinder", "enumerate"):
         if not h.variables():
             return zprime_count(h, p, d, i_max, cap=cap, method="shells")
-        vols = _count_cylinders(h, ctx, i_max, cap)
-    elif method == "enumerate":
-        if not h.variables():
-            return zprime_count(h, p, d, i_max, cap=cap, method="shells")
-        vols = _count_enumerate(h, ctx, i_max, cap)
+        # ord(p^k * H) = ord H + k, and p^k * H is p-integral
+        k = max(0, -min(rational_ord(c, p) for c, _ in h.terms))
+        scaled = Poly.make((c * p ** k, mono) for c, mono in h.terms)
+        count = _count_cylinders if method == "cylinder" else _count_enumerate
+        vols = count(scaled, ctx, i_max, cap, k)
     else:
         raise MotintError(f"unknown counting method {method!r}")
     return CoeffList(i_max, tuple(vols))

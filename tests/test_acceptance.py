@@ -11,8 +11,8 @@ from fractions import Fraction
 from motint import formula as F
 from motint import qplus
 from motint import ring_a as R
-from motint.cells import AffineForm, PCell, VarCell, universe
-from motint.cplus import MotFun, is_equal, normal_form, specialize
+from motint.cells import AffineForm, PCell, VarCell
+from motint.cplus import is_equal, normal_form, specialize
 from motint.padic import PadicElem, PContext, eval_formula
 from motint.presburger import PFun, PTerm, sum_fibers
 from motint.qplus import (ResClass, ResGen, RewriteLog, count_class,

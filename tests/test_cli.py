@@ -304,6 +304,16 @@ def test_zeta_count_cap_json(capsys):
     assert report["error"]["needed"] > report["error"]["cap"] == 20
 
 
+def test_zeta_count_non_integral_coefficient(capsys):
+    for method in ("cylinder", "enumerate"):
+        status, out, _ = run(capsys, "zeta-count", "--H", "1/2*x + y",
+                             "--p", "2", "--imax", "3", "--method", method,
+                             "--json")
+        assert status == 0
+        report = json.loads(out)
+        assert report["coefficients"]["values"] == ["1/4", "1/8", "1/16", "1/32"]
+
+
 def test_zeta_count_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("MOTINT_CAP", "20")
     status, _, err = run(capsys, "zeta-count", "--H", "x*y", "--p", "2",

@@ -4,8 +4,8 @@ import pytest
 
 from motint.errors import ParseError, SortError
 from motint.formula import (
-    VF, VG, RES, Ac, And, BinOp, Cong, Eq, FALSE, IntLit, Le, Not,
-    Or, Ord, Pi, Pow, Proj, Quant, RatLit, TRUE, Var, check_sorts,
+    VF, VG, RES, And, BinOp, Cong, Eq, FALSE, IntLit, Le, Not,
+    Or, Ord, Pow, Quant, RatLit, TRUE, Var, check_sorts,
     formula_str, frame_of, free_vars, land, lor, parse_formula,
     parse_term, simplify, substitute, term_str,
 )

@@ -12,7 +12,7 @@ from motint.errors import FrameMismatch, NotIntegrable
 from motint.presburger import (
     PFun, PTerm, is_integrable, sum_all, sum_fibers, sum_value,
 )
-from motint.ring_a import ARat, ONE, ZERO, theta
+from motint.ring_a import ONE, ZERO, theta
 
 
 def af(coeffs=None, const=0):

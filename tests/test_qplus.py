@@ -10,7 +10,7 @@ from motint.errors import MotintError, SortError
 from motint.formula import RES, parse_formula
 from motint.padic import PContext
 from motint.qplus import (
-    ResClass, ResGen, RewriteLog, adjoin, count_class, from_formula,
+    ResClass, ResGen, RewriteLog, count_class, from_formula,
     is_equal, l_class, normal_form, one, torus, zero,
 )
 
@@ -141,19 +141,6 @@ def test_closed_conjunct_preserved():
     # squares differ from points, so the quantifier must survive
     assert count_class(nf, PContext(3, 1)) == count_class(rc, PContext(3, 1)) == 1
     assert count_class(nf, PContext(5, 1)) == 2
-
-
-def test_adjoin():
-    rc = adjoin(one(), (("xi", 1),), res_formula("xi != 0", xi=1))
-    for ctx in GRID:
-        assert count_class(rc, ctx) == ctx.q - 1
-    # collision with existing generator names gets renamed apart
-    base = from_formula((("xi", 1),), res_formula("xi = 0", xi=1))
-    rc2 = adjoin(base, (("xi", 1),), res_formula("xi != 0", xi=1))
-    for ctx in GRID:
-        assert count_class(rc2, ctx) == ctx.q - 1
-    with pytest.raises(MotintError):
-        adjoin(one(), (("a", 1),), res_formula("b = 0", b=1))
 
 
 def test_rewrite_log_preserves_counts():

@@ -13,9 +13,9 @@ from motint.errors import (FrameMismatch, NotCellPresented, NotIntegrable,
                            OutsideFragment, ZeroDerivative)
 from motint.padic import PadicElem, PContext, eval_formula
 from motint.presburger import PFun, PTerm
-from motint.vfint import (CellDecomposition, VFCell, cell_contains,
-                          change_of_variables_1d, decompose_fragment,
-                          integrate_cell_family, integrate_iterated)
+from motint.vfint import (cell_contains, change_of_variables_1d,
+                          decompose_fragment, integrate_cell_family,
+                          integrate_iterated)
 
 from haar import haar_sum
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motint import formula as F
 from motint import ring_a as R
@@ -10,7 +11,7 @@ from motint.cells import AffineForm, PCell, VarCell, universe
 from motint.cplus import MotFun, is_equal, normal_form, specialize
 from motint.errors import (CapExceeded, MotintError, NonGeometricFamily,
                            ParseError, UnsupportedH)
-from motint.padic import PContext
+from motint.padic import PContext, rational_ord
 from motint.presburger import PFun, PTerm
 from motint.vfint import decompose_fragment, integrate_iterated
 from motint.zeta import (CoeffList, Poly, RatSeries, heuristic_pade_fit,
@@ -290,7 +291,9 @@ def test_zprime_frozen_values():
 
 def test_zprime_methods_agree():
     grid = [("x", 2, 1, 4), ("x*y", 2, 1, 3), ("x^2*y^3", 2, 1, 3),
-            ("x", 3, 2, 2), ("x^2 + y^2", 2, 1, 3), ("x*y - 1", 3, 1, 2)]
+            ("x", 3, 2, 2), ("x^2 + y^2", 2, 1, 3), ("x*y - 1", 3, 1, 2),
+            ("x*y - z^2", 2, 2, 1), ("x^2 - y^3", 3, 2, 1),
+            ("x^2 + y", 2, 3, 1), ("3*x^2 - 5*y", 3, 1, 3)]
     for h, p, d, imax in grid:
         a = zprime_count(h, p, d, imax, method="cylinder").values
         b = zprime_count(h, p, d, imax, method="enumerate").values
@@ -298,6 +301,44 @@ def test_zprime_methods_agree():
         if parse_poly(h).as_monomial() is not None:
             c = zprime_count(h, p, d, imax, method="shells").values
             assert a == c, (h, p, d)
+
+
+def test_zprime_non_integral_coefficients():
+    # ord(x/2 + y) = ord(x + 2y) - 1, so the volumes shift by one index
+    for h, p, d, imax in [("1/2*x*y", 2, 1, 3), ("1/2*x + y", 2, 1, 3),
+                          ("1/2*x + y", 2, 2, 1), ("1/4*x^2 + 1/2*y", 2, 1, 2)]:
+        a = zprime_count(h, p, d, imax, method="cylinder").values
+        b = zprime_count(h, p, d, imax, method="enumerate").values
+        assert a == b, (h, p, d)
+        k = -min(rational_ord(c, p) for c, _ in parse_poly(h).terms)
+        integral = Poly.make((c * p ** k, m) for c, m in parse_poly(h).terms)
+        shifted = zprime_count(integral, p, d, imax + k, method="cylinder").values
+        assert a == shifted[k:], (h, p, d)
+        if parse_poly(h).as_monomial() is not None:
+            assert a == zprime_count(h, p, d, imax, method="shells").values
+    assert zprime_count("1/2*x*y", 2, 1, 3, method="cylinder").values == (
+        Fraction(1, 4), Fraction(3, 16), Fraction(1, 8), Fraction(5, 64))
+
+
+_TERMS = st.lists(
+    st.tuples(st.integers(-30, 30), st.sampled_from([1, 5, 7]),
+              st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 4)),
+                       max_size=3)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=_TERMS, p=st.sampled_from([2, 3]), d=st.sampled_from([1, 2, 3]),
+       level=st.integers(1, 4), data=st.data())
+def test_compiled_residue_matches_eval_residue(terms, p, d, level, data):
+    h = Poly.make((Fraction(n, den), mono) for n, den, mono in terms)
+    ctx = PContext(p, d)
+    ring = ctx.residue_ring(level)
+    coord = st.tuples(*[st.integers(0, ring.char - 1)] * d)
+    names = h.variables()
+    point = data.draw(st.tuples(*[coord] * len(names)))
+    env = {v: ring.make(x) for v, x in zip(names, point)}
+    assert h.compile_residue(ctx, level)(point) == h.eval_residue(ring, env).coeffs
 
 
 def test_zprime_shells_needs_monomial():
@@ -324,6 +365,14 @@ def test_zprime_cap_enumerate():
     err = ei.value
     assert err.needed > err.cap == 100
     assert "i_max is 2" in str(err)
+    with pytest.raises(CapExceeded) as ei:
+        zprime_count("x*y", 2, 1, 3, cap=2, method="enumerate")
+    assert (ei.value.needed, ei.value.cap) == (4, 2)
+    assert "no i_max fits under the cap" in str(ei.value)
+    assert "-1" not in str(ei.value)
+    with pytest.raises(CapExceeded) as ei:
+        zprime_count("1/2*x*y", 2, 1, 3, cap=100, method="enumerate")
+    assert "i_max is 1" in str(ei.value)
 
 
 def test_zprime_cap_cylinder():
@@ -331,6 +380,14 @@ def test_zprime_cap_cylinder():
         zprime_count("x*y", 2, 1, 40, cap=300, method="cylinder")
     assert ei.value.cap == 300
     assert "feasible i_max" in str(ei.value)
+    with pytest.raises(CapExceeded) as ei:
+        zprime_count("x*y", 2, 1, 3, cap=2, method="cylinder")
+    assert (ei.value.needed, ei.value.cap) == (4, 2)
+    assert "no i_max fits under the cap" in str(ei.value)
+    assert "-1" not in str(ei.value)
+    with pytest.raises(CapExceeded) as ei:
+        zprime_count("1/2*x*y", 2, 1, 3, cap=40, method="cylinder")
+    assert "largest feasible i_max is 0" in str(ei.value)
 
 
 def test_coefflist_validation():
