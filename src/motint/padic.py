@@ -103,11 +103,9 @@ def _pmul(a: tuple, b: tuple, f: tuple, p: int) -> tuple:
 
 
 def _ppow_x(e: int, f: tuple, p: int) -> tuple:
-    """x^e mod (p, f)."""
+    """x^e mod (p, f), for a monic f of degree at least 2."""
     d = len(f) - 1
-    base = tuple([0, 1] + [0] * (d - 2)) if d >= 2 else (0,)
-    if d == 1:
-        base = ((-f[0]) % p,)
+    base = tuple([0, 1] + [0] * (d - 2))
     acc = tuple([1] + [0] * (d - 1))
     while e:
         if e & 1:

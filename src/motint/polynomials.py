@@ -1,12 +1,18 @@
-"""Dense univariate polynomial helpers.
+"""Dense univariate polynomials over the integers.
 
-Polynomials are tuples of coefficients in ascending order, so (c0, c1, c2)
-stands for c0 + c1*x + c2*x^2.  The zero polynomial is the empty tuple.
-Coefficients are Python ints or Fractions; results stay exact.
+Polynomials are tuples of int coefficients in ascending order, so
+(c0, c1, c2) stands for c0 + c1*x + c2*x^2.  The zero polynomial is the
+empty tuple.  All arithmetic stays in Z[x]: exact division succeeds when
+the quotient lies in Z[x], gcds come from a primitive pseudo-remainder
+sequence, and Yun's square-free decomposition and Sturm chains use
+pseudo-remainders scaled only by positive constants, so the sign
+variations of a chain are those of the Sturm chain over Q.  Fractions
+appear only when a polynomial is evaluated at a rational point
+(`evaluate`, `cauchy_bound`, `count_roots_right_of`).
 
 Only the small amount of machinery the coefficient ring needs lives here:
-arithmetic, exact division, gcd over Q, content/primitive split, cyclotomic
-polynomials, Yun's square-free decomposition and Sturm sequences.
+arithmetic, exact division, primitive gcd, content/primitive split,
+cyclotomic polynomials, square-free decomposition and Sturm sequences.
 """
 
 from __future__ import annotations
@@ -99,27 +105,37 @@ def derivative(p: Poly) -> Poly:
 
 
 def divmod_exact(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Division with remainder over Q.  q must be nonzero."""
+    """Division with remainder in Z[x]: p = quo*q + rem.
+
+    Each step cancels the leading term of the remainder with an integer
+    multiple of q; division stops once the remainder has lower degree than
+    q, or once the leading coefficient of q fails to divide the remainder's.
+    So rem = () exactly when q divides p in Z[x], and for a monic q (or one
+    leading with -1) this is ordinary Euclidean division.  q must be nonzero.
+    """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = degree(q)
-    lead = Fraction(q[-1])
-    while len(rem) - 1 >= dq and trim(rem):
-        rem = list(trim(rem))
-        if len(rem) - 1 < dq:
+    rem = list(p)
+    dq = len(q) - 1
+    lead = q[-1]
+    quo = [0] * max(len(rem) - dq, 0)
+    while len(rem) > dq:
+        c, r = divmod(rem[-1], lead)
+        if r:
             break
         k = len(rem) - 1 - dq
-        c = rem[-1] / lead
         quo[k] = c
-        for i, b in enumerate(q):
-            rem[k + i] -= c * b
+        for i in range(dq):
+            if q[i]:
+                rem[k + i] -= c * q[i]
         rem.pop()
-    return trim(quo), trim(rem)
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return trim(quo), tuple(rem)
 
 
 def div_exact(p: Poly, q: Poly) -> Poly:
+    """p / q, which must lie in Z[x]."""
     quo, rem = divmod_exact(p, q)
     if rem:
         raise ValueError("inexact polynomial division")
@@ -130,7 +146,7 @@ def content(p: Poly) -> int:
     """Positive gcd of integer coefficients; 0 for the zero polynomial."""
     g = 0
     for c in p:
-        g = int_gcd(g, int(c))
+        g = int_gcd(g, c)
     return g
 
 
@@ -143,52 +159,71 @@ def primitive(p: Poly) -> tuple[int, Poly]:
     if not p:
         return 0, ()
     c = content(p)
-    prim = tuple(int(a) // c for a in p)
-    if prim[-1] < 0:
-        return -c, neg(prim)
-    return c, prim
+    if p[-1] < 0:
+        c = -c
+    if c == 1:
+        return 1, p
+    return c, tuple(a // c for a in p)
 
 
-def to_integer(p: Poly) -> tuple[int, int, Poly]:
-    """Clear denominators: returns (num, den, q) with p = (num/den) * q,
-    q primitive integer with positive leading coefficient."""
-    if not p:
-        return 0, 1, ()
-    den = 1
-    for c in p:
-        den = den * Fraction(c).denominator // int_gcd(den, Fraction(c).denominator)
-    ints = tuple(int(Fraction(c) * den) for c in p)
-    num, prim = primitive(ints)
-    return num, den, prim
+def _pseudo_rem(p: Poly, q: Poly) -> Poly:
+    """Remainder of c*p by q for some integer c > 0, divided by its content.
+
+    Each step scales the remainder by |lc(q)| / gcd(lc(q), lc(r)) before
+    cancelling its leading term, so the result is a positive multiple of
+    the remainder over Q: signs are kept, as Sturm chains need.  q must be
+    nonzero.
+    """
+    rem = list(p)
+    dq = len(q) - 1
+    lead = q[-1]
+    while len(rem) > dq:
+        g = int_gcd(rem[-1], lead)
+        a, b = abs(lead) // g, rem[-1] // g
+        if lead < 0:
+            b = -b
+        if a != 1:
+            rem = [a * c for c in rem]
+        k = len(rem) - 1 - dq
+        for i in range(dq):
+            if q[i]:
+                rem[k + i] -= b * q[i]
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    g = content(rem)
+    if g > 1:
+        rem = [c // g for c in rem]
+    return tuple(rem)
 
 
 def gcd_primitive(p: Poly, q: Poly) -> Poly:
     """Gcd over Q, returned as a primitive integer polynomial with positive
-    leading coefficient.  gcd(0, 0) = 0."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-    a, b = trim(a), trim(b)
+    leading coefficient.  gcd(0, 0) = 0.
+
+    Runs the primitive pseudo-remainder sequence in Z[x]."""
+    a, b = primitive(trim(p))[1], primitive(trim(q))[1]
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    _, _, prim = to_integer(a)
-    return prim
+        a, b = b, _pseudo_rem(a, b)
+    return primitive(a)[1]
 
 
 def squarefree_decomposition(p: Poly) -> list[Poly]:
-    """Yun's algorithm over Q.
+    """Yun's algorithm in Z[x].
 
     Returns [a1, a2, ...] with p ~ a1 * a2^2 * a3^3 * ... up to a constant,
-    each ai primitive integer, squarefree and pairwise coprime.
+    each ai primitive integer, squarefree and pairwise coprime.  Every
+    division is by a primitive factor that divides over Q, hence (Gauss's
+    lemma) exact in Z[x].
     """
     if not p or degree(p) == 0:
         return []
+    p = primitive(p)[1]
     g = gcd_primitive(p, derivative(p))
     if degree(g) == 0:
-        _, _, prim = to_integer(p)
-        return [prim]
+        return [p]
     out: list[Poly] = []
     c = div_exact(p, g)
     d = sub(div_exact(derivative(p), g), derivative(c))
@@ -211,8 +246,7 @@ def odd_multiplicity_part(p: Poly) -> Poly:
     for i, a in enumerate(parts, start=1):
         if i % 2 == 1:
             out = mul(out, a)
-    _, _, prim = to_integer(out)
-    return prim if prim else (1,)
+    return primitive(out)[1]
 
 
 @lru_cache(maxsize=None)
@@ -228,15 +262,15 @@ def cyclotomic(j: int) -> Poly:
     for d in range(1, j):
         if j % d == 0:
             den = mul(den, cyclotomic(d))
-    quo = div_exact(num, den)
-    return tuple(int(c) for c in quo)
+    return div_exact(num, den)
 
 
 def sturm_sequence(p: Poly) -> list[Poly]:
-    """Sturm chain of a squarefree polynomial (p, p', -rem, ...)."""
+    """Sturm chain of a squarefree polynomial (p, p', -rem, ...), each
+    remainder scaled by a positive constant."""
     chain = [p, derivative(p)]
     while chain[-1]:
-        _, r = divmod_exact(chain[-2], chain[-1])
+        r = _pseudo_rem(chain[-2], chain[-1])
         if not r:
             break
         chain.append(neg(r))

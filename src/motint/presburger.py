@@ -83,7 +83,7 @@ class PTerm:
 
     @staticmethod
     def from_json(data) -> "PTerm":
-        return PTerm(R.lax(tuple(data["coef"]["numer"]), tuple(data["coef"]["denom"])),
+        return PTerm(ARat.from_json(data["coef"], strict=False),
                      AffineForm.from_json(data["lpow"]),
                      tuple(AffineForm.from_json(f) for f in data["factors"]))
 

@@ -8,6 +8,16 @@ and irreducible factors drawn from {L, cyclotomic polynomials}: indeed
 denominator reachable from the generators factors that way, and conversely
 every such fraction is reachable.
 
+Fractions are reduced on integer polynomials, using that structure.  Each
+denominator is split once (and the split cached) as L^k * prod
+cyclotomic_j(L)^e * rest, by exact trial division in Z[x] by the monic
+cyclotomic polynomials.  Reduction strips the shared power of L and
+divides the numerator by each cyclotomic_j at most e times; only a
+non-constant rest, i.e. a value outside the ring, needs a general gcd,
+which is a primitive pseudo-remainder sequence in Z[x].  Membership is
+read off the same split: the canonical denominator lies in the ring iff
+its rest is 1.
+
 Examples (doctest style, values frozen from hand computation):
 
     >>> one = arat((1,), (1,))
@@ -24,53 +34,88 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 
 from .errors import NotInA, ParseError, QOutOfRange
 from . import polynomials as P
 
 
-def _totient(n: int) -> int:
-    out, m, f = 1, n, 2
-    while f * f <= m:
-        if m % f == 0:
-            out *= f - 1
-            m //= f
-            while m % f == 0:
-                out *= f
-                m //= f
-        f += 1
-    if m > 1:
-        out *= m - 1
-    return out
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(n: int) -> tuple:
+    """Every (j, phi(j)) with phi(j) <= n, by ascending j.
+
+    j is built from prime powers, as phi(p^a) = (p - 1) * p^(a - 1); only
+    primes p <= n + 1 take part."""
+    primes = [p for p in range(2, n + 2)
+              if all(p % q for q in range(2, isqrt(p) + 1))]
+    out = []
+
+    def grow(j: int, phi: int, start: int) -> None:
+        out.append((j, phi))
+        for i in range(start, len(primes)):
+            pj, pphi = j * primes[i], phi * (primes[i] - 1)
+            if pphi > n:
+                break
+            while pphi <= n:
+                grow(pj, pphi, i + 1)
+                pj, pphi = pj * primes[i], pphi * primes[i]
+
+    if n >= 1:
+        grow(1, 1, 0)
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
-def _denominator_certificate(den: tuple) -> bool:
-    """True iff the primitive integer polynomial den divides a product of
-    powers of L and polynomials L^i - 1."""
-    d = den
-    while d and d[0] == 0:
-        d = d[1:]  # strip a factor of L
-    d = P.trim(d)
-    if not d:
-        return False
-    while P.degree(d) > 0:
-        deg = P.degree(d)
-        # phi(j) >= sqrt(j/2), so any cyclotomic factor has index <= 2*deg^2
-        hit = False
-        for j in range(1, 2 * deg * deg + 2):
-            if _totient(j) > deg:
-                continue
-            phi = P.cyclotomic(j)
-            quo, rem = P.divmod_exact(d, phi)
-            if not rem:
-                d = tuple(int(c) for c in quo)
-                hit = True
-                break
-        if not hit:
-            return False
-    return d == (1,)
+def _cyclotomic_value(j: int, b: int) -> int:
+    """Phi_j(b), from b^j - 1 = prod of Phi_d(b) over the divisors d of j."""
+    out = b ** j - 1
+    for i in range(1, isqrt(j) + 1):
+        if j % i == 0:
+            for d in {i, j // i} - {j}:
+                out //= _cyclotomic_value(d, b)
+    return out
+
+
+def _divide_out(f: tuple, at_b: int, b: int, j: int, limit: int) -> tuple:
+    """Divide f by Phi_j(L) as often as it goes, at most limit times.
+
+    at_b is f(b) for an integer b >= 2; a division is tried only when
+    Phi_j(b) divides it.  Phi_j is monic, so the division stays in Z[x].
+    Returns the quotient, its value at b and the number of divisions."""
+    value = _cyclotomic_value(j, b)
+    e = 0
+    while e < limit and at_b % value == 0:
+        quo, rem = P.divmod_exact(f, P.cyclotomic(j))
+        if rem:
+            break
+        f, at_b, e = quo, at_b // value, e + 1
+    return f, at_b, e
+
+
+@lru_cache(maxsize=None)
+def _factor(den: tuple) -> tuple:
+    """Split a nonzero integer polynomial as L^k * prod Phi_j(L)^e * rest.
+
+    Returns (((j, e), ...), rest) with rest free of L and of every
+    cyclotomic factor; rest carries the integer content and the sign.
+    den lies in the ring's denominators iff rest is a unit.  The trial
+    divisions are screened at the first integer b >= 2 where den is
+    nonzero.
+    """
+    k = 0
+    while den[k] == 0:
+        k += 1
+    rest = den[k:]
+    b = 2
+    while P.evaluate(rest, b) == 0:
+        b += 1
+    at_b = P.evaluate(rest, b)
+    found = []
+    for j, phi in _cyclotomic_indices(P.degree(rest)):
+        rest, at_b, e = _divide_out(rest, at_b, b, j, P.degree(rest) // phi)
+        if e:
+            found.append((j, e))
+    return tuple(found), rest
 
 
 @dataclass(frozen=True)
@@ -136,40 +181,78 @@ class ARat:
         return {"numer": list(self.numer), "denom": list(self.denom)}
 
     @staticmethod
-    def from_json(obj: dict) -> "ARat":
-        return arat(tuple(obj["numer"]), tuple(obj["denom"]))
+    def from_json(obj: dict, strict: bool = True) -> "ARat":
+        """Read {"numer": [...], "denom": [...]}; with strict=True the value
+        must lie in the ring."""
+        if not isinstance(obj, dict) or "numer" not in obj or "denom" not in obj:
+            raise ParseError("a ring element must be an object with numer and denom")
+        numer, denom = _int_coeffs(obj["numer"]), _int_coeffs(obj["denom"])
+        if P.is_zero(P.trim(denom)):
+            raise ParseError("zero denominator in a ring element")
+        return arat(numer, denom) if strict else lax(numer, denom)
+
+
+def _int_coeffs(cs) -> tuple:
+    """The coefficient list cs as a tuple; only plain ints are accepted,
+    not bool, float or str."""
+    if not isinstance(cs, (list, tuple)):
+        raise ParseError(f"coefficients must be a list of integers, got {cs!r}")
+    for c in cs:
+        if type(c) is not int:
+            raise ParseError(f"coefficient {c!r} is not an integer")
+    return tuple(cs)
 
 
 def _reduce(num, den) -> ARat:
     """Bring an integer-coefficient fraction to canonical form without a
-    membership check."""
+    membership check.
+
+    The shared power of L goes first; then num is divided by each
+    cyclotomic factor of den at most as often as it occurs there; only a
+    non-unit rest of den (a value outside the ring) needs a general gcd.
+    """
     num, den = P.trim(num), P.trim(den)
     if P.is_zero(den):
         raise ZeroDivisionError("zero denominator")
     if P.is_zero(num):
         return ARat((), (1,))
-    g = P.gcd_primitive(num, den)
-    if P.degree(g) > 0:
-        num = tuple(int(c) for c in P.div_exact(num, g))
-        den = tuple(int(c) for c in P.div_exact(den, g))
+    k = 0
+    while num[k] == 0 and den[k] == 0:
+        k += 1
+    if k:
+        num, den = num[k:], den[k:]
+    cyclos, rest = _factor(den)
+    if cyclos:
+        at2 = P.evaluate(num, 2)
+        common: tuple = (1,)
+        for j, e in cyclos:
+            num, at2, n = _divide_out(num, at2, 2, j, e)
+            if n:
+                common = P.mul(common, P.poly_pow(P.cyclotomic(j), n))
+        if len(common) > 1:
+            den = P.div_exact(den, common)
+    if len(rest) > 1:
+        g = P.gcd_primitive(num, rest)
+        if len(g) > 1:
+            num, den = P.div_exact(num, g), P.div_exact(den, g)
     cn, pn = P.primitive(num)
     cd, pd = P.primitive(den)
+    g = int_gcd(cn, cd)
     if cd < 0:
-        cn, cd = -cn, -cd
-    g = int_gcd(abs(cn), cd)
-    cn //= g
-    cd //= g
-    return ARat(tuple(c * cn for c in pn), tuple(c * cd for c in pd))
+        g = -g
+    if g != 1:
+        cn //= g
+        cd //= g
+    return ARat(pn if cn == 1 else tuple(c * cn for c in pn),
+                pd if cd == 1 else tuple(c * cd for c in pd))
 
 
 def in_a(a: ARat) -> bool:
-    """Membership in the coefficient ring."""
+    """Membership in the coefficient ring: the canonical denominator has
+    content 1 and is L^k times cyclotomic factors."""
     if P.is_zero(a.numer):
         return True
-    _, pd = P.primitive(a.denom)
-    if P.content(a.denom) != 1:
-        return False
-    return _denominator_certificate(pd)
+    return _factor(a.denom)[1] == (1,)
 
 
 def require_in_a(a: ARat) -> ARat:
@@ -180,7 +263,7 @@ def require_in_a(a: ARat) -> ARat:
 
 def arat(numer, denom=(1,)) -> ARat:
     """Public constructor: canonicalize and certify ring membership."""
-    out = _reduce(tuple(numer), tuple(denom))
+    out = _reduce(_int_coeffs(numer), _int_coeffs(denom))
     require_in_a(out)
     return out
 
@@ -188,7 +271,7 @@ def arat(numer, denom=(1,)) -> ARat:
 def lax(numer, denom=(1,)) -> ARat:
     """Canonicalize without the membership check.  Internal helper for
     summation closed forms that carry rational constants."""
-    return _reduce(tuple(numer), tuple(denom))
+    return _reduce(_int_coeffs(numer), _int_coeffs(denom))
 
 
 ZERO = ARat((), (1,))

@@ -141,6 +141,39 @@ def test_sum_malformed_json(capsys, tmp_path, data):
     assert error["code"] == "ParseError"
 
 
+def _box_file(tmp_path, coef) -> str:
+    """The constant function coef on the 3-point box 0 <= n <= 2."""
+    cell = PCell(("n",), (VarCell(AffineForm.const_form(0),
+                                  AffineForm.const_form(2), 1, 0),))
+    data = PFun(("n",), ((cell, (PTerm(R.ONE, AffineForm.const_form(0)),)),)
+                ).to_json()
+    data["pieces"][0]["terms"][0]["coef"] = coef
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_sum_integer_coefficients(capsys, tmp_path):
+    path = _box_file(tmp_path, {"numer": [1], "denom": [1]})
+    status, out, _ = run(capsys, "sum", "--file", path, "--json")
+    assert status == 0
+    assert json.loads(out)["value"] == "3"
+
+
+@pytest.mark.parametrize("coef", [
+    {"numer": [1.5], "denom": [1]},                   # float
+    {"numer": ["7"], "denom": [1]},                   # str
+    {"numer": [True], "denom": [1]},                  # bool
+    {"numer": [1], "denom": [2.0]},                   # float denominator
+    {"numer": 7, "denom": [1]},                       # not a list
+    {"numer": [1], "denom": [0]},                     # zero denominator
+    {"numer": [1]},                                   # no denominator
+])
+def test_sum_non_integer_coefficient(capsys, tmp_path, coef):
+    error = error_of(capsys, "sum", "--file", _box_file(tmp_path, coef))
+    assert error["code"] == "ParseError"
+
+
 # ---------------------------------------------------------------------------
 # count
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from motint import polynomials as P
-from motint.errors import NotInA, QOutOfRange
+from motint.errors import NotInA, ParseError, QOutOfRange
 from motint.ring_a import (
     ARat, L, L_pow, ONE, ZERO, arat, from_int, from_rational,
     in_a, inv_one_minus_L_neg, is_nonneg, lax, parse_ratfunc, theta,
@@ -180,3 +180,38 @@ def test_str_and_json_round_trip():
 def test_from_rational():
     assert from_rational(Fraction(3, 4)) == lax((3,), (4,))
     assert from_rational(Fraction(-2)) == from_int(-2)
+
+
+@pytest.mark.parametrize("bad", [(1.5,), ("7",), (True,), (1, 2.0), 7])
+def test_coefficients_must_be_ints(bad):
+    with pytest.raises(ParseError):
+        arat(bad)
+    with pytest.raises(ParseError):
+        lax((1,), bad)
+    with pytest.raises(ParseError):
+        ARat.from_json({"numer": bad, "denom": [1]})
+    with pytest.raises(ParseError):
+        ARat.from_json({"numer": [1], "denom": bad}, strict=False)
+
+
+def test_from_json_errors():
+    with pytest.raises(ParseError):
+        ARat.from_json({"numer": [1], "denom": []})
+    with pytest.raises(ParseError):
+        ARat.from_json([1])
+    with pytest.raises(NotInA):
+        ARat.from_json({"numer": [1], "denom": [-2, 1]})
+    assert ARat.from_json({"numer": [1], "denom": [-2, 1]}, strict=False) \
+        == lax((1,), (-2, 1))
+
+
+def test_membership_of_every_small_cyclotomic():
+    # every cyclotomic factor of degree <= 16, the largest index being 60
+    for j in range(1, 61):
+        phi = P.cyclotomic(j)
+        if P.degree(phi) > 16:
+            continue
+        assert in_a(arat((1,), P.mul(P.mul(phi, phi), (0, 1))))
+        assert arat(phi, P.mul(phi, (-1, 1))) == arat((1,), (-1, 1))
+        with pytest.raises(NotInA):
+            arat((1,), P.mul(phi, (-2, 1)))
