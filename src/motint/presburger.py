@@ -83,7 +83,7 @@ class PTerm:
 
     @staticmethod
     def from_json(data) -> "PTerm":
-        return PTerm(ARat.from_json(data["coef"], strict=False),
+        return PTerm(R.lax(*R.fraction_from_json(data["coef"])),
                      AffineForm.from_json(data["lpow"]),
                      tuple(AffineForm.from_json(f) for f in data["factors"]))
 

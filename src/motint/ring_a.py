@@ -44,24 +44,16 @@ from . import polynomials as P
 def _cyclotomic_indices(n: int) -> tuple:
     """Every (j, phi(j)) with phi(j) <= n, by ascending j.
 
-    j is built from prime powers, as phi(p^a) = (p - 1) * p^(a - 1); only
-    primes p <= n + 1 take part."""
-    primes = [p for p in range(2, n + 2)
-              if all(p % q for q in range(2, isqrt(p) + 1))]
-    out = []
-
-    def grow(j: int, phi: int, start: int) -> None:
-        out.append((j, phi))
-        for i in range(start, len(primes)):
-            pj, pphi = j * primes[i], phi * (primes[i] - 1)
-            if pphi > n:
-                break
-            while pphi <= n:
-                grow(pj, pphi, i + 1)
-                pj, pphi = pj * primes[i], pphi * primes[i]
-
-    if n >= 1:
-        grow(1, 1, 0)
+    j is grown one prime at a time, as phi(p^a) = (p - 1) * p^(a - 1);
+    only primes p <= n + 1 take part."""
+    out = [(1, 1)] if n >= 1 else []
+    for p in range(2, n + 2):
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            for j, phi in list(out):
+                q, f = p, p - 1
+                while phi * f <= n:
+                    out.append((j * q, phi * f))
+                    q, f = q * p, f * p
     return tuple(sorted(out))
 
 
@@ -92,7 +84,7 @@ def _divide_out(f: tuple, at_b: int, b: int, j: int, limit: int) -> tuple:
     return f, at_b, e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _factor(den: tuple) -> tuple:
     """Split a nonzero integer polynomial as L^k * prod Phi_j(L)^e * rest.
 
@@ -100,16 +92,19 @@ def _factor(den: tuple) -> tuple:
     cyclotomic factor; rest carries the integer content and the sign.
     den lies in the ring's denominators iff rest is a unit.  The trial
     divisions are screened at the first integer b >= 2 where den is
-    nonzero.
+    nonzero (Phi_j dividing rest implies Phi_j(b) dividing rest(b)), so
+    Phi_j is built only for the candidates that pass.  The cache is
+    bounded, as its keys are the unreduced denominators of sums and
+    products.
     """
     k = 0
     while den[k] == 0:
         k += 1
     rest = den[k:]
-    b = 2
-    while P.evaluate(rest, b) == 0:
+    b, at_b = 2, P.evaluate(rest, 2)
+    while at_b == 0:
         b += 1
-    at_b = P.evaluate(rest, b)
+        at_b = P.evaluate(rest, b)
     found = []
     for j, phi in _cyclotomic_indices(P.degree(rest)):
         rest, at_b, e = _divide_out(rest, at_b, b, j, P.degree(rest) // phi)
@@ -181,15 +176,22 @@ class ARat:
         return {"numer": list(self.numer), "denom": list(self.denom)}
 
     @staticmethod
-    def from_json(obj: dict, strict: bool = True) -> "ARat":
-        """Read {"numer": [...], "denom": [...]}; with strict=True the value
-        must lie in the ring."""
-        if not isinstance(obj, dict) or "numer" not in obj or "denom" not in obj:
-            raise ParseError("a ring element must be an object with numer and denom")
-        numer, denom = _int_coeffs(obj["numer"]), _int_coeffs(obj["denom"])
-        if P.is_zero(P.trim(denom)):
-            raise ParseError("zero denominator in a ring element")
-        return arat(numer, denom) if strict else lax(numer, denom)
+    def from_json(obj: dict) -> "ARat":
+        """Read {"numer": [...], "denom": [...]}; the value must lie in the
+        ring."""
+        return arat(*fraction_from_json(obj))
+
+
+def fraction_from_json(obj) -> tuple:
+    """The (numer, denom) coefficient tuples of {"numer": [...], "denom":
+    [...]}, unreduced; coefficients must be plain ints (not bool, float or
+    str) and the denominator nonzero."""
+    if not isinstance(obj, dict) or "numer" not in obj or "denom" not in obj:
+        raise ParseError("a ring element must be an object with numer and denom")
+    numer, denom = _int_coeffs(obj["numer"]), _int_coeffs(obj["denom"])
+    if P.is_zero(P.trim(denom)):
+        raise ParseError("zero denominator in a ring element")
+    return numer, denom
 
 
 def _int_coeffs(cs) -> tuple:

@@ -6,8 +6,9 @@ import pytest
 from motint import polynomials as P
 from motint.errors import NotInA, ParseError, QOutOfRange
 from motint.ring_a import (
-    ARat, L, L_pow, ONE, ZERO, arat, from_int, from_rational,
-    in_a, inv_one_minus_L_neg, is_nonneg, lax, parse_ratfunc, theta,
+    ARat, L, L_pow, ONE, ZERO, arat, fraction_from_json, from_int,
+    from_rational, in_a, inv_one_minus_L_neg, is_nonneg, lax, parse_ratfunc,
+    theta,
 )
 
 
@@ -191,7 +192,7 @@ def test_coefficients_must_be_ints(bad):
     with pytest.raises(ParseError):
         ARat.from_json({"numer": bad, "denom": [1]})
     with pytest.raises(ParseError):
-        ARat.from_json({"numer": [1], "denom": bad}, strict=False)
+        fraction_from_json({"numer": [1], "denom": bad})
 
 
 def test_from_json_errors():
@@ -201,8 +202,10 @@ def test_from_json_errors():
         ARat.from_json([1])
     with pytest.raises(NotInA):
         ARat.from_json({"numer": [1], "denom": [-2, 1]})
-    assert ARat.from_json({"numer": [1], "denom": [-2, 1]}, strict=False) \
-        == lax((1,), (-2, 1))
+    assert fraction_from_json({"numer": [1], "denom": [-2, 1]}) \
+        == ((1,), (-2, 1))
+    with pytest.raises(ParseError):
+        fraction_from_json({"numer": [1]})
 
 
 def test_membership_of_every_small_cyclotomic():
