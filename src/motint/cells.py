@@ -68,9 +68,6 @@ class AffineForm:
     def __sub__(self, other: "AffineForm") -> "AffineForm":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "AffineForm":
-        return self.scale(-1)
-
     def scale(self, c) -> "AffineForm":
         c = Fraction(c)
         if c == 0:
@@ -542,30 +539,3 @@ def ensure_known_value_mod(cell: PCell, form: AffineForm, m: int) -> list:
             raise MotintError("residue refinement failed to pin the form")
         result.append((cc, got[0], got[1]))
     return result
-
-
-def enumerate_points(cell: PCell, box: dict):
-    """All integer points of the cell inside the box {name: (lo, hi)}.
-    Meant for tests and small-scale checks."""
-    names = cell.vars
-
-    def rec(i: int, env: dict):
-        if i == len(names):
-            yield dict(env)
-            return
-        v = names[i]
-        vc = cell.tower[i]
-        lo, hi = box[v]
-        if vc.lo is not None:
-            b = vc.lo.evaluate(env)
-            lo = max(lo, -(-b.numerator // b.denominator))
-        if vc.hi is not None:
-            b = vc.hi.evaluate(env)
-            hi = min(hi, b.numerator // b.denominator)
-        start = lo + ((vc.res - lo) % vc.mod)
-        for x in range(start, hi + 1, vc.mod):
-            env[v] = x
-            yield from rec(i + 1, env)
-        env.pop(v, None)
-
-    yield from rec(0, {})

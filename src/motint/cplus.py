@@ -341,34 +341,6 @@ def is_equal(a: MotFun, b: MotFun) -> str:
     return "unknown"
 
 
-def refute(a: MotFun, b: MotFun, ctxs, rng, tries: int = 40,
-           vg_lo: int = -5, vg_hi: int = 5):
-    """Search for a specialization witness separating two functions.
-    Returns (ctx, env) or None if none was found."""
-    a._check(b)
-    for _ in range(tries):
-        for ctx in ctxs:
-            env = {}
-            for name, depth in a.res_vars:
-                ring = ctx.residue_ring(depth)
-                env[name] = ring.make([rng.randrange(ring.char)
-                                       for _ in range(ctx.d)])
-            for name in a.vg_vars:
-                env[name] = rng.randint(vg_lo, vg_hi)
-            if specialize(a, ctx, env) != specialize(b, ctx, env):
-                return ctx, env
-    return None
-
-
-def equal_or_refute(a: MotFun, b: MotFun, ctxs, rng, tries: int = 40):
-    if is_equal(a, b) == "equal":
-        return "equal", None
-    witness = refute(a, b, ctxs, rng, tries)
-    if witness is not None:
-        return "differ", witness
-    return "unknown", None
-
-
 # ---------------------------------------------------------------------------
 # specialization
 

@@ -1,5 +1,6 @@
 """Concrete p-adic side: Galois rings, exact elements of unramified
-extensions, formula evaluation over them, and counting of formula points.
+extensions, compiled formula evaluation over them, and counting of
+formula points.
 
 The degree-d unramified extension of Q_p has residue rings
 O/M^n = GR(p^n, d) = Z[w]/(p^n, f) for a monic degree-d polynomial f that
@@ -7,8 +8,19 @@ is irreducible mod p.  Ramification is trivial, so 1, w, ..., w^(d-1) is
 an integral basis and the order of an element is the minimum of the
 p-adic orders of its coordinates.
 
-Everything here is exact: elements are Fraction vectors or residue
-tuples, and counts are integers.
+Everything here is exact and held in ints.  A residue element is a tuple
+of coefficients mod p^n (a GRElem pairs one with its ring).  An exact
+field element (PadicElem) is a tuple of integer numerators ``nums`` over
+one shared positive denominator ``den``, which may have a part prime to
+p; its order is min vp(nums) - vp(den).  A truncated element
+(TruncatedElem) is a tuple mod p^level.  Counts are integers.
+
+Formulas are compiled, not walked: ``_compile`` turns a formula into a
+closure once per (formula, context), making every dispatch on node type
+and sort at compile time, so a point costs closure calls on ints and
+tuples only.  ``eval_formula`` looks the closure up in a small bounded
+cache keyed by identity; ``count_points`` compiles once and runs the
+closure over its box.
 """
 
 from __future__ import annotations
@@ -16,9 +28,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
-from math import inf
+from math import gcd, inf, lcm
 
 from .errors import CapExceeded, InsufficientPrecision, MotintError, SortError
 from . import formula as F
@@ -97,21 +109,33 @@ def zw_mul(a: tuple, b: tuple, f: tuple) -> tuple:
     return tuple(out[:d])
 
 
-def _pmul(a: tuple, b: tuple, f: tuple, p: int) -> tuple:
-    """Multiply mod (p, f) with f monic; operands have degree < deg f."""
-    return tuple(c % p for c in zw_mul(a, b, f))
+def _res_mul(f: tuple, m: int):
+    """The product of coefficient tuples in Z[w]/(m, f), unrolled for
+    degrees 1 and 2."""
+    if len(f) == 2:
+        return lambda a, b: (a[0] * b[0] % m,)
+    if len(f) == 3:
+        c0, c1 = f[0], f[1]
+
+        def mul2(a, b):
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1                    # w^2 = -c1 w - c0
+            return ((a0 * b0 - c0 * t) % m, (a0 * b1 + a1 * b0 - c1 * t) % m)
+        return mul2
+    return lambda a, b: tuple(c % m for c in zw_mul(a, b, f))
 
 
-def _ppow_x(e: int, f: tuple, p: int) -> tuple:
-    """x^e mod (p, f), for a monic f of degree at least 2."""
-    d = len(f) - 1
-    base = tuple([0, 1] + [0] * (d - 2))
-    acc = tuple([1] + [0] * (d - 1))
+def _power(a: tuple, e: int, mul) -> tuple:
+    """a^e for e >= 0 under the product mul of coefficient tuples, by
+    square and multiply."""
+    acc = (1,) + (0,) * (len(a) - 1)
     while e:
         if e & 1:
-            acc = _pmul(acc, base, f, p)
-        base = _pmul(base, base, f, p)
+            acc = mul(acc, a)
         e >>= 1
+        if e:
+            a = mul(a, a)
     return acc
 
 
@@ -146,9 +170,9 @@ def _is_irreducible_mod_p(f: tuple, p: int) -> bool:
     d = len(f) - 1
     if d == 1:
         return True
-    xq = _ppow_x(p ** d, f, p)
+    mul = _res_mul(f, p)
     x = tuple([0, 1] + [0] * (d - 2))
-    if xq != x:
+    if _power(x, p ** d, mul) != x:
         return False
     m, r = d, 2
     primes = set()
@@ -161,7 +185,7 @@ def _is_irreducible_mod_p(f: tuple, p: int) -> bool:
     if m > 1:
         primes.add(m)
     for r in primes:
-        xk = _ppow_x(p ** (d // r), f, p)
+        xk = _power(x, p ** (d // r), mul)
         diff = [(a - b) % p for a, b in zip(xk, x)]
         g = _pgcd(diff, list(f), p)
         if len(g) != 1:
@@ -226,27 +250,20 @@ class GaloisRing:
     def from_rational(self, c: Fraction) -> "GRElem":
         return self.make((rational_mod(c, self.p, self.level),))
 
-    def elements(self, cap: int | None = None):
-        """All elements in lexicographic coefficient order."""
+    def tuples(self, cap: int | None = None):
+        """The coefficient tuples of all elements, in lexicographic order;
+        the ring size is checked against the cap at the call."""
         cap = enumeration_cap() if cap is None else cap
         if self.size > cap:
             raise CapExceeded(
                 f"enumerating {self.size} elements exceeds the cap {cap}",
                 needed=self.size, cap=cap)
-        m = self.char
-        d = self.degree
-        coeffs = [0] * d
-        while True:
-            yield GRElem(self, tuple(coeffs))
-            i = d - 1
-            while i >= 0:
-                coeffs[i] += 1
-                if coeffs[i] < m:
-                    break
-                coeffs[i] = 0
-                i -= 1
-            if i < 0:
-                return
+        return product(range(self.char), repeat=self.degree)
+
+    def elements(self, cap: int | None = None):
+        """All elements in lexicographic coefficient order."""
+        for coeffs in self.tuples(cap):
+            yield GRElem(self, coeffs)
 
 
 @dataclass(frozen=True)
@@ -314,82 +331,139 @@ class GRElem:
 # ---------------------------------------------------------------------------
 # exact and truncated field elements
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PadicElem:
     """Exact element of the degree-d unramified extension of Q_p, written
-    in the power basis of the generator w: sum of coeffs[j] * w^j."""
+    in the power basis of the generator w as sum(nums[j] * w^j) / den.
+
+    The numerators are ints over one shared positive denominator, kept in
+    lowest terms (gcd(den, *nums) = 1, den = 1 for zero), so equal
+    elements are equal dataclasses.  The denominator need not be a power
+    of p: rational centres such as 1/2 at p = 3 keep a unit part there.
+    Instances are never mutated; the class is not frozen only because a
+    frozen dataclass takes four times as long to build, and building is
+    the inner loop of every field operation.
+    """
 
     p: int
     degree: int
-    coeffs: tuple            # Fractions, length degree
+    nums: tuple              # ints, length degree
+    den: int
     modulus: tuple           # shared defining polynomial
 
     @staticmethod
+    def _lowest(p: int, degree: int, nums: tuple, den: int,
+                modulus: tuple) -> "PadicElem":
+        g = 1 if den == 1 else gcd(den, *nums)
+        if g != 1:
+            nums = tuple(c // g for c in nums)
+            den //= g
+        return PadicElem(p, degree, nums, den, modulus)
+
+    @staticmethod
     def exact(p: int, degree: int, coeffs, modulus: tuple | None = None) -> "PadicElem":
+        """The element with the given ints or Fractions as coordinates."""
         modulus = default_modulus(p, degree) if modulus is None else modulus
-        cs = [Fraction(c) for c in coeffs][:degree]
-        cs += [Fraction(0)] * (degree - len(cs))
-        return PadicElem(p, degree, tuple(cs), modulus)
+        cs = list(coeffs)[:degree]
+        cs += [0] * (degree - len(cs))
+        if all(type(c) is int for c in cs):
+            return PadicElem(p, degree, tuple(cs), 1, modulus)
+        cs = [Fraction(c) for c in cs]
+        den = lcm(*(c.denominator for c in cs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        return PadicElem._lowest(p, degree, nums, den, modulus)
 
     @staticmethod
     def from_rational(p: int, degree: int, c: Fraction) -> "PadicElem":
         return PadicElem.exact(p, degree, (Fraction(c),))
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     def _compat(self, other: "PadicElem") -> None:
-        if (self.p, self.degree, self.modulus) != (other.p, other.degree, other.modulus):
+        if (self.p, self.modulus) != (other.p, other.modulus):
             raise SortError("mixing elements of different fields")
 
-    def __add__(self, other: "PadicElem") -> "PadicElem":
+    def _plus(self, other, sign: int):
+        if type(other) is not PadicElem:
+            return NotImplemented
         self._compat(other)
-        return PadicElem(self.p, self.degree,
-                         tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                         self.modulus)
+        da, db = self.den, other.den
+        if da == db:
+            nums = tuple(a + sign * b for a, b in zip(self.nums, other.nums))
+        else:
+            nums = tuple(a * db + sign * b * da
+                         for a, b in zip(self.nums, other.nums))
+            da *= db
+        return PadicElem._lowest(self.p, self.degree, nums, da, self.modulus)
 
-    def __sub__(self, other: "PadicElem") -> "PadicElem":
-        self._compat(other)
-        return PadicElem(self.p, self.degree,
-                         tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-                         self.modulus)
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
 
     def __neg__(self) -> "PadicElem":
-        return PadicElem(self.p, self.degree, tuple(-a for a in self.coeffs), self.modulus)
+        return PadicElem(self.p, self.degree, tuple(-a for a in self.nums),
+                         self.den, self.modulus)
 
-    def __mul__(self, other: "PadicElem") -> "PadicElem":
+    def __mul__(self, other):
+        if type(other) is not PadicElem:
+            return NotImplemented
         self._compat(other)
-        out = zw_mul(self.coeffs, other.coeffs, self.modulus)
-        return PadicElem(self.p, self.degree, tuple(Fraction(c) for c in out),
-                         self.modulus)
+        return PadicElem._lowest(self.p, self.degree,
+                                 zw_mul(self.nums, other.nums, self.modulus),
+                                 self.den * other.den, self.modulus)
 
     def __pow__(self, e: int) -> "PadicElem":
         if e < 0:
             raise ValueError("negative powers are not supported on field terms")
-        one = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
-        acc = PadicElem(self.p, self.degree, one, self.modulus)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        f = self.modulus
+        nums = _power(self.nums, e, lambda a, b: zw_mul(a, b, f))
+        return PadicElem._lowest(self.p, self.degree, nums, self.den ** e, f)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
+
+    def _nums_ord(self):
+        """min vp of the numerators; +inf for 0."""
+        p, best = self.p, inf
+        for c in self.nums:
+            if c:
+                v = 0
+                while c % p == 0:
+                    c //= p
+                    v += 1
+                if v < best:
+                    best = v
+        return best
 
     def ord(self):
         """+inf for 0; otherwise min of coordinate orders (unramified)."""
-        if self.is_zero():
-            return inf
-        return min(rational_ord(c, self.p) for c in self.coeffs if c != 0)
+        v = self._nums_ord()
+        if v == inf or self.den % self.p:
+            return v
+        return v - vp_int(self.den, self.p)
+
+    def ac_coeffs(self, n: int) -> tuple:
+        """Coefficients of the angular component of depth n, mod p^n."""
+        v = self._nums_ord()
+        m = self.p ** n
+        if v == inf:
+            return (0,) * self.degree
+        shift = self.p ** v
+        unit = self.den
+        while unit % self.p == 0:
+            unit //= self.p
+        inv = pow(unit, -1, m)
+        return tuple(c // shift * inv % m for c in self.nums)
 
     def ac(self, n: int) -> GRElem:
         """Angular component of depth n, an element of GR(p^n, degree)."""
         ring = GaloisRing(self.p, n, self.degree, self.modulus)
-        if self.is_zero():
-            return ring.zero()
-        v = self.ord()
-        scale = Fraction(self.p) ** v
-        return ring.make(rational_mod(c / scale, self.p, n) for c in self.coeffs)
+        return GRElem(ring, self.ac_coeffs(n))
 
 
 @dataclass(frozen=True)
@@ -397,8 +471,10 @@ class TruncatedElem:
     """An integral element known only modulo p^level.
 
     Arithmetic happens on representatives; sums and products of integral
-    elements stay correct at the same level.  Order and angular component
-    raise InsufficientPrecision when the truncation does not pin them down.
+    elements stay correct at the same level.  An operation with another
+    truncated element works at the lower level; an exact operand must be
+    integral.  Order, angular component and equality raise
+    InsufficientPrecision when the truncation does not pin them down.
     """
 
     p: int
@@ -415,24 +491,76 @@ class TruncatedElem:
         cs += [0] * (degree - len(cs))
         return TruncatedElem(p, degree, level, tuple(cs), modulus)
 
+    def _operands(self, other) -> tuple:
+        """(level, m, own coefficients, other's coefficients) mod m = p^level."""
+        if type(other) is TruncatedElem:
+            level = min(self.level, other.level)
+            m = self.p ** level
+            return (level, m, tuple(c % m for c in self.coeffs),
+                    tuple(c % m for c in other.coeffs))
+        if other.den % self.p == 0:
+            raise InsufficientPrecision("cannot truncate a non-integral element")
+        m = self.p ** self.level
+        inv = pow(other.den, -1, m)
+        return self.level, m, self.coeffs, tuple(c * inv % m for c in other.nums)
+
+    def _at(self, level: int, coeffs) -> "TruncatedElem":
+        return TruncatedElem(self.p, self.degree, level, tuple(coeffs), self.modulus)
+
+    def __add__(self, other) -> "TruncatedElem":
+        level, m, a, b = self._operands(other)
+        return self._at(level, ((x + y) % m for x, y in zip(a, b)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "TruncatedElem":
+        level, m, a, b = self._operands(other)
+        return self._at(level, ((x - y) % m for x, y in zip(a, b)))
+
+    def __rsub__(self, other) -> "TruncatedElem":
+        level, m, a, b = self._operands(other)
+        return self._at(level, ((y - x) % m for x, y in zip(a, b)))
+
+    def __mul__(self, other) -> "TruncatedElem":
+        level, m, a, b = self._operands(other)
+        return self._at(level, _res_mul(self.modulus, m)(a, b))
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "TruncatedElem":
+        m = self.p ** self.level
+        return self._at(self.level, (-c % m for c in self.coeffs))
+
+    def __pow__(self, e: int) -> "TruncatedElem":
+        if e < 0:
+            raise ValueError("negative powers are not defined in a residue ring")
+        mul = _res_mul(self.modulus, self.p ** self.level)
+        return self._at(self.level, _power(self.coeffs, e, mul))
+
+    def is_zero(self) -> bool:
+        raise InsufficientPrecision("equality of truncated elements is undecidable")
+
     def ord(self):
         if all(c == 0 for c in self.coeffs):
             raise InsufficientPrecision(
                 f"order is >= {self.level} but the element is only known mod p^{self.level}")
         return min(vp_int(c, self.p) for c in self.coeffs if c != 0)
 
-    def ac(self, n: int) -> GRElem:
+    def ac_coeffs(self, n: int) -> tuple:
         v = self.ord()
         if v + n > self.level:
             raise InsufficientPrecision(
                 f"ac_{n} needs the element mod p^{v + n}, have p^{self.level}")
+        q, m = self.p ** v, self.p ** n
+        return tuple(c // q % m for c in self.coeffs)
+
+    def ac(self, n: int) -> GRElem:
         ring = GaloisRing(self.p, n, self.degree, self.modulus)
-        q = self.p ** v
-        return ring.make(c // q for c in self.coeffs)
+        return GRElem(ring, self.ac_coeffs(n))
 
 
 # ---------------------------------------------------------------------------
-# evaluation context and formula evaluation
+# evaluation context
 
 @dataclass(frozen=True)
 class PContext:
@@ -459,163 +587,280 @@ class PContext:
     def vf(self, c) -> PadicElem:
         if isinstance(c, PadicElem):
             return c
-        return PadicElem.exact(self.p, self.d, (Fraction(c),), self.modulus)
+        return PadicElem.exact(self.p, self.d, (c,), self.modulus)
 
 
-def _as_vf(ctx: PContext, v):
-    if isinstance(v, (PadicElem, TruncatedElem)):
-        return v
-    return ctx.vf(v)
+# ---------------------------------------------------------------------------
+# compiled formula evaluation
+#
+# _compile turns a formula into a closure (env, cap) -> bool and each term
+# into a closure env -> value, dispatching on node type and sort once, at
+# compile time.  Values by sort: res(n) terms give coefficient tuples
+# reduced mod p^n, vg terms ints or +inf, vf terms PadicElem or
+# TruncatedElem.  In env, free residue variables hold GRElems; the names
+# in ``local`` (bound residue variables, and the free ones of
+# count_points) hold coefficient tuples.
 
 
-def _vf_binop(op: str, a, b, ctx: PContext):
-    if isinstance(a, TruncatedElem) or isinstance(b, TruncatedElem):
-        level = min(x.level for x in (a, b) if isinstance(x, TruncatedElem))
-        ea = _trunc_to(a, level, ctx)
-        eb = _trunc_to(b, level, ctx)
-        ring = ctx.residue_ring(level)
-        ra, rb = ring.make(ea), ring.make(eb)
-        out = ra + rb if op == "+" else ra - rb if op == "-" else ra * rb
-        return TruncatedElem.make(ctx.p, ctx.d, level, out.coeffs, ctx.modulus)
-    return a + b if op == "+" else a - b if op == "-" else a * b
+def _lookup(env: dict, name: str):
+    try:
+        return env[name]
+    except KeyError:
+        raise MotintError(f"unbound variable {name}") from None
 
 
-def _trunc_to(x, level: int, ctx: PContext) -> tuple:
-    if isinstance(x, TruncatedElem):
-        if x.level < level:
-            raise InsufficientPrecision("operand level too low")
-        m = ctx.p ** level
-        return tuple(c % m for c in x.coeffs)
-    # exact integral element
-    for c in x.coeffs:
-        if rational_ord(c, ctx.p) < 0:
-            raise InsufficientPrecision("cannot truncate a non-integral element")
-    return tuple(rational_mod(c, ctx.p, level) for c in x.coeffs)
+def _const(value):
+    return lambda env: value
 
 
-def eval_term(t: F.Term, env: dict, ctx: PContext):
-    """Evaluate a term: vf -> PadicElem/TruncatedElem, res -> GRElem,
-    vg -> int or +inf."""
+def _res_term(t: F.Term, n: int, ctx: PContext, local: frozenset):
+    """Closure of a res(n) term."""
+    m = ctx.p ** n
     if isinstance(t, F.Var):
-        if t.name not in env:
-            raise MotintError(f"unbound variable {t.name}")
-        v = env[t.name]
-        if t.var_sort == F.VF:
-            return _as_vf(ctx, v)
-        return v
+        name = t.name
+        if name in local:
+            return lambda env: env[name]
+        ring = ctx.residue_ring(n)
+        seen = [ring]                      # the last ring found equal to it
+
+        def var(env):
+            v = _lookup(env, name)
+            if v.ring is not seen[0]:
+                if v.ring != ring:
+                    raise SortError(f"{name} is in {v.ring}, expected {ring}")
+                seen[0] = v.ring
+            return v.coeffs
+        return var
     if isinstance(t, F.IntLit):
-        s = t.lit_sort
-        if s == F.VG:
-            return t.value
-        if s == F.VF:
-            return ctx.vf(t.value)
-        return ctx.residue_ring(s.depth).from_int(t.value)
-    if isinstance(t, F.RatLit):
-        return ctx.vf(t.value)
-    if isinstance(t, F.Pi):
-        return ctx.vf(ctx.p)
+        return _const(ctx.residue_ring(n).from_int(t.value).coeffs)
     if isinstance(t, F.Neg):
-        v = eval_term(t.arg, env, ctx)
-        if isinstance(v, (int, float)):
-            return -v
-        if isinstance(v, TruncatedElem):
-            ring = ctx.residue_ring(v.level)
-            return TruncatedElem.make(ctx.p, ctx.d, v.level, (-ring.make(v.coeffs)).coeffs, ctx.modulus)
-        return -v
+        a = _res_term(t.arg, n, ctx, local)
+        return lambda env: tuple(-c % m for c in a(env))
     if isinstance(t, F.Pow):
-        v = eval_term(t.base, env, ctx)
-        if isinstance(v, TruncatedElem):
-            ring = ctx.residue_ring(v.level)
-            out = ring.make(v.coeffs) ** t.exp
-            return TruncatedElem.make(ctx.p, ctx.d, v.level, out.coeffs, ctx.modulus)
-        return v ** t.exp
+        a, e = _res_term(t.base, n, ctx, local), t.exp
+        mul = _res_mul(ctx.modulus, m)
+        return lambda env: _power(a(env), e, mul)
     if isinstance(t, F.BinOp):
-        a = eval_term(t.left, env, ctx)
-        b = eval_term(t.right, env, ctx)
-        if isinstance(a, (int, float)) or isinstance(b, (int, float)):
-            # value-group affine arithmetic with +inf absorption
-            if t.op == "*":
-                return a * b
-            if t.op == "+":
-                if a == inf or b == inf:
-                    return inf
-                return a + b
-            if a == inf and b != inf:
-                return inf
-            if b == inf:
-                raise MotintError("cannot subtract an infinite order")
-            return a - b
-        if isinstance(a, GRElem) or isinstance(b, GRElem):
-            return a + b if t.op == "+" else a - b if t.op == "-" else a * b
-        return _vf_binop(t.op, a, b, ctx)
-    if isinstance(t, F.Ord):
-        v = eval_term(t.arg, env, ctx)
-        return v.ord()
+        a = _res_term(t.left, n, ctx, local)
+        b = _res_term(t.right, n, ctx, local)
+        if t.op == "+":
+            return lambda env: tuple((x + y) % m for x, y in zip(a(env), b(env)))
+        if t.op == "-":
+            return lambda env: tuple((x - y) % m for x, y in zip(a(env), b(env)))
+        mul = _res_mul(ctx.modulus, m)
+        return lambda env: mul(a(env), b(env))
     if isinstance(t, F.Ac):
-        v = eval_term(t.arg, env, ctx)
-        return v.ac(t.depth)
+        x, depth = _vf_term(t.arg, ctx), t.depth
+        return lambda env: x(env).ac_coeffs(depth)
     if isinstance(t, F.Proj):
-        v = eval_term(t.arg, env, ctx)
-        return v.reduce_to(t.dst)
+        if t.dst > t.src:
+            raise SortError(f"cannot project level {t.src} up to {t.dst}")
+        a = _res_term(t.arg, t.src, ctx, local)
+        return lambda env: tuple(c % m for c in a(env))
     raise MotintError(f"cannot evaluate term {t!r}")
+
+
+def _vg_term(t: F.Term, ctx: PContext):
+    """Closure of a value-group term.  +inf absorbs sums and products by
+    positive integers; negating it, multiplying it by k <= 0 or
+    subtracting it is an error."""
+    if isinstance(t, F.Var):
+        name = t.name
+        return lambda env: _lookup(env, name)
+    if isinstance(t, F.IntLit):
+        return _const(t.value)
+    if isinstance(t, F.Ord):
+        x = _vf_term(t.arg, ctx)
+        return lambda env: x(env).ord()
+    if isinstance(t, F.Neg):
+        a = _vg_term(t.arg, ctx)
+
+        def neg(env):
+            v = a(env)
+            if v == inf:
+                raise MotintError("cannot negate an infinite order")
+            return -v
+        return neg
+    if isinstance(t, F.BinOp):
+        a = _vg_term(t.left, ctx)
+        b = _vg_term(t.right, ctx)
+        if t.op == "+":
+            return lambda env: a(env) + b(env)
+        if t.op == "-":
+            def sub(env):
+                x, y = a(env), b(env)
+                if y == inf:
+                    raise MotintError("cannot subtract an infinite order")
+                return x - y
+            return sub
+        if isinstance(t.left, F.IntLit):
+            k, x = t.left.value, b
+        elif isinstance(t.right, F.IntLit):
+            k, x = t.right.value, a
+        else:
+            raise SortError("value-group product needs an integer literal factor")
+        if k > 0:
+            return lambda env: k * x(env)
+
+        def scale(env):
+            v = x(env)
+            if v == inf:
+                raise MotintError(f"cannot multiply an infinite order by {k}")
+            return k * v
+        return scale
+    raise SortError(f"{t!r} is not a value-group term")
+
+
+def _vf_term(t: F.Term, ctx: PContext):
+    """Closure of a valued-field term."""
+    if isinstance(t, F.Var):
+        name = t.name
+
+        def var(env):
+            v = _lookup(env, name)
+            return v if isinstance(v, (PadicElem, TruncatedElem)) else ctx.vf(v)
+        return var
+    if isinstance(t, (F.IntLit, F.RatLit)):
+        return _const(ctx.vf(t.value))
+    if isinstance(t, F.Pi):
+        return _const(ctx.vf(ctx.p))
+    if isinstance(t, F.Neg):
+        a = _vf_term(t.arg, ctx)
+        return lambda env: -a(env)
+    if isinstance(t, F.Pow):
+        a, e = _vf_term(t.base, ctx), t.exp
+        return lambda env: a(env) ** e
+    if isinstance(t, F.BinOp):
+        a = _vf_term(t.left, ctx)
+        b = _vf_term(t.right, ctx)
+        if t.op == "+":
+            return lambda env: a(env) + b(env)
+        if t.op == "-":
+            return lambda env: a(env) - b(env)
+        return lambda env: a(env) * b(env)
+    raise MotintError(f"cannot evaluate term {t!r}")
+
+
+def _term(t: F.Term, ctx: PContext, local: frozenset):
+    s = t.sort()
+    if s.kind == "res":
+        return _res_term(t, s.depth, ctx, local)
+    if s == F.VG:
+        return _vg_term(t, ctx)
+    return _vf_term(t, ctx)
+
+
+def _and(a, b):
+    return lambda env, cap: a(env, cap) and b(env, cap)
+
+
+def _or(a, b):
+    return lambda env, cap: a(env, cap) or b(env, cap)
+
+
+def _compile(f: F.Formula, ctx: PContext, local: frozenset = frozenset()):
+    """Closure (env, cap) -> bool of a formula; see the comment above."""
+    if isinstance(f, F.TrueF):
+        return lambda env, cap: True
+    if isinstance(f, F.FalseF):
+        return lambda env, cap: False
+    if isinstance(f, (F.Eq, F.Le, F.Cong)):
+        a, b = _term(f.left, ctx, local), _term(f.right, ctx, local)
+        if isinstance(f, F.Le):
+            return lambda env, cap: a(env) <= b(env)
+        if isinstance(f, F.Cong):
+            k = f.modulus
+
+            def cong(env, cap):
+                x, y = a(env), b(env)
+                return x != inf and y != inf and (x - y) % k == 0
+            return cong
+        if f.left.sort() == F.VF:
+            return lambda env, cap: (a(env) - b(env)).is_zero()
+        return lambda env, cap: a(env) == b(env)
+    if isinstance(f, F.Not):
+        body = _compile(f.body, ctx, local)
+        return lambda env, cap: not body(env, cap)
+    if isinstance(f, (F.And, F.Or)):
+        parts = [_compile(g, ctx, local) for g in f.parts]
+        if not parts:
+            empty = isinstance(f, F.And)
+            return lambda env, cap: empty
+        return reduce(_and if isinstance(f, F.And) else _or, parts)
+    if isinstance(f, F.Quant):
+        return _quant(f, ctx, local)
+    raise MotintError(f"cannot evaluate formula {f!r}")
+
+
+def _quant(f: F.Quant, ctx: PContext, local: frozenset):
+    """Residue quantifiers enumerate their ring; value-group quantifiers
+    their explicit bounds.  Either range is checked against the cap."""
+    name, sort = f.var.name, f.var.var_sort
+    if sort.kind == "res":
+        ring = ctx.residue_ring(sort.depth)
+        body = _compile(f.body, ctx, local | {name})
+
+        def values(env, cap):
+            return ring.tuples(cap)
+    elif f.lo is None or f.hi is None:
+        def missing(env, cap):
+            raise MotintError(
+                f"value-group quantifier over {name} needs explicit bounds")
+        return missing
+    else:
+        lo, hi = _vg_term(f.lo, ctx), _vg_term(f.hi, ctx)
+        body = _compile(f.body, ctx, local - {name})
+
+        def values(env, cap):
+            a, b = lo(env), hi(env)
+            if a == inf or b == inf:
+                raise MotintError("quantifier bounds must be finite")
+            cap = enumeration_cap() if cap is None else cap
+            if b - a + 1 > cap:
+                raise CapExceeded(
+                    f"enumerating {b - a + 1} values of {name} exceeds the cap {cap}",
+                    needed=b - a + 1, cap=cap)
+            return range(a, b + 1)
+
+    hit = f.q == "exists"         # the body value that decides the quantifier
+
+    def quant(env, cap):
+        sub = dict(env)
+        for v in values(env, cap):
+            sub[name] = v
+            if body(sub, cap) == hit:
+                return hit
+        return not hit
+    return quant
+
+
+_COMPILED: dict = {}
+_COMPILED_MAX = 32
+
+
+def _compiled(f: F.Formula, ctx: PContext):
+    """The closure of f over ctx, compiled once and kept in a bounded
+    cache.  The key is the identities of formula and context, so a lookup
+    never hashes the formula tree; an entry holds both objects, so an id
+    cannot be reused while its entry lives.  When the cache is full the
+    oldest entry goes."""
+    key = (id(f), id(ctx))
+    hit = _COMPILED.get(key)
+    if hit is None:
+        if len(_COMPILED) >= _COMPILED_MAX:
+            del _COMPILED[next(iter(_COMPILED))]
+        hit = _COMPILED[key] = (f, ctx, _compile(f, ctx))
+    return hit[2]
+
+
+_compiled.cache_clear = _COMPILED.clear
 
 
 def eval_formula(f: F.Formula, env: dict, ctx: PContext, cap: int | None = None) -> bool:
     """Evaluate a formula at a point.  Residue quantifiers enumerate their
-    ring; value-group quantifiers must carry explicit bounds."""
-    if isinstance(f, F.TrueF):
-        return True
-    if isinstance(f, F.FalseF):
-        return False
-    if isinstance(f, F.Eq):
-        a = eval_term(f.left, env, ctx)
-        b = eval_term(f.right, env, ctx)
-        if isinstance(a, (PadicElem, TruncatedElem)) or isinstance(b, (PadicElem, TruncatedElem)):
-            if isinstance(a, TruncatedElem) or isinstance(b, TruncatedElem):
-                raise InsufficientPrecision("equality of truncated elements is undecidable")
-            return (a - b).is_zero()
-        if isinstance(a, GRElem):
-            return a.coeffs == b.coeffs and a.ring == b.ring
-        return a == b
-    if isinstance(f, F.Le):
-        a = eval_term(f.left, env, ctx)
-        b = eval_term(f.right, env, ctx)
-        return a <= b
-    if isinstance(f, F.Cong):
-        a = eval_term(f.left, env, ctx)
-        b = eval_term(f.right, env, ctx)
-        if a == inf or b == inf:
-            return False
-        return (a - b) % f.modulus == 0
-    if isinstance(f, F.Not):
-        return not eval_formula(f.body, env, ctx, cap)
-    if isinstance(f, F.And):
-        return all(eval_formula(p, env, ctx, cap) for p in f.parts)
-    if isinstance(f, F.Or):
-        return any(eval_formula(p, env, ctx, cap) for p in f.parts)
-    if isinstance(f, F.Quant):
-        name, sort = f.var.name, f.var.var_sort
-        if sort.kind == "res":
-            values = ctx.residue_ring(sort.depth).elements(cap)
-        else:
-            if f.lo is None or f.hi is None:
-                raise MotintError(
-                    f"value-group quantifier over {name} needs explicit bounds")
-            lo = eval_term(f.lo, env, ctx)
-            hi = eval_term(f.hi, env, ctx)
-            if lo == inf or hi == inf:
-                raise MotintError("quantifier bounds must be finite")
-            values = range(lo, hi + 1)
-        for v in values:
-            sub = dict(env)
-            sub[name] = v
-            r = eval_formula(f.body, sub, ctx, cap)
-            if f.q == "exists" and r:
-                return True
-            if f.q == "forall" and not r:
-                return False
-        return f.q == "forall"
-    raise MotintError(f"cannot evaluate formula {f!r}")
+    ring; value-group quantifiers must carry explicit bounds.  Either
+    range is checked against the cap."""
+    return _compiled(f, ctx)(env, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +901,7 @@ def count_points(f: F.Formula, ctx: PContext,
         ranges.append(range(lo, hi + 1))
     _box_product([r.size for r in rings] + [len(r) for r in ranges], cap)
     names = [name for name, _ in frame.res] + list(frame.vg)
-    values = [list(r.elements(cap)) for r in rings] + ranges
+    run = _compile(f, ctx, frozenset(name for name, _ in frame.res))
+    values = [r.tuples(cap) for r in rings] + ranges
     return sum(1 for point in product(*values)
-               if eval_formula(f, dict(zip(names, point)), ctx, cap))
+               if run(dict(zip(names, point)), cap))

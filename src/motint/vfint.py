@@ -491,7 +491,12 @@ class _Rewriter:
     def res_term(self, t: F.Term) -> F.Term:
         if isinstance(t, F.Ac):
             return self._resolve_ac(t)
-        if isinstance(t, (F.Var, F.IntLit)):
+        if isinstance(t, F.IntLit):
+            # a residue literal means its class mod p^depth; reduce it, so
+            # that F.simplify folds literal equalities as evaluation reads them
+            m = self.p ** t.lit_sort.depth
+            return t if 0 <= t.value < m else F.IntLit(t.value % m, t.lit_sort)
+        if isinstance(t, F.Var):
             return t
         if isinstance(t, F.Neg):
             return F.Neg(self.res_term(t.arg))

@@ -42,7 +42,7 @@ from .vfint import integrate_cell_family, integrate_iterated
 __all__ = [
     "Poly", "parse_poly", "RatSeries", "CoeffList",
     "series_from_parameter", "zmot_monomial", "zmot_from_cells",
-    "zprime_count", "verify_meuser", "heuristic_pade_fit",
+    "zprime_count", "verify_meuser",
 ]
 
 
@@ -824,74 +824,3 @@ def verify_meuser(h, p: int, d: int, i_max: int, *, cap: int | None = None,
                      "match": motivic[i] == counted[i]})
     return {"h": str(h), "p": p, "d": d, "q": p ** d, "i_max": i_max,
             "rows": rows, "all_match": all(r["match"] for r in rows)}
-
-
-# ---------------------------------------------------------------------------
-# heuristic fitting (never used for verification)
-
-
-def heuristic_pade_fit(values, max_den_degree: int = 4):
-    """Heuristic rational fit of a coefficient list (Pade style).
-
-    Tries denominator degrees from 0 up and returns (numerator, denominator)
-    coefficient tuples over Q with denominator constant term 1, or None.
-    The result is a conjecture fitted to finitely many terms -- it is
-    never used by the verification pipeline and proves nothing.
-    """
-    v = [Fraction(x) for x in values]
-    n = len(v)
-    for k in range(0, max_den_degree + 1):
-        spare = max(k, 2)                # terms held back as a consistency check
-        num_deg = n - 1 - k - spare
-        if num_deg < 0:
-            break
-        rows = []
-        rhs = []
-        for i in range(num_deg + 1, n):
-            rows.append([v[i - j] if i - j >= 0 else Fraction(0)
-                         for j in range(1, k + 1)])
-            rhs.append(-v[i])
-        sol = _solve_exact(rows, rhs, k)
-        if sol is None:
-            continue
-        den = [Fraction(1)] + sol
-        num = []
-        for i in range(num_deg + 1):
-            s = v[i]
-            for j in range(1, min(i, k) + 1):
-                s += den[j] * v[i - j]
-            num.append(s)
-        while num and num[-1] == 0:
-            num.pop()
-        return tuple(num), tuple(den)
-    return None
-
-
-def _solve_exact(rows, rhs, k):
-    """Least-degree exact solution of an overdetermined linear system over
-    Q by elimination; None when inconsistent."""
-    if k == 0:
-        return [] if all(r == 0 for r in rhs) else None
-    mat = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        scale = mat[r][c]
-        mat[r] = [x / scale for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = mat[i][k]
-    return sol

@@ -8,7 +8,7 @@ import pytest
 
 from motint.cells import (
     AffineForm, PCell, VarCell, add_cong, add_eq, add_ineq, complement,
-    disjoint_union, ensure_known_value_mod, enumerate_points,
+    disjoint_union, ensure_known_value_mod,
     from_constraints, intersect, reorder, subtract, universe,
 )
 from motint.errors import FrameMismatch, MotintError
@@ -16,6 +16,32 @@ from motint.errors import FrameMismatch, MotintError
 
 def af(coeffs=None, const=0):
     return AffineForm.make(coeffs or {}, const)
+
+
+def enumerate_points(cell: PCell, box: dict):
+    """All integer points of the cell inside the box {name: (lo, hi)}."""
+    names = cell.vars
+
+    def rec(i: int, env: dict):
+        if i == len(names):
+            yield dict(env)
+            return
+        v = names[i]
+        vc = cell.tower[i]
+        lo, hi = box[v]
+        if vc.lo is not None:
+            b = vc.lo.evaluate(env)
+            lo = max(lo, -(-b.numerator // b.denominator))
+        if vc.hi is not None:
+            b = vc.hi.evaluate(env)
+            hi = min(hi, b.numerator // b.denominator)
+        start = lo + ((vc.res - lo) % vc.mod)
+        for x in range(start, hi + 1, vc.mod):
+            env[v] = x
+            yield from rec(i + 1, env)
+        env.pop(v, None)
+
+    yield from rec(0, {})
 
 
 def box_points(names, box):

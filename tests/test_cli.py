@@ -217,6 +217,20 @@ def test_count_cap(capsys):
         ("CapExceeded", 64, 10)
 
 
+def test_count_vg_quantifier_cap(capsys):
+    # a value-group quantifier range counts against the cap like a ring
+    error = error_of(capsys, "count", "--formula",
+                     "exists n : vg in [0, 1000] . x = 0 && n = 999",
+                     "--level", "1", "--cap", "10")
+    assert (error["code"], error["needed"], error["cap"]) == \
+        ("CapExceeded", 1001, 10)
+    status, _, err = run(capsys, "count", "--formula",
+                         "exists n : vg in [0, 1000000000] . x = 0 && n = 999",
+                         "--level", "1", "--cap", "10")
+    assert status == 1
+    assert "CapExceeded" in err
+
+
 def test_count_json_report(capsys):
     status, out, _ = run(capsys, "count", "--formula", "x*y = 0",
                          "--p", "3", "--level", "2", "--json")

@@ -9,8 +9,8 @@ from motint import formula as F
 from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell, universe
 from motint.cplus import (
-    MotFun, CTerm, equal_or_refute, is_equal, is_integrable, lift,
-    mu_vg_res, normal_form, pullback_vg_affine, refute, specialize,
+    MotFun, CTerm, is_equal, is_integrable, lift,
+    mu_vg_res, normal_form, pullback_vg_affine, specialize,
 )
 from motint.errors import FrameMismatch, MotintError, NotIntegrable
 from motint.formula import RES, parse_formula
@@ -19,6 +19,34 @@ from motint.presburger import PFun, PTerm
 from motint.qplus import from_formula, l_class, one as unit_class, torus
 
 GRID = [PContext(2, 1), PContext(3, 1), PContext(2, 2), PContext(3, 2)]
+
+
+def refute(a: MotFun, b: MotFun, ctxs, rng, tries: int = 40,
+           vg_lo: int = -5, vg_hi: int = 5):
+    """Search for a specialization witness separating two functions.
+    Returns (ctx, env) or None if none was found."""
+    a._check(b)
+    for _ in range(tries):
+        for ctx in ctxs:
+            env = {}
+            for name, depth in a.res_vars:
+                ring = ctx.residue_ring(depth)
+                env[name] = ring.make([rng.randrange(ring.char)
+                                       for _ in range(ctx.d)])
+            for name in a.vg_vars:
+                env[name] = rng.randint(vg_lo, vg_hi)
+            if specialize(a, ctx, env) != specialize(b, ctx, env):
+                return ctx, env
+    return None
+
+
+def equal_or_refute(a: MotFun, b: MotFun, ctxs, rng, tries: int = 40):
+    if is_equal(a, b) == "equal":
+        return "equal", None
+    witness = refute(a, b, ctxs, rng, tries)
+    if witness is not None:
+        return "differ", witness
+    return "unknown", None
 
 
 def af(terms=None, const=0):

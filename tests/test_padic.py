@@ -270,3 +270,56 @@ def test_random_ord_ac_multiplicativity():
         assert prod.ord() == a.ord() + b.ord()
         assert prod.ac(1).coeffs == (a.ac(1) * b.ac(1)).coeffs
         assert prod.ac(2).coeffs == (a.ac(2) * b.ac(2)).coeffs
+
+
+@pytest.mark.parametrize("text", ["-ord(t) <= 5", "0*ord(t) = 0",
+                                  "0 - ord(t) <= 5", "ord(t)*0 >= 1"])
+def test_infinite_order_arithmetic_is_an_error(text):
+    # at t = 0 the order is +inf: negating it, subtracting it or scaling it
+    # by k <= 0 has no value, and each is the same typed error
+    f = parse_formula(text, defaults={"t": VF})
+    zero = PadicElem.from_rational(3, 1, Fraction(0))
+    with pytest.raises(MotintError, match="infinite order"):
+        eval_formula(f, {"t": zero}, PContext(3, 1))
+
+
+def test_infinite_order_absorbs_sums_and_positive_multiples():
+    f = parse_formula("2*ord(t) + 1 >= 7 && ord(t) - 3 >= 0", defaults={"t": VF})
+    ctx = PContext(3, 1)
+    assert eval_formula(f, {"t": PadicElem.from_rational(3, 1, Fraction(0))}, ctx)
+    assert not eval_formula(f, {"t": PadicElem.from_rational(3, 1, Fraction(9))}, ctx)
+    assert eval_formula(f, {"t": PadicElem.from_rational(3, 1, Fraction(27))}, ctx)
+
+
+def test_exact_elem_integer_representation():
+    # 1/2 at p = 3 keeps a denominator prime to p; 5/9 at p = 3 has order -2
+    half = PadicElem.exact(3, 1, (Fraction(1, 2),))
+    assert (half.nums, half.den) == ((1,), 2)
+    assert half.coeffs == (Fraction(1, 2),)
+    assert half.ord() == 0 and half.ac(2).coeffs == (5,)      # 1/2 = 5 mod 9
+    x = PadicElem.exact(3, 2, (Fraction(5, 9), Fraction(2, 3)))
+    assert (x.nums, x.den) == ((5, 6), 9)
+    assert x.ord() == -2
+    assert x.ac(1).coeffs == (2, 0)
+    # sums reduce to lowest terms, so equal elements compare equal
+    assert half + half == PadicElem.exact(3, 1, (1,))
+    assert (half - half).is_zero() and (half - half).den == 1
+    # modulus x^2 + 1: (a + b w)^2 = a^2 - b^2 + 2ab w
+    assert (x * x).coeffs == (Fraction(-11, 81), Fraction(20, 27))
+    assert (x ** 2) == x * x
+
+
+def test_truncated_elem_arithmetic():
+    t = TruncatedElem.make(3, 1, 4, (5,))
+    u = TruncatedElem.make(3, 1, 2, (7,))
+    # mixed levels work at the lower one; exact operands must be integral
+    assert (t + u).level == 2 and (t + u).coeffs == (3,)
+    assert (t * u).coeffs == (35 % 9,)
+    half = PadicElem.exact(3, 1, (Fraction(1, 2),))
+    assert (half - t).coeffs == ((41 - 5) % 81,)              # 1/2 = 41 mod 81
+    assert (t - half).coeffs == ((5 - 41) % 81,)
+    assert (-t).coeffs == (76,) and (t ** 2).coeffs == (25,)
+    with pytest.raises(InsufficientPrecision):
+        t + PadicElem.exact(3, 1, (Fraction(1, 3),))
+    with pytest.raises(InsufficientPrecision):
+        (t - t).is_zero()
