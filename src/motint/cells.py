@@ -128,9 +128,6 @@ class AffineForm:
                                Fraction(data["const"]))
 
 
-ZERO_FORM = AffineForm.const_form(0)
-
-
 # ---------------------------------------------------------------------------
 # cells
 
@@ -437,17 +434,6 @@ def subtract_many(cells: list, holes: list) -> list:
     return out
 
 
-def disjoint_union(groups: list) -> list:
-    """Disjoint cells covering the union of all the given cells."""
-    covered: list = []
-    for c in groups:
-        pieces = [c]
-        for r in covered:
-            pieces = [p2 for p in pieces for p2 in subtract(p, r)]
-        covered += pieces
-    return covered
-
-
 def complement(cells: list, names) -> list:
     """Disjoint cells covering the complement of the union inside the full
     integer lattice on the given variables."""
@@ -498,7 +484,7 @@ def refine_residue(cell: PCell, j: int, modulus: int) -> list:
             for t in range(L // vc.mod)]
 
 
-def known_value_mod(cell: PCell, form: AffineForm, m: int):
+def _known_value_mod(cell: PCell, form: AffineForm, m: int):
     """If the scaled values of the form are constant modulo m on the cell,
     return that constant for d*form with d the coefficient denominator
     lcm: a pair (d, value of d*form mod d*m).  Returns None when some
@@ -534,7 +520,7 @@ def ensure_known_value_mod(cell: PCell, form: AffineForm, m: int) -> list:
         cells = out
     result = []
     for cc in cells:
-        got = known_value_mod(cc, form, m)
+        got = _known_value_mod(cc, form, m)
         if got is None:
             raise MotintError("residue refinement failed to pin the form")
         result.append((cc, got[0], got[1]))

@@ -15,6 +15,14 @@ the valued field is rejected.
 The concrete grammar is defined by the recursive-descent parser _Parser
 below (entry points parse_formula and parse_term).  The printer emits a
 canonical form on which print . parse is the identity.
+
+Traversal: the tables behind _children and _rebuild are the only code
+that reads the fields of a node in order to visit it.  walk_term,
+iter_terms and map_term visit every node and ignore binders.  free_vars,
+map_formula and substitute respect binders: free_vars skips variables
+bound above them, map_formula leaves a quantifier that binds the named
+variable as it is, and substitute renames a bound variable that would
+capture.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_
 from typing import Iterator, Mapping, Optional
 
 from .errors import ParseError, SortError
@@ -284,73 +293,107 @@ class Frame:
         return (len(self.vf), tuple(d for _, d in self.res), len(self.vg))
 
 
-def _term_children(t: Term) -> Iterator[Term]:
-    if isinstance(t, BinOp):
-        yield t.left
-        yield t.right
-    elif isinstance(t, (Neg, Pow, Ord, Ac, Proj)):
-        yield t.arg if not isinstance(t, Pow) else t.base
+# Per node type: its direct subterms and subformulas in field order (a
+# quantifier has (lo, hi, body), with None for a missing bound), and the
+# node rebuilt from new ones.  Leaves have no entry.
+_CHILDREN = {
+    **dict.fromkeys((BinOp, Eq, Le, Cong), lambda x: (x.left, x.right)),
+    **dict.fromkeys((Neg, Ord, Ac, Proj), lambda x: (x.arg,)),
+    Pow: lambda x: (x.base,),
+    Not: lambda x: (x.body,),
+    **dict.fromkeys((And, Or), lambda x: x.parts),
+    Quant: lambda x: (x.lo, x.hi, x.body),
+}
+_REBUILD = {
+    **dict.fromkeys((Neg, Ord, Eq, Le, Not), lambda x, k: type(x)(*k)),
+    **dict.fromkeys((And, Or), lambda x, k: type(x)(tuple(k))),
+    BinOp: lambda x, k: BinOp(x.op, *k),
+    Pow: lambda x, k: Pow(k[0], x.exp),
+    Ac: lambda x, k: Ac(x.depth, k[0]),
+    Proj: lambda x, k: Proj(x.src, x.dst, k[0]),
+    Cong: lambda x, k: Cong(k[0], k[1], x.modulus),
+    Quant: lambda x, k: Quant(x.q, x.var, *k),
+}
+
+
+def _children(x) -> tuple:
+    get = _CHILDREN.get(type(x))
+    return () if get is None else get(x)
+
+
+def _rebuild(x, kids):
+    return _REBUILD[type(x)](x, kids)
+
+
+def walk_term(t: Term) -> Iterator[Term]:
+    """Depth-first, left-to-right over a term and all its subterms."""
+    yield t
+    for c in _children(t):
+        yield from walk_term(c)
 
 
 def iter_terms(f: Formula) -> Iterator[Term]:
-    """Depth-first, left-to-right over all terms of a formula."""
-    if isinstance(f, (Eq, Le)):
-        yield from _walk_term(f.left)
-        yield from _walk_term(f.right)
-    elif isinstance(f, Cong):
-        yield from _walk_term(f.left)
-        yield from _walk_term(f.right)
-    elif isinstance(f, Not):
-        yield from iter_terms(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from iter_terms(p)
-    elif isinstance(f, Quant):
-        if f.lo is not None:
-            yield from _walk_term(f.lo)
-        if f.hi is not None:
-            yield from _walk_term(f.hi)
-        yield from iter_terms(f.body)
+    """Depth-first, left-to-right over all terms and subterms of a
+    formula, bound variables included."""
+    for c in _children(f):
+        if isinstance(c, Term):
+            yield from walk_term(c)
+        elif c is not None:
+            yield from iter_terms(c)
 
 
-def _walk_term(t: Term) -> Iterator[Term]:
-    yield t
-    for c in _term_children(t):
-        yield from _walk_term(c)
-
-
-def free_vars(f: Formula, bound: frozenset = frozenset()) -> list:
-    """Free variables in first-appearance order (name, sort pairs as Var)."""
+def free_vars(x) -> list:
+    """Free variables of a term or formula in first-appearance order, as
+    Var (name and sort)."""
     out: list[Var] = []
     seen: set[tuple] = set()
 
-    def walk_t(t: Term, bnd: frozenset):
-        if isinstance(t, Var):
-            key = (t.name, t.var_sort)
-            if t.name not in bnd and key not in seen:
+    def walk(y, bnd: frozenset):
+        if isinstance(y, Var):
+            key = (y.name, y.var_sort)
+            if y.name not in bnd and key not in seen:
                 seen.add(key)
-                out.append(t)
-        for c in _term_children(t):
-            walk_t(c, bnd)
+                out.append(y)
+        elif isinstance(y, Quant):
+            for b in (y.lo, y.hi):
+                if b is not None:
+                    walk(b, bnd)
+            walk(y.body, bnd | {y.var.name})
+        else:
+            for c in _children(y):
+                walk(c, bnd)
 
-    def walk_f(g: Formula, bnd: frozenset):
-        if isinstance(g, (Eq, Le, Cong)):
-            walk_t(g.left, bnd)
-            walk_t(g.right, bnd)
-        elif isinstance(g, Not):
-            walk_f(g.body, bnd)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk_f(p, bnd)
-        elif isinstance(g, Quant):
-            if g.lo is not None:
-                walk_t(g.lo, bnd)
-            if g.hi is not None:
-                walk_t(g.hi, bnd)
-            walk_f(g.body, bnd | {g.var.name})
-
-    walk_f(f, bound)
+    walk(x, frozenset())
     return out
+
+
+def map_term(t: Term, fn) -> Term:
+    """Top-down rewrite: fn(u) returns a replacement for u, or None to
+    rebuild u from its rewritten children.  Unchanged nodes are returned
+    as they are."""
+    u = fn(t)
+    if u is not None:
+        return u
+    kids = _children(t)
+    if not kids:
+        return t
+    new = [map_term(c, fn) for c in kids]
+    return t if all(map(is_, new, kids)) else _rebuild(t, new)
+
+
+def map_formula(f: Formula, fn, name: str | None = None) -> Formula:
+    """Apply map_term(., fn) to every term of f (or to f, if a term),
+    quantifier bounds included.  A quantifier that binds `name` is left
+    as it is."""
+    if isinstance(f, Term):
+        return map_term(f, fn)
+    if isinstance(f, Quant) and f.var.name == name:
+        return f
+    kids = _children(f)
+    if not kids:
+        return f
+    new = [c if c is None else map_formula(c, fn, name) for c in kids]
+    return f if all(map(is_, new, kids)) else _rebuild(f, new)
 
 
 def frame_of(f: Formula) -> Frame:
@@ -447,60 +490,26 @@ def _fresh(name: str, taken: set) -> str:
     return f"{base}{k}"
 
 
-def subst_term(t: Term, repl: Mapping[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return repl.get(t.name, t)
-    if isinstance(t, BinOp):
-        return BinOp(t.op, subst_term(t.left, repl), subst_term(t.right, repl))
-    if isinstance(t, Neg):
-        return Neg(subst_term(t.arg, repl))
-    if isinstance(t, Pow):
-        return Pow(subst_term(t.base, repl), t.exp)
-    if isinstance(t, Ord):
-        return Ord(subst_term(t.arg, repl))
-    if isinstance(t, Ac):
-        return Ac(t.depth, subst_term(t.arg, repl))
-    if isinstance(t, Proj):
-        return Proj(t.src, t.dst, subst_term(t.arg, repl))
-    return t
-
-
 def substitute(f: Formula, repl: Mapping[str, Term]) -> Formula:
-    """Capture-avoiding substitution of free variables by terms."""
+    """Capture-avoiding substitution of free variables by terms, in a
+    formula or a term."""
     if not repl:
         return f
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Eq):
-        return Eq(subst_term(f.left, repl), subst_term(f.right, repl))
-    if isinstance(f, Le):
-        return Le(subst_term(f.left, repl), subst_term(f.right, repl))
-    if isinstance(f, Cong):
-        return Cong(subst_term(f.left, repl), subst_term(f.right, repl), f.modulus)
-    if isinstance(f, Not):
-        return Not(substitute(f.body, repl))
-    if isinstance(f, And):
-        return And(tuple(substitute(p, repl) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(substitute(p, repl) for p in f.parts))
     if isinstance(f, Quant):
         inner = {k: v for k, v in repl.items() if k != f.var.name}
-        clash = set()
-        for t in inner.values():
-            for u in _walk_term(t):
-                if isinstance(u, Var):
-                    clash.add(u.name)
+        clash = {u.name for t in inner.values() for u in walk_term(t)
+                 if isinstance(u, Var)}
         var = f.var
         body = f.body
         if var.name in clash:
             taken = clash | {v.name for v in free_vars(body)} | set(inner)
-            nv = Var(_fresh(var.name, taken), var.var_sort)
-            body = substitute(body, {var.name: nv})
-            var = nv
-        lo = subst_term(f.lo, inner) if f.lo is not None else None
-        hi = subst_term(f.hi, inner) if f.hi is not None else None
+            var = Var(_fresh(var.name, taken), var.var_sort)
+            body = substitute(body, {f.var.name: var})
+        lo, hi = (b if b is None else substitute(b, inner) for b in (f.lo, f.hi))
         return Quant(f.q, var, lo, hi, substitute(body, inner))
-    raise SortError(f"unknown formula {f!r}")
+    if isinstance(f, (Not, And, Or)):
+        return _rebuild(f, [substitute(g, repl) for g in _children(f)])
+    return map_formula(f, lambda u: repl.get(u.name) if isinstance(u, Var) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +646,13 @@ def simplify(f: Formula) -> Formula:
     if isinstance(f, Eq) and f.left == f.right:
         return TRUE
     if isinstance(f, Eq) and isinstance(f.left, IntLit) and isinstance(f.right, IntLit):
-        return TRUE if f.left.value == f.right.value else FALSE
+        diff = abs(f.left.value - f.right.value)
+        if diff == 0:
+            return TRUE
+        # a residue literal stands for its class mod p^depth: the atom is
+        # false at every p only when no p^depth >= 2^depth divides diff
+        sort = f.left.lit_sort
+        return FALSE if sort.kind != "res" or diff < 2 ** sort.depth else f
     if isinstance(f, Le) and isinstance(f.left, IntLit) and isinstance(f.right, IntLit):
         return TRUE if f.left.value <= f.right.value else FALSE
     if isinstance(f, Cong):

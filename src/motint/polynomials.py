@@ -8,7 +8,7 @@ sequence, and Yun's square-free decomposition and Sturm chains use
 pseudo-remainders scaled only by positive constants, so the sign
 variations of a chain are those of the Sturm chain over Q.  Fractions
 appear only when a polynomial is evaluated at a rational point
-(`evaluate`, `cauchy_bound`, `count_roots_right_of`).
+(`evaluate`, `count_roots_right_of`).
 
 Only the small amount of machinery the coefficient ring needs lives here:
 arithmetic, exact division, primitive gcd, content/primitive split,
@@ -277,7 +277,7 @@ def sturm_sequence(p: Poly) -> list[Poly]:
     return [c for c in chain if c]
 
 
-def sign_variations(chain: list[Poly], x) -> int:
+def _sign_variations(chain: list[Poly], x) -> int:
     signs = []
     for p in chain:
         v = evaluate(p, x)
@@ -290,7 +290,7 @@ def sign_variations(chain: list[Poly], x) -> int:
     return count
 
 
-def cauchy_bound(p: Poly) -> Fraction:
+def _cauchy_bound(p: Poly) -> Fraction:
     """All real roots of p lie in [-B, B]."""
     if not p or degree(p) == 0:
         return Fraction(1)
@@ -305,8 +305,8 @@ def count_roots_right_of(p: Poly, a) -> int:
     if not p or degree(p) == 0:
         return 0
     chain = sturm_sequence(p)
-    b = cauchy_bound(p) + 1
+    b = _cauchy_bound(p) + 1
     if b <= a:
         return 0
     # Sturm counts roots in (a, b]; b sits beyond the root bound.
-    return sign_variations(chain, Fraction(a)) - sign_variations(chain, b)
+    return _sign_variations(chain, Fraction(a)) - _sign_variations(chain, b)

@@ -176,87 +176,31 @@ def _occurrences(phi: F.Formula, name: str) -> list:
     projection applied directly to it."""
     occs = []
 
-    def walk_t(t):
-        if isinstance(t, F.Var):
-            if t.name == name:
-                occs.append("bare")
-        elif isinstance(t, F.Proj):
-            if isinstance(t.arg, F.Var) and t.arg.name == name:
-                occs.append(t.dst)
-            else:
-                walk_t(t.arg)
-        elif isinstance(t, (F.BinOp,)):
-            walk_t(t.left)
-            walk_t(t.right)
-        elif isinstance(t, (F.Neg, F.Ord)):
-            walk_t(t.arg)
-        elif isinstance(t, F.Ac):
-            walk_t(t.arg)
-        elif isinstance(t, F.Pow):
-            walk_t(t.base)
+    def visit(t):
+        if isinstance(t, F.Var) and t.name == name:
+            occs.append("bare")
+        elif (isinstance(t, F.Proj) and isinstance(t.arg, F.Var)
+              and t.arg.name == name):
+            occs.append(t.dst)
+            return t                # keeps the walk out of this projection
+        return None
 
-    def walk_f(f):
-        if isinstance(f, (F.Eq, F.Le)):
-            walk_t(f.left)
-            walk_t(f.right)
-        elif isinstance(f, F.Cong):
-            walk_t(f.left)
-            walk_t(f.right)
-        elif isinstance(f, F.Not):
-            walk_f(f.body)
-        elif isinstance(f, (F.And, F.Or)):
-            for p in f.parts:
-                walk_f(p)
-        elif isinstance(f, F.Quant):
-            if f.var.name != name:
-                walk_f(f.body)
-
-    walk_f(phi)
+    F.map_formula(phi, visit, name)
     return occs
 
 
 def _lower_projections(phi: F.Formula, name: str, dst: int) -> F.Formula:
     """Rewrite projections of the named variable into terms of a depth-dst
     variable of the same name; every occurrence must sit under one."""
+    v = F.Var(name, F.RES(dst))
 
-    def walk_t(t):
-        if isinstance(t, F.Proj):
-            if isinstance(t.arg, F.Var) and t.arg.name == name:
-                v = F.Var(name, F.RES(dst))
-                return v if t.dst == dst else F.Proj(dst, t.dst, v)
-            return F.Proj(t.src, t.dst, walk_t(t.arg))
-        if isinstance(t, F.BinOp):
-            return F.BinOp(t.op, walk_t(t.left), walk_t(t.right))
-        if isinstance(t, F.Neg):
-            return F.Neg(walk_t(t.arg))
-        if isinstance(t, F.Pow):
-            return F.Pow(walk_t(t.base), t.exp)
-        if isinstance(t, F.Ord):
-            return F.Ord(walk_t(t.arg))
-        if isinstance(t, F.Ac):
-            return F.Ac(t.depth, walk_t(t.arg))
-        return t
+    def lower(t):
+        if (isinstance(t, F.Proj) and isinstance(t.arg, F.Var)
+                and t.arg.name == name):
+            return v if t.dst == dst else F.Proj(dst, t.dst, v)
+        return None
 
-    def walk_f(f):
-        if isinstance(f, F.Eq):
-            return F.Eq(walk_t(f.left), walk_t(f.right))
-        if isinstance(f, F.Le):
-            return F.Le(walk_t(f.left), walk_t(f.right))
-        if isinstance(f, F.Cong):
-            return F.Cong(walk_t(f.left), walk_t(f.right), f.modulus)
-        if isinstance(f, F.Not):
-            return F.Not(walk_f(f.body))
-        if isinstance(f, F.And):
-            return F.And(tuple(walk_f(p) for p in f.parts))
-        if isinstance(f, F.Or):
-            return F.Or(tuple(walk_f(p) for p in f.parts))
-        if isinstance(f, F.Quant):
-            if f.var.name == name:
-                return f
-            return F.Quant(f.q, f.var, f.lo, f.hi, walk_f(f.body))
-        return f
-
-    return walk_f(phi)
+    return F.map_formula(phi, lower, name)
 
 
 def _eq3_once(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
@@ -281,10 +225,6 @@ def _eq3_once(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
     return None
 
 
-def _term_var_names(t: F.Term) -> set:
-    return {v.name for v in F.free_vars(F.Eq(t, t))}
-
-
 def _pin_once(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
     """Drop a variable pinned by a single graph conjunct.
 
@@ -302,7 +242,7 @@ def _pin_once(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
             if not isinstance(v_side, F.Var) or v_side.name not in declared:
                 continue
             name = v_side.name
-            if name in _term_var_names(t_side):
+            if name in {v.name for v in F.free_vars(t_side)}:
                 continue
             rest = parts[:i] + parts[i + 1:]
             if any(name in {v.name for v in F.free_vars(r)} for r in rest):
@@ -474,7 +414,7 @@ def _merge_pair(a: ResGen, b: ResGen) -> ResGen | None:
             continue
         for v_side, t_side in ((neg.left, neg.right), (neg.right, neg.left)):
             if (isinstance(v_side, F.Var) and v_side.name == x
-                    and x not in _term_var_names(t_side)):
+                    and x not in {v.name for v in F.free_vars(t_side)}):
                 return ResGen(big.vars, small.phi, a.lpow)
     return None
 

@@ -21,7 +21,7 @@ its rest is 1.
 Examples (doctest style, values frozen from hand computation):
 
     >>> one = arat((1,), (1,))
-    >>> inv = inv_one_minus_L_neg(1)      # 1/(1 - L^-1) = L/(L - 1)
+    >>> inv = arat((0, 1), (-1, 1))       # 1/(1 - L^-1) = L/(L - 1)
     >>> str(inv - one)
     '1/(L - 1)'
     >>> theta(inv - one, 2)
@@ -121,7 +121,7 @@ class ARat:
     integer contents are coprime, denom is nonzero with positive leading
     coefficient.  Rational constants such as 1/2 are representable (they
     occur transiently in summation closed forms) but lie outside the ring;
-    use in_a / require_in_a to check membership.
+    use in_a to check membership.
     """
 
     numer: tuple
@@ -146,7 +146,7 @@ class ARat:
         if P.is_zero(other.numer):
             raise ZeroDivisionError("division by zero in the coefficient ring")
         out = _reduce(P.mul(self.numer, other.denom), P.mul(self.denom, other.numer))
-        require_in_a(out)
+        _require_in_a(out)
         return out
 
     def __pow__(self, k: int) -> "ARat":
@@ -155,17 +155,17 @@ class ARat:
         if P.is_zero(self.numer):
             raise ZeroDivisionError("0 has no negative power")
         out = _reduce(P.poly_pow(self.denom, -k), P.poly_pow(self.numer, -k))
-        require_in_a(out)
+        _require_in_a(out)
         return out
 
     def is_zero(self) -> bool:
         return P.is_zero(self.numer)
 
     def __str__(self) -> str:
-        ns = poly_str(self.numer)
+        ns = _poly_str(self.numer)
         if self.denom == (1,):
             return ns
-        ds = poly_str(self.denom)
+        ds = _poly_str(self.denom)
         if " " in ns:
             ns = f"({ns})"
         if " " in ds or "*" in ds:
@@ -257,7 +257,7 @@ def in_a(a: ARat) -> bool:
     return _factor(a.denom)[1] == (1,)
 
 
-def require_in_a(a: ARat) -> ARat:
+def _require_in_a(a: ARat) -> ARat:
     if not in_a(a):
         raise NotInA(f"{a} lies outside the coefficient ring")
     return a
@@ -266,7 +266,7 @@ def require_in_a(a: ARat) -> ARat:
 def arat(numer, denom=(1,)) -> ARat:
     """Public constructor: canonicalize and certify ring membership."""
     out = _reduce(_int_coeffs(numer), _int_coeffs(denom))
-    require_in_a(out)
+    _require_in_a(out)
     return out
 
 
@@ -295,13 +295,6 @@ def L_pow(k: int) -> ARat:
     if k >= 0:
         return ARat(tuple([0] * k + [1]), (1,))
     return ARat((1,), tuple([0] * (-k) + [1]))
-
-
-def inv_one_minus_L_neg(i: int) -> ARat:
-    """1/(1 - L^-i) = L^i/(L^i - 1), a ring generator (i >= 1)."""
-    if i < 1:
-        raise ValueError("generator index must be >= 1")
-    return arat(tuple([0] * i + [1]), tuple([-1] + [0] * (i - 1) + [1]))
 
 
 def theta(a: ARat, q) -> Fraction:
@@ -337,7 +330,7 @@ def is_nonneg(a: ARat) -> bool:
     return True
 
 
-def poly_str(p: tuple) -> str:
+def _poly_str(p: tuple) -> str:
     """Human form of an integer polynomial in L, highest power first."""
     if P.is_zero(p):
         return "0"
@@ -444,7 +437,7 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
     if peek() != "$":
         raise ParseError(f"trailing input in ring expression: {peek()!r}")
     if strict:
-        require_in_a(out)
+        _require_in_a(out)
     return out
 
 

@@ -182,25 +182,8 @@ class IntegrationResult:
 
 
 def _vf_free_vars(t: F.Term) -> list:
-    seen: list = []
-
-    def walk(u):
-        if isinstance(u, F.Var):
-            if u.var_sort == F.VF and u.name not in seen:
-                seen.append(u.name)
-        elif isinstance(u, (F.Neg, F.Ord)):
-            walk(u.arg)
-        elif isinstance(u, F.Ac):
-            walk(u.arg)
-        elif isinstance(u, F.Proj):
-            walk(u.arg)
-        elif isinstance(u, F.Pow):
-            walk(u.base)
-        elif isinstance(u, F.BinOp):
-            walk(u.left)
-            walk(u.right)
-    walk(t)
-    return seen
+    return list(dict.fromkeys(u.name for u in F.walk_term(t)
+                              if isinstance(u, F.Var) and u.var_sort == F.VF))
 
 
 def _affine_in(t: F.Term, var: str | None):
@@ -391,24 +374,6 @@ class _PointResolver(_Resolver):
 #   ("and", parts) | ("or", parts) | ("not", part)
 
 
-def _term_mentions_ord(t: F.Term) -> bool:
-    if isinstance(t, F.Ord):
-        return True
-    if isinstance(t, (F.Neg, F.Ac)):
-        return _term_mentions_ord(t.arg)
-    if isinstance(t, F.Proj):
-        return _term_mentions_ord(t.arg)
-    if isinstance(t, F.Pow):
-        return _term_mentions_ord(t.base)
-    if isinstance(t, F.BinOp):
-        return _term_mentions_ord(t.left) or _term_mentions_ord(t.right)
-    return False
-
-
-def _formula_mentions_ord(f: F.Formula) -> bool:
-    return any(_term_mentions_ord(t) for t in F.iter_terms(f))
-
-
 class _Rewriter:
     def __init__(self, resolvers: dict, ctx: PContext):
         self.rs = resolvers
@@ -488,34 +453,33 @@ class _Rewriter:
         raise OutsideFragment(
             f"unsupported value-group term {F.term_str(t)}")
 
-    def res_term(self, t: F.Term) -> F.Term:
+    def _res_leaf(self, t: F.Term):
         if isinstance(t, F.Ac):
             return self._resolve_ac(t)
         if isinstance(t, F.IntLit):
             # a residue literal means its class mod p^depth; reduce it, so
-            # that F.simplify folds literal equalities as evaluation reads them
+            # that literal equalities fold as evaluation reads them
             m = self.p ** t.lit_sort.depth
             return t if 0 <= t.value < m else F.IntLit(t.value % m, t.lit_sort)
-        if isinstance(t, F.Var):
-            return t
-        if isinstance(t, F.Neg):
-            return F.Neg(self.res_term(t.arg))
-        if isinstance(t, F.Pow):
-            return F.Pow(self.res_term(t.base), t.exp)
-        if isinstance(t, F.Proj):
-            return F.Proj(t.src, t.dst, self.res_term(t.arg))
-        if isinstance(t, F.BinOp):
-            return F.BinOp(t.op, self.res_term(t.left),
-                           self.res_term(t.right))
-        raise OutsideFragment(
-            f"unsupported residue term {F.term_str(t)}")
+        if isinstance(t, (F.Ord, F.RatLit, F.Pi)):
+            raise OutsideFragment(
+                f"unsupported residue term {F.term_str(t)}")
+        return None
+
+    def res_eq(self, f: F.Eq) -> F.Formula:
+        """A residue equality with its literals reduced at p; two literals
+        fold to true or false here, since F.simplify cannot know p."""
+        a, b = (F.map_term(t, self._res_leaf) for t in (f.left, f.right))
+        if isinstance(a, F.IntLit) and isinstance(b, F.IntLit):
+            return F.TRUE if a.value == b.value else F.FALSE
+        return F.Eq(a, b)
 
     def res_formula(self, f: F.Formula) -> F.Formula:
         """Rewrite a residue-sorted subformula (no ord terms allowed)."""
         if isinstance(f, (F.TrueF, F.FalseF)):
             return f
         if isinstance(f, F.Eq):
-            return F.Eq(self.res_term(f.left), self.res_term(f.right))
+            return self.res_eq(f)
         if isinstance(f, F.Not):
             return F.Not(self.res_formula(f.body))
         if isinstance(f, F.And):
@@ -559,7 +523,7 @@ class _Rewriter:
             if f.var.var_sort.kind != "res":
                 raise OutsideFragment(
                     "value-group quantifiers are outside the fragment")
-            if _formula_mentions_ord(f.body):
+            if any(isinstance(t, F.Ord) for t in F.iter_terms(f.body)):
                 raise OutsideFragment(
                     "ord terms under a residue quantifier are outside "
                     "the fragment")
@@ -574,8 +538,7 @@ class _Rewriter:
             if s == F.VG:
                 return self._vg_eq(self.vg_term(f.left),
                                    self.vg_term(f.right))
-            return ("res", F.Eq(self.res_term(f.left),
-                                self.res_term(f.right)))
+            return ("res", self.res_eq(f))
         if isinstance(f, F.Le):
             return self._vg_le(self.vg_term(f.left), self.vg_term(f.right))
         if isinstance(f, F.Cong):

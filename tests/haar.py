@@ -5,6 +5,7 @@ constructible functions, only at formula evaluation on representatives.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
@@ -29,21 +30,19 @@ def haar_sum(cond, weight, ctx, level):
     for _, var, _ in weight:
         if var not in names:
             names.append(var)
-    centers = [(m, names.index(var), ctx.vf(Fraction(center)))
-               for m, var, center in weight]
+    centers = [(names.index(var), ctx.vf(Fraction(center)))
+               for _, var, center in weight]
     d, n = ctx.d, len(names)
-    total = Fraction(0)
+    # points counted per tuple of orders; each tuple's weight is added once
+    counts = Counter()
     for coeffs in itertools.product(range(ctx.p ** level), repeat=d * n):
         point = [PadicElem.exact(ctx.p, d, coeffs[k * d:(k + 1) * d],
                                  ctx.modulus) for k in range(n)]
         if not eval_formula(cond, dict(zip(names, point)), ctx):
             continue
-        w = Fraction(1)
-        for m, i, center in centers:
-            o = (point[i] - center).ord()
-            if o == inf:
-                break
-            w *= q ** (-m * o)
-        else:
-            total += w
-    return total / q ** (level * n)
+        orders = tuple((point[i] - center).ord() for i, center in centers)
+        if inf not in orders:
+            counts[orders] += 1
+    total = sum(c * q ** -sum(m * o for (m, _, _), o in zip(weight, orders))
+                for orders, c in counts.items())
+    return Fraction(total) / q ** (level * n)

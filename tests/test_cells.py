@@ -8,14 +8,25 @@ import pytest
 
 from motint.cells import (
     AffineForm, PCell, VarCell, add_cong, add_eq, add_ineq, complement,
-    disjoint_union, ensure_known_value_mod,
-    from_constraints, intersect, reorder, subtract, universe,
+    ensure_known_value_mod, from_constraints, intersect, reorder, subtract,
+    universe,
 )
 from motint.errors import FrameMismatch, MotintError
 
 
 def af(coeffs=None, const=0):
     return AffineForm.make(coeffs or {}, const)
+
+
+def disjoint_union(groups: list) -> list:
+    """Disjoint cells covering the union of all the given cells."""
+    covered: list = []
+    for c in groups:
+        pieces = [c]
+        for r in covered:
+            pieces = [p2 for p in pieces for p2 in subtract(p, r)]
+        covered += pieces
+    return covered
 
 
 def enumerate_points(cell: PCell, box: dict):

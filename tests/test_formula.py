@@ -163,6 +163,7 @@ def test_free_vars_order_and_shadowing():
     f = parse_formula("ord(y) = z && exists z : vg . ord(x) = z")
     names = [v.name for v in free_vars(f)]
     assert names == ["y", "z", "x"]
+    assert [v.name for v in free_vars(parse_term("ord(x*y) + z"))] == ["x", "y", "z"]
 
 
 def test_substitute_basic():
@@ -172,13 +173,14 @@ def test_substitute_basic():
 
 
 def test_substitute_capture_avoiding():
-    f = parse_formula("exists z : vg . ord(x) = z + w")
+    f = parse_formula("exists z : vg in [w, 5] . ord(x) = z + w")
     g = substitute(f, {"w": Var("z", VG)})
     assert isinstance(g, Quant)
     assert g.var.name != "z"                      # bound variable renamed
     assert formula_str(g).count("exists") == 1
-    # the substituted z stays free
+    # the substituted z stays free, in the bound as in the body
     assert ("z", VG) in {(v.name, v.var_sort) for v in free_vars(g)}
+    assert formula_str(g) == "exists z1 : vg in [z, 5] . ord(x) = z1 + z"
 
 
 def test_simplify():

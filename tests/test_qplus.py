@@ -141,6 +141,15 @@ def test_closed_conjunct_preserved():
     # squares differ from points, so the quantifier must survive
     assert count_class(nf, PContext(3, 1)) == count_class(rc, PContext(3, 1)) == 1
     assert count_class(nf, PContext(5, 1)) == 2
+    # eq3 lowers the free x and leaves the quantifier that rebinds x alone
+    shadow = res_formula(
+        "proj_2_1(x) = 1 && (exists x : res(2) . proj_2_1(x) = 0)", x=2)
+    nf = normal_form(from_formula((("x", 2),), shadow))
+    assert [(g.vars, g.phi) for g in nf.gens] == [((), shadow.parts[1])]
+    # y is pinned by y = x + 1; the y under the quantifier is another one
+    pinned = res_formula("y = x + 1 && (exists y : res(1) . y * y = x)", x=1, y=1)
+    nf = normal_form(from_formula((("x", 1), ("y", 1)), pinned))
+    assert [g.vars for g in nf.gens] == [(("r1", 1),)]
 
 
 def test_rewrite_log_preserves_counts():
@@ -151,18 +160,36 @@ def test_rewrite_log_preserves_counts():
         ("x != 0 && (y = 0 || y != 0)", {"x": 1, "y": 1}),
         ("x = 1", {"x": 1}),
         ("proj_2_1(x) != 0", {"x": 2}),
+        # quantifiers that shadow a free variable of the same name
+        ("proj_2_1(x) = 1 && (exists x : res(2) . proj_2_1(x) = 0)", {"x": 2}),
+        ("y = x + 1 && (exists y : res(1) . y * y = x)", {"x": 1, "y": 1}),
     ]
     log = RewriteLog()
     for text, sorts in texts:
         phi = res_formula(text, **{k: v for k, v in sorts.items()})
         vars_ = tuple((k, v) for k, v in sorts.items())
         rc = from_formula(vars_, phi, lpow=rng.randint(-1, 2))
-        normal_form(rc, log)
+        nf = normal_form(rc, log)
+        for ctx in GRID:
+            assert count_class(rc, ctx) == count_class(nf, ctx), (text, ctx.p)
     assert log.events
     for rule, before, after in log.events:
         for ctx in GRID:
             assert count_class(before, ctx) == count_class(after, ctx), \
                 f"{rule} changed the count at p={ctx.p}, d={ctx.d}"
+
+
+def test_residue_literal_equality_holds_at_some_p():
+    def lit_eq(a, b, depth):
+        return F.Eq(F.IntLit(a, RES(depth)), F.IntLit(b, RES(depth)))
+
+    # 2 = 0 in res(1) holds at p = 2 only, so it cannot fold to false
+    rc = from_formula((("x", 1),), lit_eq(2, 0, 1))
+    nf = normal_form(rc)
+    assert count_class(rc, PContext(2, 1)) == count_class(nf, PContext(2, 1)) == 2
+    assert count_class(rc, PContext(3, 1)) == count_class(nf, PContext(3, 1)) == 0
+    # |a - b| < 2^depth: no p^depth divides a - b, so it is false at every p
+    assert normal_form(from_formula((("x", 2),), lit_eq(3, 0, 2))) == zero()
 
 
 def test_point_fiber_absorption():

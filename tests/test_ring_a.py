@@ -7,9 +7,13 @@ from motint import polynomials as P
 from motint.errors import NotInA, ParseError, QOutOfRange
 from motint.ring_a import (
     ARat, L, L_pow, ONE, ZERO, arat, fraction_from_json, from_int,
-    from_rational, in_a, inv_one_minus_L_neg, is_nonneg, lax, parse_ratfunc,
-    theta,
+    from_rational, in_a, is_nonneg, lax, parse_ratfunc, theta,
 )
+
+
+def inv_one_minus_L_neg(i: int) -> ARat:
+    """1/(1 - L^-i) = L^i/(L^i - 1), a ring generator (i >= 1)."""
+    return arat(tuple([0] * i + [1]), tuple([-1] + [0] * (i - 1) + [1]))
 
 
 def test_canonical_form():
