@@ -3,8 +3,23 @@
 A cell over an ordered variable tuple (v1, ..., vk) constrains each vi by
 at most one affine lower bound, at most one affine upper bound, and one
 congruence vi = res (mod m) with a constant residue.  Bounds may mention
-only earlier variables.  Coefficients are rational; on the integer points
-of a cell every bound evaluates to a rational that is compared exactly.
+only earlier variables.
+
+An affine form stores integer numerators over one shared positive
+denominator in lowest terms, so equal forms are equal tuples and every
+bound, shift and comparison runs on ints.  A bound is compared with a
+point by scaling the coordinate, and form <= 0 holds exactly when its
+integer numerator is <= 0.  The rational coefficients stay readable
+through the Fraction accessors ``terms``, ``const``, ``coeff`` and
+``evaluate``:
+
+>>> f = AffineForm.make({"i": Fraction(1, 2), "j": -1}, Fraction(1, 3))
+>>> f.ints, f.cnum, f.den
+((('i', 3), ('j', -6)), 2, 6)
+>>> f.coeff("i"), f.const, f.evaluate({"i": 1, "j": 0})
+(Fraction(1, 2), Fraction(1, 3), Fraction(5, 6))
+>>> str(f), (f + f.scale(-1)).den
+('1/2*i - j + 1/3', 1)
 
 Cells are combined by inserting constraints one at a time.  Each insertion
 returns a list of pairwise disjoint cells whose union is exactly the
@@ -15,117 +30,257 @@ add_cong.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FrameMismatch, MotintError
+from .errors import FrameMismatch, MotintError, ParseError
 
 
 # ---------------------------------------------------------------------------
 # affine forms
 
+def _frac_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != d:
+            return f"{n // g}/{d // g}"
+        return str(n // g)
+    return str(n)
+
+
+def _reduced(ints: tuple, cnum: int, den: int) -> "AffineForm":
+    """The form (ints, cnum) / den in lowest terms; den must be positive."""
+    if den != 1:
+        g = gcd(den, cnum, *(k for _, k in ints))
+        if g != 1:
+            return AffineForm(tuple((n, k // g) for n, k in ints),
+                              cnum // g, den // g)
+    return AffineForm(ints, cnum, den)
+
+
+def _combine(x: tuple, y: tuple, fx: int, fy: int) -> tuple:
+    """Sorted nonzero numerators of fx*x + fy*y."""
+    d = dict(x) if fx == 1 else {n: k * fx for n, k in x}
+    for n, k in y:
+        d[n] = d.get(n, 0) + k * fy
+    return tuple(sorted((n, k) for n, k in d.items() if k))
+
+
+def _split(ints: tuple, name: str) -> tuple:
+    """(k, rest): the numerator k of name (0 if absent) and the other
+    (name, int) pairs."""
+    k = 0
+    rest = []
+    for n, c in ints:
+        if n == name:
+            k = c
+        else:
+            rest.append((n, c))
+    return k, tuple(rest)
+
+
+_JSON_NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _json_fraction(x, what: str) -> Fraction:
+    """An int or an "a" / "a/b" string from JSON, as a Fraction."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str) and _JSON_NUMBER.fullmatch(x):
+        num, _, den = x.partition("/")
+        if den and int(den) == 0:
+            raise ParseError(f"{what} {x!r} has a zero denominator")
+        return Fraction(int(num), int(den or 1))
+    raise ParseError(f"{what} must be an integer or an 'a' or 'a/b' "
+                     f"string, got {x!r}")
+
+
 @dataclass(frozen=True)
 class AffineForm:
-    """Rational affine combination of named integer variables."""
+    """Rational affine combination of named integer variables, stored as
+    (sum of k*name over ints) + cnum, all over den.  The representation
+    is canonical: ints is sorted by name with nonzero numerators, den is
+    positive and gcd(all numerators, den) == 1."""
 
-    terms: tuple            # ((name, Fraction), ...) sorted, coefficients nonzero
-    const: Fraction
+    ints: tuple             # ((name, int), ...)
+    cnum: int               # constant numerator
+    den: int = 1            # shared denominator
 
     @staticmethod
     def make(coeffs: dict | None = None, const=0) -> "AffineForm":
-        coeffs = coeffs or {}
-        items = tuple(sorted((n, Fraction(c)) for n, c in coeffs.items()
-                             if Fraction(c) != 0))
-        return AffineForm(items, Fraction(const))
+        items = sorted((coeffs or {}).items())
+        if type(const) is int and all(type(c) is int for _, c in items):
+            return AffineForm(tuple((n, c) for n, c in items if c), const)
+        fracs = [(n, Fraction(c)) for n, c in items]
+        const = Fraction(const)
+        den = lcm(const.denominator, *(c.denominator for _, c in fracs))
+        # the numerators over the lcm of reduced denominators are coprime
+        # to it, so the result is already in lowest terms
+        return AffineForm(
+            tuple((n, c.numerator * (den // c.denominator))
+                  for n, c in fracs if c),
+            const.numerator * (den // const.denominator), den)
 
     @staticmethod
     def var(name: str) -> "AffineForm":
-        return AffineForm(((name, Fraction(1)),), Fraction(0))
+        return AffineForm(((name, 1),), 0)
 
     @staticmethod
     def const_form(c) -> "AffineForm":
-        return AffineForm((), Fraction(c))
+        return AffineForm.make(None, c)
+
+    @property
+    def terms(self) -> tuple:
+        """((name, Fraction), ...): the coefficients."""
+        return tuple((n, Fraction(k, self.den)) for n, k in self.ints)
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.cnum, self.den)
 
     def coeff(self, name: str) -> Fraction:
-        for n, c in self.terms:
+        for n, k in self.ints:
             if n == name:
-                return c
+                return Fraction(k, self.den)
         return Fraction(0)
 
     def names(self) -> tuple:
-        return tuple(n for n, _ in self.terms)
+        return tuple(n for n, _ in self.ints)
 
     def is_constant(self) -> bool:
-        return not self.terms
+        return not self.ints
+
+    def numer(self) -> "AffineForm":
+        """den * self: the form with integer coefficients."""
+        return self if self.den == 1 else AffineForm(self.ints, self.cnum)
+
+    def _plus(self, other: "AffineForm", sign: int) -> "AffineForm":
+        a, b = self.den, other.den
+        if a == b:
+            if not other.ints:
+                ints = self.ints
+            elif not self.ints and sign == 1:
+                ints = other.ints
+            else:
+                ints = _combine(self.ints, other.ints, 1, sign)
+            cnum = self.cnum + sign * other.cnum
+            return AffineForm(ints, cnum) if a == 1 else _reduced(ints, cnum, a)
+        g = gcd(a, b)
+        fa, fb = b // g, sign * (a // g)
+        return _reduced(_combine(self.ints, other.ints, fa, fb),
+                        self.cnum * fa + other.cnum * fb, a * fa)
 
     def __add__(self, other: "AffineForm") -> "AffineForm":
-        d = dict(self.terms)
-        for n, c in other.terms:
-            d[n] = d.get(n, Fraction(0)) + c
-        return AffineForm.make(d, self.const + other.const)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "AffineForm") -> "AffineForm":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def scale(self, c) -> "AffineForm":
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
+            if c.denominator != 1:
+                p = c.numerator
+                return _reduced(tuple((n, k * p) for n, k in self.ints),
+                                self.cnum * p, self.den * c.denominator)
+            c = c.numerator
+        if c == 1:
+            return self
         if c == 0:
-            return AffineForm((), Fraction(0))
-        return AffineForm(tuple((n, k * c) for n, k in self.terms), self.const * c)
+            return AffineForm((), 0)
+        ints = tuple((n, k * c) for n, k in self.ints)
+        if self.den == 1:
+            return AffineForm(ints, self.cnum * c)
+        return _reduced(ints, self.cnum * c, self.den)
 
     def shift(self, c) -> "AffineForm":
-        return AffineForm(self.terms, self.const + Fraction(c))
+        if type(c) is not int:
+            c = Fraction(c)
+            if c.denominator != 1:
+                d, q = self.den, c.denominator
+                f = q // gcd(d, q)
+                ints = self.ints if f == 1 else tuple((n, k * f)
+                                                      for n, k in self.ints)
+                return _reduced(ints, self.cnum * f + c.numerator * (d * f // q),
+                                d * f)
+            c = c.numerator
+        # adding a multiple of den keeps the numerators coprime to den
+        return AffineForm(self.ints, self.cnum + c * self.den, self.den)
 
     def drop(self, name: str) -> "AffineForm":
-        return AffineForm(tuple((n, c) for n, c in self.terms if n != name), self.const)
+        ints = tuple(t for t in self.ints if t[0] != name)
+        if len(ints) == len(self.ints):
+            return self
+        if self.den == 1:
+            return AffineForm(ints, self.cnum)
+        return _reduced(ints, self.cnum, self.den)
 
     def substitute(self, name: str, repl: "AffineForm") -> "AffineForm":
-        c = self.coeff(name)
-        if c == 0:
+        """Replace the variable by the form: with self = (c*name + rest)/d,
+        the result is (rest*repl.den + c*repl)/(d*repl.den)."""
+        c, rest = _split(self.ints, name)
+        if not c:
             return self
-        return self.drop(name) + repl.scale(c)
+        rd = repl.den
+        ints = _combine(rest, repl.ints, rd, c)
+        cnum = self.cnum * rd + c * repl.cnum
+        if self.den == 1 and rd == 1:
+            return AffineForm(ints, cnum)
+        return _reduced(ints, cnum, self.den * rd)
 
-    def evaluate(self, env: dict) -> Fraction:
-        total = self.const
-        for n, c in self.terms:
-            if n not in env:
-                raise MotintError(f"unbound variable {n} in affine form")
-            total += c * env[n]
+    def eval_num(self, env: dict) -> int:
+        """The numerator of the value at integer env: value * den."""
+        total = self.cnum
+        try:
+            for n, k in self.ints:
+                total += k * env[n]
+        except KeyError as exc:
+            raise MotintError(
+                f"unbound variable {exc.args[0]} in affine form") from None
         return total
 
-    def denom_lcm(self) -> int:
-        d = self.const.denominator
-        for _, c in self.terms:
-            d = lcm(d, c.denominator)
-        return d
-
-    def is_integral(self) -> bool:
-        return self.denom_lcm() == 1
+    def evaluate(self, env: dict) -> Fraction:
+        return Fraction(self.eval_num(env), self.den)
 
     def __str__(self) -> str:
+        d = self.den
         parts = []
-        for n, c in self.terms:
-            if c == 1:
+        for n, k in self.ints:
+            if k == d:
                 parts.append(n)
-            elif c == -1:
+            elif k == -d:
                 parts.append(f"-{n}")
             else:
-                parts.append(f"{c}*{n}")
-        if self.const != 0 or not parts:
-            parts.append(str(self.const))
+                parts.append(f"{_frac_str(k, d)}*{n}")
+        if self.cnum != 0 or not parts:
+            parts.append(_frac_str(self.cnum, d))
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
     def to_json(self):
-        return {"terms": {n: str(c) for n, c in self.terms}, "const": str(self.const)}
+        d = self.den
+        return {"terms": {n: _frac_str(k, d) for n, k in self.ints},
+                "const": _frac_str(self.cnum, d)}
 
     @staticmethod
     def from_json(data) -> "AffineForm":
-        return AffineForm.make({n: Fraction(c) for n, c in data["terms"].items()},
-                               Fraction(data["const"]))
+        """Read a form; coefficients and the constant must be ints or
+        "a" / "a/b" strings."""
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), dict) \
+                or "const" not in data:
+            raise ParseError("an affine form must be an object with a "
+                             f"'terms' object and a 'const', got {data!r}")
+        coeffs = {}
+        for n, c in data["terms"].items():
+            if not isinstance(n, str):
+                raise ParseError(f"variable name {n!r} is not a string")
+            coeffs[n] = _json_fraction(c, f"coefficient of {n}")
+        return AffineForm.make(coeffs, _json_fraction(data["const"], "constant"))
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +296,15 @@ class VarCell:
     res: int = 0
 
     def __post_init__(self):
-        if self.mod < 1:
-            raise MotintError(f"modulus must be positive, got {self.mod}")
-        if not 0 <= self.res < self.mod:
-            raise MotintError(f"residue {self.res} out of range for modulus {self.mod}")
+        mod, res = self.mod, self.res
+        if type(mod) is int and type(res) is int and 0 <= res < mod:
+            return
+        if type(mod) is not int or type(res) is not int:
+            raise MotintError(f"modulus and residue must be integers, got "
+                              f"{mod!r} and {res!r}")
+        if mod < 1:
+            raise MotintError(f"modulus must be positive, got {mod}")
+        raise MotintError(f"residue {res} out of range for modulus {mod}")
 
     def to_json(self):
         return {"lo": None if self.lo is None else self.lo.to_json(),
@@ -155,7 +315,10 @@ class VarCell:
     def from_json(data) -> "VarCell":
         lo = None if data["lo"] is None else AffineForm.from_json(data["lo"])
         hi = None if data["hi"] is None else AffineForm.from_json(data["hi"])
-        return VarCell(lo, hi, data["mod"], data["res"])
+        try:
+            return VarCell(lo, hi, data["mod"], data["res"])
+        except MotintError as exc:
+            raise ParseError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -194,9 +357,10 @@ class PCell:
             x = env[v]
             if (x - vc.res) % vc.mod != 0:
                 return False
-            if vc.lo is not None and Fraction(x) < vc.lo.evaluate(env):
+            lo, hi = vc.lo, vc.hi
+            if lo is not None and x * lo.den < lo.eval_num(env):
                 return False
-            if vc.hi is not None and Fraction(x) > vc.hi.evaluate(env):
+            if hi is not None and x * hi.den > hi.eval_num(env):
                 return False
         return True
 
@@ -235,8 +399,10 @@ def universe(names) -> PCell:
 
 def _innermost(cell: PCell, form: AffineForm) -> int:
     idx = -1
-    for n in form.names():
-        idx = max(idx, cell.index(n))
+    for n, _ in form.ints:
+        i = cell.index(n)
+        if i > idx:
+            idx = i
     return idx
 
 
@@ -250,33 +416,40 @@ def _prune(cells: list) -> list:
 
 def _trivially_empty(cell: PCell) -> bool:
     for vc in cell.tower:
-        if vc.lo is not None and vc.hi is not None:
-            d = vc.hi - vc.lo
-            if d.is_constant() and d.const < 0:
-                return True
-            if vc.lo == vc.hi and vc.lo.is_constant():
-                v = vc.lo.const
-                if v.denominator != 1 or (int(v) - vc.res) % vc.mod != 0:
+        lo, hi = vc.lo, vc.hi
+        if lo is not None and hi is not None:
+            if lo == hi:
+                if not lo.ints and (lo.den != 1
+                                    or (lo.cnum - vc.res) % vc.mod != 0):
+                    return True
+            elif len(lo.ints) == len(hi.ints):
+                d = hi - lo
+                if not d.ints and d.cnum < 0:
                     return True
     return False
+
+
+def _isolate(form: AffineForm, name: str) -> tuple:
+    """(a, x) where a*name + r is the numerator of form and x = -r/a."""
+    a, rest = _split(form.ints, name)
+    if a > 0:
+        return a, _reduced(tuple((n, -k) for n, k in rest), -form.cnum, a)
+    return a, _reduced(rest, form.cnum, -a)
 
 
 def add_ineq(cell: PCell, form: AffineForm) -> list:
     """Constrain by form <= 0.  Returns disjoint cells covering exactly the
     satisfying points of the cell."""
-    if form.is_constant():
-        return [cell] if form.const <= 0 else []
+    if not form.ints:
+        return [cell] if form.cnum <= 0 else []
     j = _innermost(cell, form)
-    name = cell.vars[j]
-    a = form.coeff(name)
-    rest = form.drop(name)
+    # a*v + r <= 0 is v <= -r/a for a > 0 and v >= -r/a for a < 0
+    a, cand = _isolate(form, cell.vars[j])
     vc = cell.tower[j]
     if a > 0:
-        cand = rest.scale(Fraction(-1) / a)
         if vc.hi is None:
             return _prune([cell.with_slot(j, VarCell(vc.lo, cand, vc.mod, vc.res))])
         return _split_bound(cell, j, vc.hi, cand, upper=True)
-    cand = rest.scale(Fraction(-1) / a)
     if vc.lo is None:
         return _prune([cell.with_slot(j, VarCell(cand, vc.hi, vc.mod, vc.res))])
     return _split_bound(cell, j, vc.lo, cand, upper=False)
@@ -289,9 +462,7 @@ def _split_bound(cell: PCell, j: int, old: AffineForm, new: AffineForm,
     recursion descends."""
     if old == new:
         return [cell]
-    diff = old - new
-    d = diff.denom_lcm()
-    scaled = diff.scale(d)                       # integral values on points
+    scaled = (old - new).numer()             # integral values on points
     out = []
     if upper:
         # branch 1: old <= new, keep old
@@ -318,14 +489,13 @@ def add_cong(cell: PCell, form: AffineForm, m: int) -> list:
         raise MotintError(f"modulus must be positive, got {m}")
     if m == 1:
         return [cell]
-    if not form.is_integral():
+    if form.den != 1:
         raise MotintError(f"congruence form must be integral: {form}")
-    if form.is_constant():
-        return [cell] if form.const % m == 0 else []
+    if not form.ints:
+        return [cell] if form.cnum % m == 0 else []
     j = _innermost(cell, form)
-    name = cell.vars[j]
-    a = int(form.coeff(name))
-    rest = form.drop(name)
+    a, rest = _split(form.ints, cell.vars[j])
+    rest = AffineForm(rest, form.cnum)
     vc = cell.tower[j]
     L = lcm(vc.mod, m)
     out = []
@@ -340,17 +510,15 @@ def add_eq(cell: PCell, form: AffineForm) -> list:
     """Constrain by form = 0.  The innermost variable gets pinned to an
     affine value; divisibility and compatibility move to earlier
     variables."""
-    if form.is_constant():
-        return [cell] if form.const == 0 else []
-    d = form.denom_lcm()
-    intform = form.scale(d)
+    if not form.ints:
+        return [cell] if form.cnum == 0 else []
+    intform = form.numer()
     j = _innermost(cell, intform)
-    name = cell.vars[j]
-    a = int(intform.coeff(name))
-    rest = intform.drop(name)
+    a, rest = _split(intform.ints, cell.vars[j])
+    rest = AffineForm(rest, intform.cnum)
     if a < 0:
         a, rest = -a, rest.scale(-1)
-    pin = rest.scale(Fraction(-1, a))
+    pin = _reduced(tuple((n, -k) for n, k in rest.ints), -rest.cnum, a)
     vc = cell.tower[j]
     cells = add_cong(cell, rest, a)
     if vc.mod > 1:
@@ -389,10 +557,8 @@ def _apply(cell: PCell, con) -> list:
 
 def _apply_negation(cell: PCell, con) -> list:
     if con[0] == "ineq":
-        form = con[1]
-        d = form.denom_lcm()
-        # not(form <= 0)  <=>  d*form >= 1
-        return add_ineq(cell, form.scale(-d).shift(1))
+        # not(form <= 0)  <=>  den*form >= 1
+        return add_ineq(cell, con[1].numer().scale(-1).shift(1))
     _, form, m = con
     out = []
     for r in range(1, m):
@@ -485,35 +651,26 @@ def refine_residue(cell: PCell, j: int, modulus: int) -> list:
 
 
 def _known_value_mod(cell: PCell, form: AffineForm, m: int):
-    """If the scaled values of the form are constant modulo m on the cell,
-    return that constant for d*form with d the coefficient denominator
-    lcm: a pair (d, value of d*form mod d*m).  Returns None when some
+    """If the numerator of the form is constant modulo den*m on the cell,
+    return the pair (den, that constant).  Returns None when some
     variable's congruence class is too coarse."""
-    d = form.denom_lcm()
-    g = form.scale(d)
-    M = d * m
-    total = g.const
-    for n, c in g.terms:
-        i = cell.index(n)
-        vc = cell.tower[i]
-        c = int(c)
-        step = (c * vc.mod) % M
-        if step != 0:
+    M = form.den * m
+    total = form.cnum
+    for n, c in form.ints:
+        vc = cell.tower[cell.index(n)]
+        if (c * vc.mod) % M != 0:
             return None
         total += c * vc.res
-    return d, int(total) % M
+    return form.den, total % M
 
 
 def ensure_known_value_mod(cell: PCell, form: AffineForm, m: int) -> list:
     """Refine congruences until the form's value mod m is constant on each
-    returned cell; yields (cell, d, value_of_d_form_mod_d_m) triples."""
-    d = form.denom_lcm()
-    M = d * m
-    g = form.scale(d)
+    returned cell; yields (cell, den, numerator mod den*m) triples."""
+    M = form.den * m
     cells = [cell]
-    for n, c in g.terms:
-        c = int(c)
-        need = M // gcd(int(c), M)
+    for n, c in form.ints:
+        need = M // gcd(c, M)
         out = []
         for cc in cells:
             out += refine_residue(cc, cc.index(n), need)

@@ -172,7 +172,7 @@ def pullback_vg_affine(a: MotFun, name: str, sign: int = 1,
 
 
 def _map_pfun_var(pf: PFun, name: str, sign: int, delta: int) -> PFun:
-    form = AffineForm.make({name: Fraction(sign)}, Fraction(delta))
+    form = AffineForm.make({name: sign}, delta)
     pieces = []
     for cell, terms in pf.pieces:
         i = cell.index(name)
@@ -258,18 +258,17 @@ def _canon_pfun(pf: PFun) -> PFun:
         for t in terms:
             # constant factors and constant L-powers belong in the
             # coefficient, so that terms equal up to scalars share a key
-            if any(f.is_constant() and f.const.denominator == 1
-                   for f in t.factors):
+            if any(not f.ints and f.den == 1 for f in t.factors):
                 coef, keep = t.coef, []
                 for f in t.factors:
-                    if f.is_constant() and f.const.denominator == 1:
-                        coef = coef * R.from_int(int(f.const))
+                    if not f.ints and f.den == 1:
+                        coef = coef * R.from_int(f.cnum)
                     else:
                         keep.append(f)
                 t = PTerm(coef, t.lpow, tuple(keep))
-            if t.lpow.const != 0 and t.lpow.const.denominator == 1:
-                t = PTerm(t.coef * R.L_pow(int(t.lpow.const)),
-                          t.lpow.shift(-t.lpow.const), t.factors)
+            e, r = divmod(t.lpow.cnum, t.lpow.den)
+            if e != 0 and r == 0:
+                t = PTerm(t.coef * R.L_pow(e), t.lpow.shift(-e), t.factors)
             key = (t.lpow, tuple(sorted(t.factors, key=str)))
             if key in merged:
                 merged[key] = PTerm(merged[key].coef + t.coef, t.lpow,

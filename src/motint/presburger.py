@@ -43,7 +43,7 @@ class PTerm:
     def is_zero(self) -> bool:
         if self.coef.is_zero():
             return True
-        return any(f.is_constant() and f.const == 0 for f in self.factors)
+        return any(not f.ints and not f.cnum for f in self.factors)
 
     def scale(self, c: ARat) -> "PTerm":
         return PTerm(self.coef * c, self.lpow, self.factors)
@@ -57,25 +57,40 @@ class PTerm:
                      self.lpow.substitute(name, form),
                      tuple(f.substitute(name, form) for f in self.factors))
 
-    def eval_arat(self, env: dict) -> ARat:
-        e = self.lpow.evaluate(env)
-        if e.denominator != 1:
-            raise MotintError(f"non-integer exponent {e} at {env}")
-        prod = Fraction(1)
+    def _exponent(self, env: dict) -> int:
+        e, r = divmod(self.lpow.eval_num(env), self.lpow.den)
+        if r:
+            raise MotintError(
+                f"non-integer exponent {self.lpow.evaluate(env)} at {env}")
+        return e
+
+    def _factor_product(self, env: dict) -> tuple:
+        """Numerator and denominator of the product of the factors."""
+        num = den = 1
         for f in self.factors:
-            prod *= f.evaluate(env)
-        if prod.denominator != 1:
-            raise MotintError(f"non-integer factor product {prod} at {env}")
-        return self.coef * R.L_pow(int(e)) * R.from_int(int(prod))
+            num *= f.eval_num(env)
+            den *= f.den
+        return num, den
+
+    def eval_arat(self, env: dict) -> ARat:
+        e = self._exponent(env)
+        num, den = self._factor_product(env)
+        if num % den:
+            raise MotintError(
+                f"non-integer factor product {Fraction(num, den)} at {env}")
+        return self.coef * R.L_pow(e) * R.from_int(num // den)
 
     def eval_theta(self, q, env: dict) -> Fraction:
-        e = self.lpow.evaluate(env)
-        if e.denominator != 1:
-            raise MotintError(f"non-integer exponent {e} at {env}")
-        val = R.theta(self.coef, q) * Fraction(q) ** int(e)
-        for f in self.factors:
-            val *= f.evaluate(env)
-        return val
+        e = self._exponent(env)
+        val = R.theta(self.coef, q)
+        num, den = self._factor_product(env)
+        if type(q) is not int:
+            q = Fraction(q)
+        a, b = (q, 1) if type(q) is int else (q.numerator, q.denominator)
+        if e < 0:
+            a, b, e = b, a, -e
+        return Fraction(val.numerator * num * a ** e,
+                        val.denominator * den * b ** e)
 
     def to_json(self):
         return {"coef": self.coef.to_json(), "lpow": self.lpow.to_json(),
@@ -386,7 +401,7 @@ def _sum_cell_term(cell: PCell, term: PTerm, var: str):
         for pc2, d2, v2 in ensure_known_value_mod(pc1, slot.hi, m):
             # branch where the fiber is nonempty: n0 <= hi
             gap = n0 - slot.hi
-            for pc3 in add_ineq(pc2, gap.scale(gap.denom_lcm())):
+            for pc3 in add_ineq(pc2, gap.numer()):
                 eps = Fraction((v2 - d2 * res) % (d2 * m), d2)
                 top = slot.hi.shift(-eps)   # last class point <= hi
                 if c < 0:

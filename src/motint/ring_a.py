@@ -297,15 +297,31 @@ def L_pow(k: int) -> ARat:
     return ARat((1,), tuple([0] * (-k) + [1]))
 
 
+def _homogeneous(p: tuple, x: int, y: int) -> int:
+    """y^deg(p) * p(x/y), by Horner on ints."""
+    if y == 1:
+        return P.evaluate(p, x)
+    acc, ypow = 0, 1
+    for c in reversed(p):
+        acc = acc * x + c * ypow
+        ypow *= y
+    return acc
+
+
 def theta(a: ARat, q) -> Fraction:
     """Evaluate at a rational q > 1.  Ring homomorphism to Q."""
-    q = Fraction(q)
+    if type(q) is not int:
+        q = Fraction(q)
     if q <= 1:
         raise QOutOfRange(f"evaluation point must exceed 1, got {q}")
-    den = P.evaluate(a.denom, q)
+    x, y = (q, 1) if type(q) is int else (q.numerator, q.denominator)
+    den = _homogeneous(a.denom, x, y)
     if den == 0:
         raise ZeroDivisionError(f"denominator vanishes at {q}")
-    return Fraction(P.evaluate(a.numer, q)) / den
+    num = _homogeneous(a.numer, x, y)
+    # numer(q)/denom(q) = num * y^(deg denom - deg numer) / den
+    k = len(a.denom) - len(a.numer)
+    return Fraction(num * y ** k, den) if k >= 0 else Fraction(num, den * y ** -k)
 
 
 def is_nonneg(a: ARat) -> bool:

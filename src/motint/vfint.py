@@ -601,15 +601,13 @@ def _mini_cells(m, sigma: dict, frame) -> list:
 
 
 def _form_to_vg_term(form: AffineForm) -> F.Term:
-    d = form.denom_lcm()
-    scaled = form.scale(d)
+    """The numerator of the form (den * form) as a value-group term."""
     parts: list = []
-    for name, coef in scaled.terms:
-        c = int(coef)
+    for name, c in form.ints:
         v = F.Var(name, F.VG)
         parts.append(v if c == 1 else F.BinOp("*", F.IntLit(c, F.VG), v))
-    if scaled.const != 0 or not parts:
-        parts.append(F.IntLit(int(scaled.const), F.VG))
+    if form.cnum != 0 or not parts:
+        parts.append(F.IntLit(form.cnum, F.VG))
     out = parts[0]
     for t in parts[1:]:
         out = F.BinOp("+", out, t)
@@ -621,9 +619,8 @@ def _con_to_formula(con) -> F.Formula:
         return F.Le(_form_to_vg_term(con[1]), F.IntLit(0, F.VG))
     if con[0] == "eq":
         return F.Eq(_form_to_vg_term(con[1]), F.IntLit(0, F.VG))
-    d = con[1].denom_lcm()
     return F.Cong(_form_to_vg_term(con[1]), F.IntLit(0, F.VG),
-                  con[2] * d if d != 1 else con[2])
+                  con[2] * con[1].den)
 
 
 def _mini_to_formula(m) -> F.Formula:
@@ -897,8 +894,7 @@ def integrate_cell_family(dec: CellDecomposition, *, log=None,
             raise FrameMismatch(
                 f"cell value frame ({value.res_vars},{value.vg_vars}) does "
                 f"not match ({frame_res},{frame_vg})")
-        vol = AffineForm.make({cell.z_name: Fraction(-1)},
-                              Fraction(-cell.depth))
+        vol = AffineForm.make({cell.z_name: -1}, -cell.depth)
         pieces = tuple((zc, (PTerm(R.ONE, vol),)) for zc in cell.z_cells)
         shell = MotFun(frame_res, frame_vg,
                        (CTerm(cell.xi_phi, PFun(frame_vg, pieces),

@@ -422,12 +422,6 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def _first_class_point(bound: Fraction, m: int, res: int) -> int:
-    """Smallest integer >= bound congruent to res mod m."""
-    n = math.ceil(bound)
-    return n + (res - n) % m
-
-
 def _infinite_piece(coef, lpow, factors, start: int, m: int, rc, contribs,
                     param: str) -> None:
     """One congruence class start + m*k, k >= 0, turned into a rational
@@ -500,26 +494,28 @@ def series_from_parameter(fun: MotFun, param: str = "i") -> RatSeries:
         for cell, terms in ct.pf.pieces:
             slot = cell.tower[0]
             m, res = slot.mod, slot.res
-            lo = Fraction(0) if slot.lo is None else max(
-                Fraction(slot.lo.const), Fraction(0))
-            start = _first_class_point(lo, m, res)
+            # the bounds of a one-variable cell are constants
+            lo = 0 if slot.lo is None else max(-(-slot.lo.cnum // slot.lo.den), 0)
+            start = lo + (res - lo) % m
             for t in terms:
                 if slot.hi is not None:
-                    hi = math.floor(Fraction(slot.hi.const))
+                    hi = slot.hi.cnum // slot.hi.den
                     num: dict = {}
                     i = start
                     while i <= hi:
-                        beta = t.lpow.evaluate({param: i})
-                        if Fraction(beta).denominator != 1:
+                        env = {param: i}
+                        beta, r = divmod(t.lpow.eval_num(env), t.lpow.den)
+                        if r:
                             raise NonGeometricFamily(
                                 "the exponent of L is not an integer at "
                                 f"parameter {i}")
-                        w = Fraction(1)
+                        wn = wd = 1
                         for f in t.factors:
-                            w *= Fraction(f.evaluate({param: i}))
-                        if w != 0:
-                            val = t.coef * R.L_pow(int(beta)) \
-                                * R.from_rational(w)
+                            wn *= f.eval_num(env)
+                            wd *= f.den
+                        if wn != 0:
+                            val = t.coef * R.L_pow(beta) \
+                                * R.from_rational(Fraction(wn, wd))
                             num[i] = num.get(i, R.ZERO) + val
                         i += m
                     if num:

@@ -1,10 +1,15 @@
 """Cell machinery: every operation is checked against brute-force
 enumeration over a finite box, including disjointness of the output."""
 
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_differential import SETTINGS
 
 from motint.cells import (
     AffineForm, PCell, VarCell, add_cong, add_eq, add_ineq, complement,
@@ -95,8 +100,8 @@ def test_affine_form_basics():
     assert f.evaluate({"i": 1, "j": 4}) == 3
     sub = f.substitute("j", af({"i": 1}, 1))
     assert sub.evaluate({"i": 3}) == f.evaluate({"i": 3, "j": 4})
-    assert f.denom_lcm() == 2
-    assert not f.is_integral()
+    assert f.den == 2
+    assert f.den != 1
     assert AffineForm.from_json(f.to_json()) == f
 
 
@@ -308,3 +313,108 @@ def test_random_constraint_systems():
         cells = from_constraints(names, cons)
         want = predicate_points(names, box, lambda e: all(p(e) for p in preds))
         assert covered(cells, box) == want, f"trial {trial}: {cons}"
+
+
+# ---------------------------------------------------------------------------
+# affine forms against a dict-of-Fraction model
+
+NAMES = ("a", "b", "c")
+FRACS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+MODELS = st.tuples(st.dictionaries(st.sampled_from(NAMES), FRACS, max_size=3),
+                   FRACS)
+SCALARS = st.one_of(st.integers(-4, 4), FRACS)
+POINTS = st.fixed_dictionaries({n: st.integers(-6, 6) for n in NAMES})
+
+
+def model_of(form) -> tuple:
+    return ({n: c for n, c in form.terms}, form.const)
+
+
+def clean(model) -> tuple:
+    coeffs, const = model
+    return ({n: Fraction(c) for n, c in sorted(coeffs.items()) if c},
+            Fraction(const))
+
+
+def model_value(model, env) -> Fraction:
+    coeffs, const = model
+    return const + sum(c * env[n] for n, c in coeffs.items())
+
+
+def check_form(form, model):
+    """form holds the model's value, in canonical integer form."""
+    coeffs, const = clean(model)
+    assert model_of(form) == (coeffs, const)
+    assert [n for n, _ in form.ints] == sorted(coeffs)
+    assert all(type(k) is int and k for _, k in form.ints)
+    assert type(form.cnum) is int and type(form.den) is int and form.den >= 1
+    assert gcd(form.den, form.cnum, *(k for _, k in form.ints)) == 1
+    for n in NAMES:
+        assert form.coeff(n) == coeffs.get(n, 0)
+    want = {"terms": {n: str(c) for n, c in coeffs.items()},
+            "const": str(const)}
+    assert json.dumps(form.to_json()) == json.dumps(want)
+    assert AffineForm.from_json(json.loads(json.dumps(form.to_json()))) == form
+
+
+@SETTINGS
+@given(MODELS, MODELS, SCALARS, SCALARS, st.sampled_from(NAMES), POINTS)
+def test_affine_form_matches_model(ma, mb, k, s, name, env):
+    a, b = af(*ma), af(*mb)
+    check_form(a, ma)
+    check_form(b, mb)
+    ca, ka = clean(ma)
+    cb, kb = clean(mb)
+    add = ({n: ca.get(n, 0) + cb.get(n, 0) for n in NAMES}, ka + kb)
+    sub = ({n: ca.get(n, 0) - cb.get(n, 0) for n in NAMES}, ka - kb)
+    check_form(a + b, add)
+    check_form(a - b, sub)
+    check_form(a.scale(k), ({n: c * k for n, c in ca.items()}, ka * k))
+    check_form(a.shift(s), (ca, ka + s))
+    check_form(a.drop(name), ({n: c for n, c in ca.items() if n != name}, ka))
+    c = ca.get(name, 0)
+    subst = {n: v for n, v in ca.items() if n != name}
+    for n, v in cb.items():
+        subst[n] = subst.get(n, 0) + c * v
+    check_form(a.substitute(name, b), (subst, ka + c * kb))
+    assert a.evaluate(env) == model_value((ca, ka), env)
+    assert a.eval_num(env) == a.evaluate(env) * a.den
+    # equality and hashing are value equality: build the same value twice
+    same = (a + b) - b
+    assert same == a and hash(same) == hash(a)
+    assert (a == b) == (clean(ma) == clean(mb))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(MODELS, MODELS), min_size=3, max_size=3),
+       st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2)), min_size=3,
+                max_size=3),
+       st.lists(POINTS, min_size=5, max_size=5))
+def test_cell_contains_matches_fractions(bounds, congs, points):
+    # bounds of each variable may mention only the earlier ones
+    tower = []
+    for i, ((mlo, mhi), (m, r)) in enumerate(zip(bounds, congs)):
+        earlier = NAMES[:i]
+        lo = af({n: c for n, c in mlo[0].items() if n in earlier}, mlo[1])
+        hi = af({n: c for n, c in mhi[0].items() if n in earlier}, mhi[1])
+        tower.append(VarCell(lo, hi, m, r % m))
+    cell = PCell(NAMES, tuple(tower))
+    for env in points:
+        want = all((env[v] - vc.res) % vc.mod == 0
+                   and model_value(model_of(vc.lo), env) <= env[v]
+                   <= model_value(model_of(vc.hi), env)
+                   for v, vc in zip(NAMES, cell.tower))
+        assert cell.contains(env) == want
+
+
+@SETTINGS
+@given(st.lists(MODELS, min_size=1, max_size=3))
+def test_rational_inequalities_match_sets(models):
+    box = {n: (-3, 3) for n in NAMES}
+    cells = from_constraints(NAMES, [("ineq", af(*m)) for m in models])
+    want = predicate_points(
+        NAMES, box, lambda e: all(model_value(clean(m), e) <= 0
+                                  for m in models))
+    assert covered(cells, box) == want

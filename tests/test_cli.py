@@ -141,6 +141,43 @@ def test_sum_malformed_json(capsys, tmp_path, data):
     assert error["code"] == "ParseError"
 
 
+def _edited_geo(tmp_path, edit) -> str:
+    """The function L^(-n) on n >= 0 (mod 2), with edit applied to its
+    JSON piece."""
+    cell = PCell(("n",), (VarCell(AffineForm.const_form(0), None, 2, 0),))
+    data = PFun(("n",), ((cell, (PTerm(R.ONE, AffineForm.make({"n": -1})),)),)
+                ).to_json()
+    edit(data["pieces"][0])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _set(keys, value):
+    def edit(piece):
+        node = piece
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("terms", 0, "lpow", "const"), "1/0"),       # zero denominator
+    _set(("cell", "tower", 0, "lo", "const"), "1/0"),
+    _set(("terms", 0, "lpow", "terms"), [["n", "-1"]]),   # not an object
+    _set(("cell", "tower", 0, "mod"), 2.0),           # float modulus
+    _set(("cell", "tower", 0, "res"), False),         # bool residue
+    _set(("terms", 0, "lpow", "const"), True),        # bool constant
+    _set(("cell", "tower", 0, "lo", "const"), 0.1),   # float constant
+    _set(("terms", 0, "lpow", "terms", "n"), "-1.5"),  # decimal string
+], ids=["lpow-zero-den", "bound-zero-den", "terms-list", "float-mod",
+        "bool-res", "bool-const", "float-const", "decimal-coeff"])
+def test_sum_malformed_affine_json(capsys, tmp_path, edit):
+    error = error_of(capsys, "sum", "--file", _edited_geo(tmp_path, edit))
+    assert error["code"] == "ParseError"
+
+
 def _box_file(tmp_path, coef) -> str:
     """The constant function coef on the 3-point box 0 <= n <= 2."""
     cell = PCell(("n",), (VarCell(AffineForm.const_form(0),

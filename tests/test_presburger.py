@@ -1,10 +1,14 @@
 """Summation engine: frozen closed forms, Fubini at the level of iterated
 sums, and numeric agreement with truncated series."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell, from_constraints, universe
@@ -13,6 +17,7 @@ from motint.presburger import (
     PFun, PTerm, is_integrable, sum_all, sum_fibers, sum_value,
 )
 from motint.ring_a import ONE, ZERO, theta
+from test_differential import SETTINGS
 
 
 def af(coeffs=None, const=0):
@@ -221,3 +226,112 @@ def test_extend_and_multiply():
     assert h.eval_arat({"i": 2, "k": -5}) == R.L_pow(-2)
     with pytest.raises(FrameMismatch):
         f.extend(("j", "k"))
+
+
+# ---------------------------------------------------------------------------
+# sum_fibers against truncated sums on generated bounded functions
+
+COEFS = [ONE, R.parse_ratfunc("L - 1"), R.parse_ratfunc("1/(1 - L^-1)"),
+         R.parse_ratfunc("-2*L^-1")]
+SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def bounded_pfuns(draw):
+    """Functions on 2-3 variables whose pieces have rational affine bounds
+    in the earlier variables, congruences, integer L-powers and factors.
+    On 3 variables the bounds are rational constants: summing a reordered
+    3-variable cell with sloped bounds makes hundreds of pieces through
+    the eager disjoint sums of PFun.__add__ and takes tens of seconds."""
+    nvars = draw(st.integers(2, 3))
+    names = ("x", "y", "z")[:nvars]
+    slopes = (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1) if nvars == 2 \
+        else (0,)
+    pieces = []
+    for _ in range(draw(st.integers(1, 2))):
+        tower = []
+        for i in range(nvars):
+            earlier = names[:i]
+            lo = AffineForm.make({n: draw(st.sampled_from(slopes))
+                                  for n in earlier}, draw(SMALL))
+            width = draw(st.sampled_from((0, Fraction(1, 2), 1,
+                                          Fraction(5, 3), 3)))
+            hi = lo.shift(width) if draw(st.booleans()) else AffineForm.make(
+                {n: draw(st.sampled_from(slopes)) for n in earlier},
+                draw(SMALL) + width)
+            m = draw(st.sampled_from((1, 1, 2, 3)))
+            tower.append(VarCell(lo, hi, m, draw(st.integers(0, m - 1))))
+        terms = []
+        for _ in range(draw(st.integers(1, 2))):
+            lpow = AffineForm.make({n: draw(st.integers(-1, 1)) for n in names},
+                                   draw(st.integers(-1, 1)))
+            factors = ()
+            if draw(st.booleans()):
+                factors = (AffineForm.make(
+                    {n: draw(st.integers(0, 1)) for n in names},
+                    draw(st.integers(0, 2))),)
+            terms.append(PTerm(draw(st.sampled_from(COEFS)), lpow, factors))
+        pieces.append((PCell(names, tuple(tower)), tuple(terms)))
+    return PFun(names, tuple(pieces))
+
+
+def bounding_box(f: PFun) -> dict:
+    """Integer ranges containing every point of every piece, by interval
+    arithmetic on the bounds."""
+    box: dict = {}
+    for cell, _ in f.pieces:
+        span: dict = {}
+        for v, vc in zip(cell.vars, cell.tower):
+            def ends(form):
+                lo = hi = form.const
+                for n, c in form.terms:
+                    a, b = c * span[n][0], c * span[n][1]
+                    lo, hi = lo + min(a, b), hi + max(a, b)
+                return lo, hi
+            span[v] = (math.floor(ends(vc.lo)[0]), math.ceil(ends(vc.hi)[1]))
+        for v, (a, b) in span.items():
+            old = box.get(v, (a, b))
+            box[v] = (min(a, old[0]), max(b, old[1]))
+    return box
+
+
+def check_fiber_sums(f: PFun):
+    box = bounding_box(f)
+    partial = sum_fibers(f)
+    last = f.vars[-1]
+    prefix = partial.vars
+    # one step beyond the box on each prefix side, where both sides are 0
+    ranges = [range(box[v][0] - 1, box[v][1] + 2) for v in prefix]
+    for point in product(*ranges):
+        env = dict(zip(prefix, point))
+        direct = ZERO
+        for k in range(box[last][0], box[last][1] + 1):
+            direct = direct + f.eval_arat({**env, last: k})
+        assert partial.eval_arat(env) == direct, f"fiber sum at {env}"
+    total = sum_value(f)
+    assert sum_value(f.reorder(f.vars[::-1])) == total
+
+
+@SETTINGS
+@given(bounded_pfuns())
+def test_fiber_sums_match_truncated_sums(f):
+    check_fiber_sums(f)
+
+
+def test_fiber_sums_rational_bounds_case():
+    # 1/2*x + 1/3 <= y <= 3/2*x + 4 on x = 1 mod 2 in [-3/2, 17/3], y = 2
+    # mod 3, next to a piece whose lower bound has slope 2/3
+    c1 = PCell(("x", "y"), (
+        VarCell(af(const=Fraction(-3, 2)), af(const=Fraction(17, 3)), 2, 1),
+        VarCell(af({"x": Fraction(1, 2)}, Fraction(1, 3)),
+                af({"x": Fraction(3, 2)}, 4), 3, 2)))
+    c2 = PCell(("x", "y"), (
+        VarCell(af(const=0), af(const=4)),
+        VarCell(af({"x": Fraction(2, 3)}, Fraction(-1, 2)), af({"x": 1}, 3),
+                2, 0)))
+    t1 = PTerm(R.parse_ratfunc("(L-1)/(1-L^-2)"), af({"x": -1}, 1),
+               (af({"y": 2}, 1),))
+    t2 = PTerm(R.parse_ratfunc("L^2"), af({"x": -1, "y": -2}),
+               (af({"x": 3, "y": 2}, -1),))
+    check_fiber_sums(PFun(("x", "y"), ((c1, (t1, PTerm(ONE, af()))),
+                                        (c2, (t2,)))))
