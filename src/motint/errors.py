@@ -50,10 +50,6 @@ class CapExceeded(MotintError):
         self.cap = cap
 
 
-class InsufficientPrecision(MotintError):
-    """A truncated p-adic element does not determine the requested data."""
-
-
 class OutsideFragment(MotintError):
     """A condition uses constructs the cell decomposer does not handle."""
 

@@ -12,8 +12,7 @@ Everything here is exact and held in ints.  A residue element is a tuple
 of coefficients mod p^n (a GRElem pairs one with its ring).  An exact
 field element (PadicElem) is a tuple of integer numerators ``nums`` over
 one shared positive denominator ``den``, which may have a part prime to
-p; its order is min vp(nums) - vp(den).  A truncated element
-(TruncatedElem) is a tuple mod p^level.  Counts are integers.
+p; its order is min vp(nums) - vp(den).  Counts are integers.
 
 Formulas are compiled, not walked: ``_compile`` turns a formula into a
 closure once per (formula, context), making every dispatch on node type
@@ -32,7 +31,7 @@ from functools import lru_cache, reduce
 from itertools import product
 from math import gcd, inf, lcm
 
-from .errors import CapExceeded, InsufficientPrecision, MotintError, SortError
+from .errors import CapExceeded, MotintError, SortError
 from . import formula as F
 
 DEFAULT_CAP = 10 ** 8
@@ -329,7 +328,7 @@ class GRElem:
 
 
 # ---------------------------------------------------------------------------
-# exact and truncated field elements
+# exact field elements
 
 @dataclass(slots=True, unsafe_hash=True)
 class PadicElem:
@@ -466,99 +465,6 @@ class PadicElem:
         return GRElem(ring, self.ac_coeffs(n))
 
 
-@dataclass(frozen=True)
-class TruncatedElem:
-    """An integral element known only modulo p^level.
-
-    Arithmetic happens on representatives; sums and products of integral
-    elements stay correct at the same level.  An operation with another
-    truncated element works at the lower level; an exact operand must be
-    integral.  Order, angular component and equality raise
-    InsufficientPrecision when the truncation does not pin them down.
-    """
-
-    p: int
-    degree: int
-    level: int
-    coeffs: tuple            # ints in [0, p^level)
-    modulus: tuple
-
-    @staticmethod
-    def make(p: int, degree: int, level: int, coeffs, modulus: tuple | None = None) -> "TruncatedElem":
-        modulus = default_modulus(p, degree) if modulus is None else modulus
-        m = p ** level
-        cs = [int(c) % m for c in coeffs][:degree]
-        cs += [0] * (degree - len(cs))
-        return TruncatedElem(p, degree, level, tuple(cs), modulus)
-
-    def _operands(self, other) -> tuple:
-        """(level, m, own coefficients, other's coefficients) mod m = p^level."""
-        if type(other) is TruncatedElem:
-            level = min(self.level, other.level)
-            m = self.p ** level
-            return (level, m, tuple(c % m for c in self.coeffs),
-                    tuple(c % m for c in other.coeffs))
-        if other.den % self.p == 0:
-            raise InsufficientPrecision("cannot truncate a non-integral element")
-        m = self.p ** self.level
-        inv = pow(other.den, -1, m)
-        return self.level, m, self.coeffs, tuple(c * inv % m for c in other.nums)
-
-    def _at(self, level: int, coeffs) -> "TruncatedElem":
-        return TruncatedElem(self.p, self.degree, level, tuple(coeffs), self.modulus)
-
-    def __add__(self, other) -> "TruncatedElem":
-        level, m, a, b = self._operands(other)
-        return self._at(level, ((x + y) % m for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "TruncatedElem":
-        level, m, a, b = self._operands(other)
-        return self._at(level, ((x - y) % m for x, y in zip(a, b)))
-
-    def __rsub__(self, other) -> "TruncatedElem":
-        level, m, a, b = self._operands(other)
-        return self._at(level, ((y - x) % m for x, y in zip(a, b)))
-
-    def __mul__(self, other) -> "TruncatedElem":
-        level, m, a, b = self._operands(other)
-        return self._at(level, _res_mul(self.modulus, m)(a, b))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TruncatedElem":
-        m = self.p ** self.level
-        return self._at(self.level, (-c % m for c in self.coeffs))
-
-    def __pow__(self, e: int) -> "TruncatedElem":
-        if e < 0:
-            raise ValueError("negative powers are not defined in a residue ring")
-        mul = _res_mul(self.modulus, self.p ** self.level)
-        return self._at(self.level, _power(self.coeffs, e, mul))
-
-    def is_zero(self) -> bool:
-        raise InsufficientPrecision("equality of truncated elements is undecidable")
-
-    def ord(self):
-        if all(c == 0 for c in self.coeffs):
-            raise InsufficientPrecision(
-                f"order is >= {self.level} but the element is only known mod p^{self.level}")
-        return min(vp_int(c, self.p) for c in self.coeffs if c != 0)
-
-    def ac_coeffs(self, n: int) -> tuple:
-        v = self.ord()
-        if v + n > self.level:
-            raise InsufficientPrecision(
-                f"ac_{n} needs the element mod p^{v + n}, have p^{self.level}")
-        q, m = self.p ** v, self.p ** n
-        return tuple(c // q % m for c in self.coeffs)
-
-    def ac(self, n: int) -> GRElem:
-        ring = GaloisRing(self.p, n, self.degree, self.modulus)
-        return GRElem(ring, self.ac_coeffs(n))
-
-
 # ---------------------------------------------------------------------------
 # evaluation context
 
@@ -596,10 +502,10 @@ class PContext:
 # _compile turns a formula into a closure (env, cap) -> bool and each term
 # into a closure env -> value, dispatching on node type and sort once, at
 # compile time.  Values by sort: res(n) terms give coefficient tuples
-# reduced mod p^n, vg terms ints or +inf, vf terms PadicElem or
-# TruncatedElem.  In env, free residue variables hold GRElems; the names
-# in ``local`` (bound residue variables, and the free ones of
-# count_points) hold coefficient tuples.
+# reduced mod p^n, vg terms ints or +inf, vf terms PadicElems.  In env,
+# free residue variables hold GRElems; the names in ``local`` (bound
+# residue variables, and the free ones of count_points) hold coefficient
+# tuples.
 
 
 def _lookup(env: dict, name: str):
@@ -718,7 +624,7 @@ def _vf_term(t: F.Term, ctx: PContext):
 
         def var(env):
             v = _lookup(env, name)
-            return v if isinstance(v, (PadicElem, TruncatedElem)) else ctx.vf(v)
+            return v if isinstance(v, PadicElem) else ctx.vf(v)
         return var
     if isinstance(t, (F.IntLit, F.RatLit)):
         return _const(ctx.vf(t.value))

@@ -1,12 +1,18 @@
 """Constructible functions on integer cells and their exact summation.
 
-A function is a finite list of disjoint cells, each carrying a sum of
+A function is a finite list of pieces, each a cell carrying a sum of
 terms coef * L^lpow * prod(factors), where coef lives in the coefficient
 ring, lpow is an affine form with integer values on the cell, and each
-factor is an affine form.  Summing over the innermost variable stays in
-this class: geometric directions contribute Eulerian-polynomial closed
-forms, flat directions contribute Stirling/binomial closed forms, and
-congruence classes are handled by arithmetic-progression reindexing.
+factor is an affine form.  Pieces may overlap: the value at a point is
+the sum over the pieces that contain it, and evaluation, summation,
+products and reordering act piece by piece.
+
+Summing over the innermost variable stays in this class.  Each
+congruence class is reindexed as an arithmetic progression
+n = start + m*k, and ``progression`` expands the factor product in k;
+geometric directions then contribute Eulerian-polynomial closed forms
+(``eulerian``, shared with the zeta series), and flat directions
+Stirling/binomial closed forms.
 """
 
 from __future__ import annotations
@@ -112,7 +118,13 @@ def _clean(terms) -> tuple:
 
 @dataclass(frozen=True)
 class PFun:
-    """Piecewise sum of terms over disjoint cells; zero off all cells."""
+    """Piecewise sum of terms over cells; zero off all cells.
+
+    The pieces may overlap: the value at a point is the sum of the terms
+    of every piece whose cell contains it.  ``+`` returns disjoint pieces
+    when both operands have them, which keeps normal forms comparable;
+    no value depends on it.
+    """
 
     vars: tuple
     pieces: tuple            # ((PCell, (PTerm, ...)), ...)
@@ -254,11 +266,11 @@ class PFun:
 # closed forms for one-variable sums
 
 @lru_cache(maxsize=None)
-def _eulerian(t: int) -> tuple:
-    """Numerator N_t of sum_{k>=0} k^t y^k = N_t(y) / (1-y)^(t+1)."""
+def eulerian(t: int) -> tuple:
+    """Numerator E_t of sum_{k>=0} k^t y^k = E_t(y) / (1-y)^(t+1)."""
     if t == 0:
         return (1,)
-    prev = _eulerian(t - 1)
+    prev = eulerian(t - 1)
     part = P.add(P.mul(P.derivative(prev), (1, -1)), P.scale(prev, t))
     return P.shift_up(part, 1)
 
@@ -269,7 +281,7 @@ def _geom_power_sum(e: int, t: int) -> ARat:
     if e >= 0:
         raise NotIntegrable(f"geometric direction must decay, got exponent {e}")
     num = R.ZERO
-    for j, a in enumerate(_eulerian(t)):
+    for j, a in enumerate(eulerian(t)):
         if a:
             num = num + R.from_int(a) * R.L_pow(e * j)
     den = (R.ONE - R.L_pow(e)) ** (t + 1)
@@ -277,64 +289,57 @@ def _geom_power_sum(e: int, t: int) -> ARat:
 
 
 @lru_cache(maxsize=None)
-def stirling2(t: int, j: int) -> int:
+def _stirling2(t: int, j: int) -> int:
     if j == 0:
         return 1 if t == 0 else 0
     if j > t:
         return 0
-    return j * stirling2(t - 1, j) + stirling2(t - 1, j - 1)
+    return j * _stirling2(t - 1, j) + _stirling2(t - 1, j - 1)
 
 
-def _split_factors(term: PTerm, var: str, start: AffineForm, m: int):
-    """Rewrite each factor a(n) with n = start + m*k as u + g*k."""
-    out = []
-    for f in term.factors:
-        u = f.substitute(var, start)
-        g = f.coeff(var) * m
-        out.append((u, g))
-    return out
+def progression(term: PTerm, var: str, start: AffineForm, m: int):
+    """Expand the factor product of a term along n = start + m*k.
+
+    Each factor a(n) becomes u + g*k with u = a(start).  Yields triples
+    (t, g, rest), one per set of t factors taken in k, with g the product
+    of their slopes and rest the values u of the other factors, so that
+    prod(factors) = sum of g * k^t * prod(rest) over the triples.
+    """
+    pairs = [(f.substitute(var, start), f.coeff(var) * m) for f in term.factors]
+    growing = [i for i, (_, g) in enumerate(pairs) if g != 0]
+    for size in range(len(growing) + 1):
+        for S in combinations(growing, size):
+            gmul = Fraction(1)
+            for i in S:
+                gmul *= pairs[i][1]
+            yield size, gmul, tuple(u for i, (u, _) in enumerate(pairs)
+                                    if i not in S)
 
 
 def _tail_terms(term: PTerm, var: str, start: AffineForm, m: int, e: int):
     """Terms for sum over n = start + m*k, k >= 0, of the given term;
     e = (coefficient of var in lpow) * m < 0."""
     beta0 = term.lpow.substitute(var, start)
-    pairs = _split_factors(term, var, start, m)
-    growing = [i for i, (_, g) in enumerate(pairs) if g != 0]
-    out = []
-    for size in range(len(growing) + 1):
-        for S in combinations(growing, size):
-            gmul = Fraction(1)
-            for i in S:
-                gmul *= pairs[i][1]
-            coef = term.coef * R.from_rational(gmul) * _geom_power_sum(e, size)
-            alphas = tuple(pairs[i][0] for i in range(len(pairs)) if i not in S)
-            out.append(PTerm(coef, beta0, alphas))
-    return out
+    return [PTerm(term.coef * R.from_rational(g) * _geom_power_sum(e, t),
+                  beta0, rest)
+            for t, g, rest in progression(term, var, start, m)]
 
 
 def _flat_terms(term: PTerm, var: str, start: AffineForm, m: int,
                 kmax: AffineForm):
     """Terms for sum over n = start + m*k, 0 <= k <= kmax, when the lpow
-    does not move with the variable."""
+    does not move with the variable: k^t is a sum of falling factorials,
+    and sum_{k<=kmax} of k falling j is (kmax+1) falling (j+1) / (j+1)."""
     beta0 = term.lpow.substitute(var, start)
-    pairs = _split_factors(term, var, start, m)
-    growing = [i for i, (_, g) in enumerate(pairs) if g != 0]
     out = []
-    for size in range(len(growing) + 1):
-        for S in combinations(growing, size):
-            gmul = Fraction(1)
-            for i in S:
-                gmul *= pairs[i][1]
-            base = tuple(pairs[i][0] for i in range(len(pairs)) if i not in S)
-            t = size
-            for j in range(t + 1):
-                s2 = stirling2(t, j)
-                if s2 == 0:
-                    continue
-                coef = term.coef * R.from_rational(gmul * Fraction(s2, j + 1))
-                falling = tuple(kmax.shift(1 - s) for s in range(j + 1))
-                out.append(PTerm(coef, beta0, base + falling))
+    for t, g, rest in progression(term, var, start, m):
+        for j in range(t + 1):
+            s2 = _stirling2(t, j)
+            if s2 == 0:
+                continue
+            coef = term.coef * R.from_rational(g * Fraction(s2, j + 1))
+            falling = tuple(kmax.shift(1 - s) for s in range(j + 1))
+            out.append(PTerm(coef, beta0, rest + falling))
     return out
 
 

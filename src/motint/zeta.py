@@ -23,12 +23,12 @@ Polynomials are written in the ``x^2*y^3 - 2*x + 7`` syntax; see
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as F
+from . import polynomials as P
 from . import ring_a as R
 from .cells import AffineForm, universe
 from .cplus import CTerm, MotFun, normal_form, specialize, unit_class
@@ -36,7 +36,7 @@ from .errors import (CapExceeded, FrameMismatch, MotintError,
                      NonGeometricFamily, ParseError, UnsupportedH)
 from .padic import (PContext, enumeration_cap, rational_mod, rational_ord,
                     vp_int, zw_mul)
-from .presburger import PFun, PTerm, stirling2
+from .presburger import PFun, PTerm, eulerian, progression
 from .vfint import integrate_cell_family, integrate_iterated
 
 __all__ = [
@@ -414,19 +414,15 @@ class CoeffList:
 # closed form extraction from a parametrized value
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _infinite_piece(coef, lpow, factors, start: int, m: int, rc, contribs,
+def _infinite_piece(term: PTerm, start: int, m: int, rc, contribs,
                     param: str) -> None:
     """One congruence class start + m*k, k >= 0, turned into a rational
-    contribution (numerator polynomial, denominator factor with power)."""
-    e = lpow.coeff(param)
+    contribution (numerator polynomial, denominator factor with power).
+
+    The term is L^(beta0 + a*k) * sum_t c_t k^t at the class point, so with
+    y = L^a T^m the class sums to sum_t c_t E_t(y) / (1-y)^(t+1), put over
+    (1-y)^(deg+1)."""
+    e = term.lpow.coeff(param)
     if e >= 0:
         raise NonGeometricFamily(
             f"the exponent of L grows with the parameter (slope {e}) on an "
@@ -436,47 +432,34 @@ def _infinite_piece(coef, lpow, factors, start: int, m: int, rc, contribs,
         # refine the class so each sub-class steps the exponent by an integer
         t = em.denominator
         for j in range(t):
-            _infinite_piece(coef, lpow, factors, start + j * m, m * t, rc,
-                            contribs, param)
+            _infinite_piece(term, start + j * m, m * t, rc, contribs, param)
         return
-    beta0 = lpow.evaluate({param: start})
+    beta0 = term.lpow.evaluate({param: start})
     if Fraction(beta0).denominator != 1:
         raise NonGeometricFamily(
             f"the exponent of L is not an integer at parameter {start}")
-    a, b = int(em), m
-    pairs = []
-    scalar = Fraction(1)
-    for f in factors:
-        u = Fraction(f.evaluate({param: start}))
-        g = f.coeff(param) * m
-        if g == 0:
-            scalar *= u
-            if u == 0:
-                return
-        else:
-            pairs.append((u, g))
-    poly = [scalar]
-    for u, g in pairs:
-        poly = _poly_mul(poly, [u, g])
-    deg = len(poly) - 1
-    falling = [Fraction(0)] * (deg + 1)
-    for s, c in enumerate(poly):
-        for j in range(s + 1):
-            falling[j] += c * stirling2(s, j)
-    base = coef * R.L_pow(int(beta0))
-    num: dict = {}
-    for j in range(deg + 1):
-        if falling[j] == 0:
-            continue
-        for r in range(deg - j + 1):
-            w = falling[j] * math.factorial(j) * math.comb(deg - j, r) \
-                * (-1) ** r
-            if w == 0:
-                continue
-            power = start + b * (j + r)
-            val = base * R.from_rational(w) * R.L_pow(a * (j + r))
-            num[power] = num.get(power, R.ZERO) + val
-    contribs.append((num, rc, {(a, b): deg + 1}))
+    a = int(em)
+    # den * c_t is an integer: each factor's den clears its values and slope
+    den = 1
+    for f in term.factors:
+        den *= f.den
+    cs: dict = {}
+    for t, g, rest in progression(term, param, AffineForm.const_form(start), m):
+        for u in rest:
+            g *= u.evaluate({})
+        cs[t] = cs.get(t, 0) + g
+    if not any(cs.values()):
+        return
+    deg = max(cs)
+    poly = ()
+    for t, c in cs.items():
+        part = P.mul(eulerian(t), P.poly_pow((1, -1), deg - t))
+        poly = P.add(poly, P.scale(part, int(c * den)))
+    base = term.coef * R.L_pow(int(beta0))
+    num = {start + m * j:
+           base * R.from_rational(Fraction(n, den)) * R.L_pow(a * j)
+           for j, n in enumerate(poly) if n}
+    contribs.append((num, rc, {(a, m): deg + 1}))
 
 
 def series_from_parameter(fun: MotFun, param: str = "i") -> RatSeries:
@@ -521,8 +504,7 @@ def series_from_parameter(fun: MotFun, param: str = "i") -> RatSeries:
                     if num:
                         contribs.append((num, ct.rc, {}))
                 else:
-                    _infinite_piece(t.coef, t.lpow, t.factors, start, m,
-                                    ct.rc, contribs, param)
+                    _infinite_piece(t, start, m, ct.rc, contribs, param)
     if not contribs:
         return RatSeries((), ())
     denom: dict = {}
@@ -636,27 +618,17 @@ def zmot_from_cells(stages, param: str = "i", log=None) -> RatSeries:
 def _shell_volumes(powers, shift: int, q: int, i_max: int) -> list:
     """Volumes of {sum k_j * ord x_j = i - shift} by per-variable shells."""
     unit = Fraction(q - 1, q)
-    vols = [Fraction(0)] * (i_max + 1)
 
-    def walk(idx: int, remaining: int, vol: Fraction) -> None:
-        if idx == len(powers):
-            if remaining == 0:
-                nonlocal_target[0] += vol
-            return
+    def walk(idx: int, remaining: int, vol: Fraction) -> Fraction:
         k = powers[idx][1]
-        a = 0
-        while k * a <= remaining:
-            walk(idx + 1, remaining - k * a, vol * unit / q ** a)
-            a += 1
+        if idx == len(powers) - 1:
+            a, r = divmod(remaining, k)
+            return Fraction(0) if r else vol * unit / q ** a
+        return sum((walk(idx + 1, remaining - k * a, vol * unit / q ** a)
+                    for a in range(remaining // k + 1)), Fraction(0))
 
-    for i in range(i_max + 1):
-        target = i - shift
-        if target < 0:
-            continue
-        nonlocal_target = [Fraction(0)]
-        walk(0, target, Fraction(1))
-        vols[i] = nonlocal_target[0]
-    return vols
+    return [walk(0, i - shift, Fraction(1)) if i >= shift else Fraction(0)
+            for i in range(i_max + 1)]
 
 
 def _feasible(i_max: int) -> str:

@@ -1,12 +1,13 @@
-"""Every imported name is used: a stdlib ast check over the package and
-the tests."""
+"""Stdlib ast checks over the package and the tests: every imported name
+is used, and no package module reaches into another one's private
+(underscore) names."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "motint").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "motint").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -41,3 +42,46 @@ def test_no_unused_imports():
              for path in FILES
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reaches(source: str) -> list:
+    """(line, name) for each underscore name of another motint module that
+    a package module imports, or reads as an attribute of a module alias
+    (``from . import ring_a as R`` then ``R._reduce``)."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("motint")):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, alias.name))
+                if node.module in (None, "motint"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("motint."):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_private_reaches_are_detected():
+    src = ("from . import ring_a as R\nfrom .cells import _split, AffineForm\n"
+           "from .errors import __doc__\nx = R._reduce(R.ONE)\ny = self._z\n")
+    assert private_reaches(src) == [(2, "_split"), (4, "_reduce")]
+
+
+def test_no_private_names_across_modules():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in PACKAGE
+             for line, name in private_reaches(path.read_text())]
+    assert not found, "private names used across modules:\n" + "\n".join(found)

@@ -6,10 +6,10 @@ from math import inf
 
 import pytest
 
-from motint.errors import CapExceeded, InsufficientPrecision, MotintError, SortError
+from motint.errors import CapExceeded, MotintError, SortError
 from motint.formula import RES, VF, VG, parse_formula
 from motint.padic import (
-    GaloisRing, PadicElem, PContext, TruncatedElem, count_points,
+    GaloisRing, PadicElem, PContext, count_points,
     default_modulus, eval_formula, rational_ac, rational_ord,
 )
 
@@ -102,17 +102,6 @@ def test_exact_elem_degree_two():
     assert sq.ac(1).coeffs == (1, 1)
 
 
-def test_truncated_elem():
-    t = TruncatedElem.make(2, 1, 3, (4,))
-    assert t.ord() == 2
-    assert t.ac(1).coeffs == (1,)
-    with pytest.raises(InsufficientPrecision):
-        t.ac(2)
-    z = TruncatedElem.make(2, 1, 3, (8,))
-    with pytest.raises(InsufficientPrecision):
-        z.ord()
-
-
 def test_count_residue_square_zero():
     # x ranges over the depth-2 residue ring of Q_2, here Z/4
     f = parse_formula("x^2 = 0", defaults={"x": RES(2)})
@@ -153,12 +142,11 @@ def test_unary_minus_and_powers_in_formulas():
     f = parse_formula("x^3 = -x", defaults={"x": RES(2)})
     want = sum(1 for e in ctx32.residue_ring(2).elements() if e ** 3 == -e)
     assert count_points(f, ctx32) == want
-    # valued-field terms, exact and truncated
+    # valued-field terms
     g = parse_formula("ord(-t) = 1 && ord(t^3) = 3 && ac_1(-t) = 2",
                       default_sort=VF)
     exact = PadicElem.from_rational(3, 1, Fraction(3))
     assert eval_formula(g, {"t": exact}, ctx3)
-    assert eval_formula(g, {"t": TruncatedElem.make(3, 1, 5, (3,))}, ctx3)
     assert not eval_formula(g, {"t": PadicElem.from_rational(3, 1, Fraction(-3))}, ctx3)
     h = parse_formula("ord(-t) = 0 && ord(t^2) = 0", default_sort=VF)
     assert eval_formula(h, {"t": PadicElem.from_rational(3, 1, Fraction(1))}, ctx3)
@@ -307,19 +295,3 @@ def test_exact_elem_integer_representation():
     # modulus x^2 + 1: (a + b w)^2 = a^2 - b^2 + 2ab w
     assert (x * x).coeffs == (Fraction(-11, 81), Fraction(20, 27))
     assert (x ** 2) == x * x
-
-
-def test_truncated_elem_arithmetic():
-    t = TruncatedElem.make(3, 1, 4, (5,))
-    u = TruncatedElem.make(3, 1, 2, (7,))
-    # mixed levels work at the lower one; exact operands must be integral
-    assert (t + u).level == 2 and (t + u).coeffs == (3,)
-    assert (t * u).coeffs == (35 % 9,)
-    half = PadicElem.exact(3, 1, (Fraction(1, 2),))
-    assert (half - t).coeffs == ((41 - 5) % 81,)              # 1/2 = 41 mod 81
-    assert (t - half).coeffs == ((5 - 41) % 81,)
-    assert (-t).coeffs == (76,) and (t ** 2).coeffs == (25,)
-    with pytest.raises(InsufficientPrecision):
-        t + PadicElem.exact(3, 1, (Fraction(1, 3),))
-    with pytest.raises(InsufficientPrecision):
-        (t - t).is_zero()

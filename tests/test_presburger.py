@@ -1,6 +1,7 @@
 """Summation engine: frozen closed forms, Fubini at the level of iterated
 sums, and numeric agreement with truncated series."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from motint import cli
 from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell, from_constraints, universe
 from motint.errors import FrameMismatch, NotIntegrable
@@ -226,6 +228,38 @@ def test_extend_and_multiply():
     assert h.eval_arat({"i": 2, "k": -5}) == R.L_pow(-2)
     with pytest.raises(FrameMismatch):
         f.extend(("j", "k"))
+
+
+def test_overlapping_pieces_add_up(tmp_path, capsys):
+    # a decaying ray above the diagonal and a flat box with a factor,
+    # overlapping on 1 <= x <= 3, x <= y <= 5
+    ray = (PCell(("x", "y"), (VarCell(af(const=0), af(const=3)),
+                              VarCell(af({"x": 1}), None))),
+           (PTerm(R.parse_ratfunc("L - 1"), af({"y": -1})),))
+    box = (PCell(("x", "y"), (VarCell(af(const=1), af(const=4)),
+                              VarCell(af(const=2), af(const=5), 2, 0))),
+           (PTerm(R.parse_ratfunc("-2*L^-1"), af({"x": -1}), (af({"y": 1}, 1),)),))
+    overlapping = PFun(("x", "y"), (ray, box))
+    disjoint = PFun(("x", "y"), (ray,)) + PFun(("x", "y"), (box,))
+    points = [{"x": x, "y": y} for x, y in product(range(-1, 6), range(-1, 9))]
+    for env in points:
+        assert overlapping.eval_arat(env) == disjoint.eval_arat(env), env
+
+    def depth(f):
+        return max(sum(c.contains(env) for c, _ in f.pieces) for env in points)
+    assert (depth(overlapping), depth(disjoint)) == (2, 1)
+    g_over, g_dis = sum_fibers(overlapping), sum_fibers(disjoint)
+    for x in range(-1, 6):
+        assert g_over.eval_arat({"x": x}) == g_dis.eval_arat({"x": x}), x
+    reports = []
+    for name, f in (("overlapping", overlapping), ("disjoint", disjoint)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(f.to_json()))
+        assert cli.main(["sum", "--file", str(path), "--q", "3", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        reports.append((report["value"], report["theta"]))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == str(sum_value(disjoint))
 
 
 # ---------------------------------------------------------------------------

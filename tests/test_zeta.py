@@ -17,6 +17,7 @@ from motint.vfint import decompose_fragment, integrate_iterated
 from motint.zeta import (CoeffList, Poly, RatSeries, parse_poly,
                          series_from_parameter, verify_meuser,
                          zmot_from_cells, zmot_monomial, zprime_count)
+from test_differential import SETTINGS
 
 
 def point(a) -> MotFun:
@@ -274,6 +275,53 @@ def test_ratseries_validation():
         RatSeries(((0, point(R.ONE)),), ((-1, 2), (-1, 1)))
     with pytest.raises(MotintError):
         RatSeries(((2, point(R.ONE)), (1, point(R.ONE))), ())
+
+
+COEFS = [R.ONE, R.parse_ratfunc("L - 1"), R.parse_ratfunc("-2*L^-1"),
+         R.parse_ratfunc("1/(1 - L^-1)")]
+
+
+@st.composite
+def param_families(draw):
+    """One-variable functions of i whose series is geometric: bounded and
+    unbounded pieces, negative lower bounds, moduli 1-3, L-exponents with
+    slopes k/m (such as -1/2) that are integers on the class, and factors
+    that grow, stay constant or vanish."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 3))
+        res = draw(st.integers(0, m - 1))
+        lo = draw(st.one_of(st.none(), st.integers(-3, 3)))
+        hi = draw(st.one_of(st.none(), st.integers(0, 6)))
+        if lo is not None and hi is not None:
+            hi += lo
+        cell = PCell(("i",), (VarCell(
+            None if lo is None else AffineForm.const_form(lo),
+            None if hi is None else AffineForm.const_form(hi), m, res),))
+        # an unbounded piece must decay, a bounded one may grow or stay flat
+        slopes = (-2, -1) if hi is None else (-2, -1, 0, 1)
+        terms = []
+        for _ in range(draw(st.integers(1, 2))):
+            slope = Fraction(draw(st.sampled_from(slopes)), m)
+            lpow = AffineForm.make({"i": slope},
+                                   draw(st.integers(-1, 1)) - slope * res)
+            factors = tuple(
+                AffineForm.make({"i": draw(st.sampled_from(
+                                    (0, 1, -1, 2, Fraction(1, 2))))},
+                                draw(st.sampled_from((0, 1, -2, Fraction(1, 2)))))
+                for _ in range(draw(st.integers(0, 3))))
+            terms.append(PTerm(draw(st.sampled_from(COEFS)), lpow, factors))
+        pieces.append((cell, tuple(terms)))
+    return PFun(("i",), tuple(pieces))
+
+
+@SETTINGS
+@given(param_families())
+def test_series_matches_termwise_sums(pf):
+    rs = series_from_parameter(MotFun.from_pfun(pf), "i")
+    for q in (2, 3):
+        want = [pf.eval_theta(q, {"i": i}) for i in range(9)]
+        assert rs.expand_counts(PContext(q, 1), 8) == want, q
 
 
 # ---------------------------------------------------------------------------
