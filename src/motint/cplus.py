@@ -5,10 +5,10 @@ variables.  It is a finite sum of terms, each one
 
     indicator(guard on residue parameters) * pf(value-group point) (x) rc
 
-where pf is a piecewise Presburger function with coefficients in the ring
-of L-rational constants and rc is a formal residue class.  The tensor is
-over the scalar subring: a factor of L or L-1 may sit on either side, and
-the normal form fixes one side for it.
+where pf is a Presburger function (a sum of pieces, which may overlap)
+with coefficients in the ring of L-rational constants and rc is a formal
+residue class.  The tensor is over the scalar subring: a factor of L or
+L-1 may sit on either side, and the normal form fixes one side for it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import formula as F
 from . import ring_a as R
-from .cells import AffineForm, PCell, VarCell, universe
+from .cells import AffineForm, PCell, VarCell, intersect, subtract, universe
 from .errors import FrameMismatch, MotintError, NotIntegrable
 from .padic import GRElem, PContext, eval_formula
 from .presburger import PFun, PTerm, sum_fibers
@@ -251,9 +251,26 @@ def _extract_gen(gen: ResGen):
                                 else F.TRUE, 0)
 
 
-def _canon_pfun(pf: PFun) -> PFun:
-    pieces = []
+def _disjoint_pieces(pf: PFun) -> PFun:
+    """The same function on pairwise disjoint pieces, folding the pieces
+    in one at a time: a new piece splits into its overlaps with the pieces
+    so far (both term lists) and each side's part off the other."""
+    done = []
     for cell, terms in pf.pieces:
+        rest, nxt = [cell], []
+        for old, old_terms in done:
+            nxt += [(c, old_terms + terms) for c in intersect(old, cell)]
+            nxt += [(c, old_terms) for c in subtract(old, cell)]
+            rest = [c for r in rest for c in subtract(r, old)]
+        done = nxt + [(c, terms) for c in rest]
+    return PFun(pf.vars, tuple(done))
+
+
+def _canon_pfun(pf: PFun) -> PFun:
+    """Canonical presentation: disjoint pieces (made only here), terms
+    merged within each piece, pieces sorted."""
+    pieces = []
+    for cell, terms in _disjoint_pieces(pf).pieces:
         merged: dict = {}
         for t in terms:
             # constant factors and constant L-powers belong in the
@@ -308,7 +325,8 @@ def _reduce_tensor(rc: ResClass, log: RewriteLog | None):
 def normal_form(a: MotFun, log: RewriteLog | None = None) -> MotFun:
     """Canonical presentation: residue classes normalized with scalar
     content (L-powers, torus factors, closed conjuncts) moved to the
-    Presburger side, terms grouped by guard and class, pieces sorted."""
+    Presburger side, terms grouped by guard and class, pieces made
+    disjoint (nowhere else are they) and sorted."""
     buckets: dict = {}
     for t in a.terms:
         for coef, ground, reduced in _reduce_tensor(t.rc, log):

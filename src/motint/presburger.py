@@ -4,8 +4,9 @@ A function is a finite list of pieces, each a cell carrying a sum of
 terms coef * L^lpow * prod(factors), where coef lives in the coefficient
 ring, lpow is an affine form with integer values on the cell, and each
 factor is an affine form.  Pieces may overlap: the value at a point is
-the sum over the pieces that contain it, and evaluation, summation,
-products and reordering act piece by piece.
+the sum over the pieces that contain it, and ``+``, evaluation,
+summation, products and reordering act piece by piece.  Only the
+canonical form in ``cplus`` makes pieces disjoint.
 
 Summing over the innermost variable stays in this class.  Each
 congruence class is reindexed as an arithmetic progression
@@ -26,7 +27,7 @@ from . import polynomials as P
 from . import ring_a as R
 from .cells import (
     AffineForm, PCell, VarCell, add_ineq, ensure_known_value_mod,
-    intersect, refine_residue, reorder as reorder_cell, subtract_many,
+    intersect, refine_residue, reorder as reorder_cell,
 )
 from .errors import FrameMismatch, MotintError, NotIntegrable, ParseError
 from .ring_a import ARat
@@ -118,12 +119,11 @@ def _clean(terms) -> tuple:
 
 @dataclass(frozen=True)
 class PFun:
-    """Piecewise sum of terms over cells; zero off all cells.
+    """Sum of terms over cells; zero off all cells.
 
     The pieces may overlap: the value at a point is the sum of the terms
-    of every piece whose cell contains it.  ``+`` returns disjoint pieces
-    when both operands have them, which keeps normal forms comparable;
-    no value depends on it.
+    of every piece whose cell contains it, and ``+`` concatenates the
+    pieces of both operands.
     """
 
     vars: tuple
@@ -142,10 +142,6 @@ class PFun:
         object.__setattr__(self, "pieces", tuple(cleaned))
 
     @staticmethod
-    def zero(vars) -> "PFun":
-        return PFun(tuple(vars), ())
-
-    @staticmethod
     def constant(vars, coef: ARat) -> "PFun":
         from .cells import universe
         return PFun(tuple(vars),
@@ -162,19 +158,7 @@ class PFun:
     def __add__(self, other: "PFun") -> "PFun":
         if self.vars != other.vars:
             raise FrameMismatch(f"{self.vars} vs {other.vars}")
-        pieces = []
-        b_cells = [cb for cb, _ in other.pieces]
-        for ca, ta in self.pieces:
-            for cb, tb in other.pieces:
-                for c in intersect(ca, cb):
-                    pieces.append((c, ta + tb))
-            for c in subtract_many([ca], b_cells):
-                pieces.append((c, ta))
-        a_cells = [ca for ca, _ in self.pieces]
-        for cb, tb in other.pieces:
-            for c in subtract_many([cb], a_cells):
-                pieces.append((c, tb))
-        return PFun(self.vars, tuple(pieces))
+        return PFun(self.vars, self.pieces + other.pieces)
 
     def __neg__(self) -> "PFun":
         return self.scale(-R.ONE)
@@ -431,14 +415,9 @@ def sum_fibers(f: PFun, var: str | None = None) -> PFun:
     if var != f.vars[-1]:
         raise FrameMismatch(
             f"{var} is not innermost in {f.vars}; reorder first")
-    out_vars = f.vars[:-1]
-    result = PFun.zero(out_vars)
-    for cell, terms in f.pieces:
-        for term in terms:
-            for pc, ts in _sum_cell_term(cell, term, var):
-                piece = PFun(out_vars, ((pc, ts),))
-                result = result + piece
-    return result
+    return PFun(f.vars[:-1], tuple(piece for cell, terms in f.pieces
+                                   for term in terms
+                                   for piece in _sum_cell_term(cell, term, var)))
 
 
 def sum_all(f: PFun) -> PFun:
