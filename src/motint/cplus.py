@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import formula as F
 from . import ring_a as R
@@ -301,9 +302,16 @@ def _canon_pfun(pf: PFun) -> PFun:
     return PFun(pf.vars, tuple(pieces))
 
 
-def _reduce_tensor(rc: ResClass, log: RewriteLog | None):
+@lru_cache(maxsize=1024)
+def _scalar_split(rc: ResClass) -> tuple:
     """Split a class into (coefficient, ground conjuncts, reduced generator)
-    items with all scalar content extracted, iterating until stable."""
+    items with all scalar content extracted, iterating until stable.
+
+    Returns the tuple of items and the tuple of rewrite events the class
+    normal form recorded on the way.  Memoized on the class itself (equal
+    classes share an entry), at most 1,024 entries, least recently used
+    first out; ``_scalar_split.cache_clear()`` empties it."""
+    log = RewriteLog()
     work = [(R.ONE, (), g) for g in class_normal_form(rc, log).gens]
     out = []
     while work:
@@ -319,14 +327,31 @@ def _reduce_tensor(rc: ResClass, log: RewriteLog | None):
             out.append((coef, ground, reduced))
         else:
             work.extend((coef, ground, g) for g in renorm.gens)
-    return out
+    return tuple(out), tuple(log.events)
+
+
+def _reduce_tensor(rc: ResClass, log: RewriteLog | None) -> tuple:
+    """The items of ``_scalar_split``; its events are replayed, in order,
+    into the log when one is given."""
+    items, events = _scalar_split(rc)
+    if log is not None:
+        for event in events:
+            log.record(*event)
+    return items
 
 
 def normal_form(a: MotFun, log: RewriteLog | None = None) -> MotFun:
     """Canonical presentation: residue classes normalized with scalar
     content (L-powers, torus factors, closed conjuncts) moved to the
     Presburger side, terms grouped by guard and class, pieces made
-    disjoint (nowhere else are they) and sorted."""
+    disjoint (nowhere else are they) and sorted.
+
+    The class side is memoized: each term's class is split by
+    ``_scalar_split``, an LRU cache keyed on the ``ResClass`` with room
+    for 1,024 classes, and the rewrite events recorded on its first split
+    are replayed into ``log`` on every call, so a log sees the same
+    events with a cold or a warm cache.  ``_scalar_split.cache_clear()``
+    empties it."""
     buckets: dict = {}
     for t in a.terms:
         for coef, ground, reduced in _reduce_tensor(t.rc, log):

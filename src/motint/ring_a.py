@@ -16,7 +16,8 @@ divides the numerator by each cyclotomic_j at most e times; only a
 non-constant rest, i.e. a value outside the ring, needs a general gcd,
 which is a primitive pseudo-remainder sequence in Z[x].  Membership is
 read off the same split: the canonical denominator lies in the ring iff
-its rest is 1.
+its rest is 1.  A product with a monomial c*L^e skips all of this: only
+the power of L and the integer contents can cancel.
 
 Examples (doctest style, values frozen from hand computation):
 
@@ -136,6 +137,10 @@ class ARat:
         return _reduce(n, P.mul(self.denom, other.denom))
 
     def __mul__(self, other: "ARat") -> "ARat":
+        if _is_monomial(other):
+            return _times_monomial(self, other)
+        if _is_monomial(self):
+            return _times_monomial(other, self)
         return _reduce(P.mul(self.numer, other.numer), P.mul(self.denom, other.denom))
 
     def __neg__(self) -> "ARat":
@@ -247,6 +252,41 @@ def _reduce(num, den) -> ARat:
         cd //= g
     return ARat(pn if cn == 1 else tuple(c * cn for c in pn),
                 pd if cd == 1 else tuple(c * cd for c in pd))
+
+
+def _is_monomial(a: ARat) -> bool:
+    """Is a nonzero c*L^e: one nonzero coefficient in numer and in denom?"""
+    n, d = a.numer, a.denom
+    return n.count(0) == len(n) - 1 and d.count(0) == len(d) - 1
+
+
+def _times_monomial(a: ARat, m: ARat) -> ARat:
+    """a * m for a monomial m = (c/b)*L^e, in canonical form without
+    _reduce.  As a is canonical, only the power of L and the integer
+    contents can cancel: shift by L^e, strip the shared power of L, and
+    divide by gcd(content(numer), b) * gcd(c, content(denom))."""
+    n, d = a.numer, a.denom
+    if not n:
+        return a
+    c, b = m.numer[-1], m.denom[-1]
+    e = len(m.numer) - len(m.denom)
+    if e > 0:
+        k = 0
+        while k < e and d[k] == 0:
+            k += 1
+        n, d = (0,) * (e - k) + n, d[k:]
+    elif e < 0:
+        k = 0
+        while k < -e and n[k] == 0:
+            k += 1
+        n, d = n[k:], (0,) * (-e - k) + d
+    gn, gd = int_gcd(b, *n), int_gcd(c, *d)
+    c, b = c // gd, b // gn
+    if gn != 1 or c != 1:
+        n = tuple(x // gn * c for x in n)
+    if gd != 1 or b != 1:
+        d = tuple(x // gd * b for x in d)
+    return ARat(n, d)
 
 
 def in_a(a: ARat) -> bool:

@@ -9,14 +9,15 @@ from motint import formula as F
 from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell, universe
 from motint.cplus import (
-    MotFun, CTerm, is_equal, is_integrable, lift,
+    MotFun, CTerm, _scalar_split, is_equal, is_integrable, lift,
     mu_vg_res, normal_form, pullback_vg_affine, specialize,
 )
 from motint.errors import FrameMismatch, MotintError, NotIntegrable
 from motint.formula import RES, parse_formula
 from motint.padic import PContext
 from motint.presburger import PFun, PTerm
-from motint.qplus import from_formula, l_class, one as unit_class, torus
+from motint.qplus import (RewriteLog, from_formula, l_class,
+                          one as unit_class, torus)
 
 GRID = [PContext(2, 1), PContext(3, 1), PContext(2, 2), PContext(3, 2)]
 
@@ -357,3 +358,41 @@ def test_two_vg_variables_suffix_rule():
     assert total == both
     with pytest.raises(FrameMismatch):
         mu_vg_res(a, vg_out=("x",), res_out=())
+
+
+def test_class_split_cache_is_transparent():
+    # the unit class, torus classes as closed-form integration makes them,
+    # a pinned unit, and two quantifiers shadowing a free variable
+    classes = [unit_class(), torus()] + [
+        from_formula(tuple(sorts.items()),
+                     parse_formula(text, {k: RES(v) for k, v in sorts.items()}))
+        for text, sorts in [
+            ("xi_1 != 0", {"xi_1": 1}),
+            ("proj_2_1(xi_2) != 0", {"xi_2": 2}),
+            ("r1 != 0 && r1 = 1", {"r1": 1}),
+            ("proj_2_1(x) = 1 && (exists x : res(2) . proj_2_1(x) = 0)",
+             {"x": 2}),
+            ("y = x + 1 && (exists y : res(1) . y * y = x)",
+             {"x": 1, "y": 1}),
+        ]]
+    pf = PFun.indicator(("n",), (ray_cell("n", 1),)).scale(R.L_pow(-1))
+    funcs = [MotFun.from_pfun(pf) * MotFun.from_class(rc, (), ("n",))
+             for rc in classes]
+
+    def run(clear_each: bool):
+        out = []
+        for f in funcs:
+            if clear_each:
+                _scalar_split.cache_clear()
+            log = RewriteLog()
+            out.append((normal_form(f, log), log.events))
+        return out
+
+    cold = run(clear_each=True)
+    assert any(events for _, events in cold)
+    _scalar_split.cache_clear()
+    cleared = run(clear_each=False)
+    hits = _scalar_split.cache_info().hits
+    warm = run(clear_each=False)
+    assert _scalar_split.cache_info().hits - hits == len(funcs)
+    assert cold == cleared == warm

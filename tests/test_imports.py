@@ -1,6 +1,7 @@
 """Stdlib ast checks over the package and the tests: every imported name
-is used, and no package module reaches into another one's private
-(underscore) names."""
+is used, no package module reaches into another one's private
+(underscore) names, and every ``lru_cache`` of the package wraps a
+module-level function."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,51 @@ def test_no_private_names_across_modules():
              for path in PACKAGE
              for line, name in private_reaches(path.read_text())]
     assert not found, "private names used across modules:\n" + "\n".join(found)
+
+
+CACHES = ("lru_cache", "cache")
+
+
+def misplaced_caches(source: str) -> list:
+    """(line, text) for each ``functools`` cache that is not a decorator
+    of a module-level function: the benchmark empties a cache before each
+    pass only if it is a module attribute, so a cache on a method, a
+    nested function or a call would stay warm from one pass to the next."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in CACHES}
+    allowed = {id(node)
+               for top in tree.body
+               if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for deco in top.decorator_list
+               for node in ast.walk(deco)}
+    return sorted((node.lineno, ast.unparse(node))
+                  for node in ast.walk(tree)
+                  if ((isinstance(node, ast.Name) and node.id in names)
+                      or (isinstance(node, ast.Attribute)
+                          and node.attr in CACHES
+                          and isinstance(node.value, ast.Name)
+                          and node.value.id == "functools"))
+                  and id(node) not in allowed)
+
+
+def test_misplaced_caches_are_detected():
+    src = ("import functools\nfrom functools import lru_cache\n"
+           "@lru_cache(maxsize=8)\ndef f(x):\n    return x\n"
+           "@functools.lru_cache\ndef g(x):\n    return x\n"
+           "class C:\n    @lru_cache\n    def m(self):\n        pass\n"
+           "def h():\n    @functools.cache\n    def inner():\n        pass\n"
+           "k = lru_cache(maxsize=None)(len)\n"
+           "cache = {}\n")
+    assert misplaced_caches(src) == [(10, "lru_cache"),
+                                     (14, "functools.cache"),
+                                     (17, "lru_cache")]
+
+
+def test_caches_wrap_module_level_functions():
+    found = [f"{path.relative_to(ROOT)}:{line}: {text}"
+             for path in PACKAGE
+             for line, text in misplaced_caches(path.read_text())]
+    assert not found, "caches the benchmark cannot clear:\n" + "\n".join(found)

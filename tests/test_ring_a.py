@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motint import polynomials as P
 from motint.errors import NotInA, ParseError, QOutOfRange
 from motint.ring_a import (
-    ARat, L, L_pow, ONE, ZERO, arat, fraction_from_json, from_int,
-    from_rational, in_a, is_nonneg, lax, parse_ratfunc, theta,
+    ARat, L, L_pow, ONE, ZERO, _is_monomial, _reduce, arat,
+    fraction_from_json, from_int, from_rational, in_a, is_nonneg, lax,
+    parse_ratfunc, theta,
 )
+from test_differential import SETTINGS
 
 
 def inv_one_minus_L_neg(i: int) -> ARat:
@@ -222,3 +226,44 @@ def test_membership_of_every_small_cyclotomic():
         assert arat(phi, P.mul(phi, (-1, 1))) == arat((1,), (-1, 1))
         with pytest.raises(NotInA):
             arat((1,), P.mul(phi, (-2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# products with a monomial c*L^e skip _reduce; they must match it
+
+COEFFS = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
+
+
+@st.composite
+def fractions_in_l(draw):
+    """A canonical fraction, often with a power of L in numer or denom."""
+    num = (0,) * draw(st.integers(0, 3)) + tuple(draw(COEFFS))
+    den = P.trim((0,) * draw(st.integers(0, 3)) + tuple(draw(COEFFS)))
+    return lax(num, den if den else (1,))
+
+
+@st.composite
+def monomials(draw):
+    """(c/b)*L^e with c of any sign (or zero), b >= 1 and -3 <= e <= 3."""
+    c, b = draw(st.integers(-12, 12)), draw(st.integers(1, 6))
+    e = draw(st.integers(-3, 3))
+    if e >= 0:
+        return lax((0,) * e + (c,), (b,))
+    return lax((c,), (0,) * -e + (b,))
+
+
+def test_monomial_constructors_take_the_fast_product():
+    for m in (ONE, -ONE, L, L_pow(-4), L_pow(3), from_int(-5),
+              from_rational(Fraction(-3, 4)), lax((0, 0, 2), (3,))):
+        assert _is_monomial(m), m
+    for a in (ZERO, L - ONE, arat((1,), (-1, 1)), arat((0, 1, 1))):
+        assert not _is_monomial(a), a
+
+
+@SETTINGS
+@given(fractions_in_l(), monomials())
+def test_monomial_product_matches_reduce(a, m):
+    expected = _reduce(P.mul(a.numer, m.numer), P.mul(a.denom, m.denom))
+    assert a * m == expected
+    assert m * a == expected
+    assert ZERO * m == m * ZERO == ZERO
