@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -471,7 +472,13 @@ def _build_parser() -> _Parser:
     common.add_argument("--q", type=int, help="residue-field size for theta")
     common.add_argument("--method",
                         choices=("auto", "shells", "cylinder", "enumerate"),
-                        help="counting method")
+                        help="counting method: cylinder refines residue "
+                        "classes a + p^l O^n level by level and credits a "
+                        "class on which H vanishes mod p^l in one Hensel "
+                        "step when the gradient of H at a is nonzero mod "
+                        "p^l; enumerate walks every residue tuple; shells "
+                        "takes monomials only; auto picks shells for "
+                        "monomials, else cylinder")
 
     top = _Parser(prog="motint",
                   description="exact motivic integration calculus with a "
@@ -568,6 +575,19 @@ def _emit(report: dict, lines, json_out: bool) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except BrokenPipeError:
+        # the reader closed standard output early: point it at os.devnull,
+        # so that the flush at exit cannot fail again (the recipe of the
+        # Python signal documentation), and exit without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
     json_out = False
     try:

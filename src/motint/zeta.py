@@ -103,17 +103,25 @@ class Poly:
             total = total + val
         return total
 
-    def compile_residue(self, ctx: PContext, level: int):
+    def partial(self, var: str) -> "Poly":
+        """The partial derivative in ``var``."""
+        return Poly.make(
+            (c * e, tuple((w, k - (w == var)) for w, k in mono))
+            for c, mono in self.terms for w, e in mono if w == var)
+
+    def compile_residue(self, ctx: PContext, level: int, order=None):
         """Compile H for evaluation modulo p^level.
 
         Each coefficient is reduced once.  The result maps a tuple of
-        per-variable coordinate tuples, in the order of ``variables()``,
-        to the coordinate tuple of H mod p^level; it is the integer form
-        of ``eval_residue`` on ``ctx.residue_ring(level)``.
+        per-variable coordinate tuples, in the order of ``order`` (by
+        default ``variables()``; it must contain them all), to the
+        coordinate tuple of H mod p^level; it is the integer form of
+        ``eval_residue`` on ``ctx.residue_ring(level)``.
         """
         p, d, f = ctx.p, ctx.d, ctx.modulus
         m = p ** level
-        index = {v: j for j, v in enumerate(self.variables())}
+        order = self.variables() if order is None else order
+        index = {v: j for j, v in enumerate(order)}
         terms = [(rational_mod(c, p, level),
                   tuple((index[v], e) for v, e in mono))
                  for c, mono in self.terms]
@@ -642,17 +650,28 @@ def _count_cylinders(h: Poly, ctx: PContext, i_max: int, cap: int,
                      shift: int) -> list:
     """Volumes of {ord h = shift + i} for i = 0..i_max, h p-integral.
 
-    Residue classes are refined level by level on integer coordinate
-    tuples, with h compiled once per level.  A class whose value is
-    nonzero mod p^level has a determined valuation, below the level, and
-    is credited; classes still vanishing beyond level i_max + shift + 1
-    cannot meet any requested coefficient and are dropped.  Cap errors
-    count i_max from ord h = shift."""
-    n = len(h.variables())
+    Residue classes a + p^l O^n are refined level by level on integer
+    coordinate tuples, with h and its partial derivatives compiled once,
+    modulo p^(top + 1) where top = i_max + shift.  A class on which h is
+    nonzero mod p^l has a determined valuation, below l, and is credited.
+    A class on which h vanishes mod p^l is resolved by one Hensel step when
+    the gradient of h at a has order e < l: then h = h(a) + p^(l+e) * w on
+    the class, with w Haar-uniform on O, so the class is credited at the
+    order of h(a) if that is below l + e, and otherwise spread as
+    (1 - 1/q) * q^-k over the orders l + e + k.  Only classes whose
+    gradient vanishes mod p^l are split further; those still vanishing
+    beyond level top + 1 cannot meet any requested coefficient and are
+    dropped.  The cap counts the child classes examined; cap errors count
+    i_max from ord h = shift."""
+    names = h.variables()
+    n = len(names)
     p, d = ctx.p, ctx.d
     q = p ** d
     top = i_max + shift
     counts = [Fraction(0)] * (top + 1)
+    value = h.compile_residue(ctx, top + 1)
+    grad = [g.compile_residue(ctx, top + 1, names)
+            for g in map(h.partial, names) if not g.is_zero()]
     frontier = [tuple((0,) * d for _ in range(n))]
     visited = 0
     lifts = list(itertools.product(range(p), repeat=d))
@@ -665,23 +684,42 @@ def _count_cylinders(h: Poly, ctx: PContext, i_max: int, cap: int,
                 f"{_feasible(level - 2 - shift)}",
                 needed=visited + need, cap=cap)
         visited += need
-        value = h.compile_residue(ctx, level)
         step = p ** (level - 1)
-        hits = [0] * level
+        modulus = step * p
+        hits = [0] * (top + 1)
+        # tails[s]: classes on which ord h - s is geometric, (1 - 1/q) q^-k
+        tails = [0] * (top + 1)
         nxt = []
         for coords in frontier:
             choices = [[tuple(c + step * t for c, t in zip(coord, lift))
                         for lift in lifts] for coord in coords]
             for child in itertools.product(*choices):
                 val = value(child)
-                if not any(val):
-                    if level <= top:
-                        nxt.append(child)
+                if any(c % modulus for c in val):
+                    hits[min(vp_int(c, p) for c in val if c)] += 1
                     continue
-                hits[min(vp_int(c, p) for c in val if c)] += 1
+                if level > top:
+                    continue
+                e = min((vp_int(c, p) for g in grad for c in g(child) if c),
+                        default=level)
+                if e >= level:
+                    nxt.append(child)
+                    continue
+                s = level + e
+                o = min((vp_int(c, p) for c in val if c), default=s)
+                if o < s:
+                    hits[o] += 1
+                elif s <= top:
+                    tails[s] += 1
+        weight = q ** (n * level)
         for v, k in enumerate(hits):
             if k:
-                counts[v] += Fraction(k, q ** (n * level))
+                counts[v] += Fraction(k, weight)
+        for s, k in enumerate(tails):
+            if k:
+                for v in range(s, top + 1):
+                    counts[v] += Fraction(k * (q - 1),
+                                          weight * q ** (v - s + 1))
         frontier = nxt
         if not frontier:
             break
@@ -721,12 +759,19 @@ def zprime_count(h, p: int, d: int, i_max: int, *, cap: int | None = None,
 
     Methods: ``enumerate`` counts full residue-ring tuples at each level
     through ``Poly.eval_residue`` (the reference); ``cylinder`` refines
-    residue classes level by level on integer coordinates with H compiled
-    once per level (``Poly.compile_residue``), crediting a class once its
-    valuation is determined (same counts, far fewer evaluations);
-    ``shells`` aggregates per-variable valuation shells and applies only
-    to monomials; ``auto`` picks shells for monomials and cylinder
-    refinement otherwise.
+    residue classes a + p^l O^n level by level on integer coordinates,
+    with H and its gradient compiled once (``Poly.compile_residue``),
+    crediting a class once its valuation is determined (same counts, far
+    fewer evaluations).  A class on which H vanishes mod p^l is credited
+    whole by a Hensel step when some partial derivative of H at a has
+    order e < l: then H = H(a) + p^(l+e) * w with w Haar-uniform on O, so
+    ord H is ord H(a) if that is below l + e, and l + e + k with volume
+    (1 - 1/q) * q^-k otherwise.  Only classes whose gradient vanishes mod
+    p^l are refined further.  ``shells`` aggregates per-variable valuation
+    shells and applies only to monomials; ``auto`` picks shells for
+    monomials and cylinder refinement otherwise.  The cap bounds the
+    residue tuples ``enumerate`` walks and the child classes ``cylinder``
+    examines.
 
     Coefficients need not be p-integral: with k = max(0, -min ord of the
     coefficients), the counting methods count p^k * H, whose order is

@@ -451,3 +451,28 @@ def test_unknown_command_exits_1(capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["frobnicate"])
     assert ei.value.code == 1
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone: every write fails."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_without_traceback(capsys, monkeypatch,
+                                               tmp_path):
+    with open(tmp_path / "out", "w") as sink:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(sink.fileno()))
+        status = cli.main(["zeta-motivic", "--H", "x^2*y", "--json"])
+    assert status == 1
+    assert capsys.readouterr().err == ""
