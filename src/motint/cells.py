@@ -150,9 +150,6 @@ class AffineForm:
     def names(self) -> tuple:
         return tuple(n for n, _ in self.ints)
 
-    def is_constant(self) -> bool:
-        return not self.ints
-
     def numer(self) -> "AffineForm":
         """den * self: the form with integer coefficients."""
         return self if self.den == 1 else AffineForm(self.ints, self.cnum)

@@ -28,7 +28,7 @@ from . import ring_a as R
 from .cplus import specialize
 from .errors import (CapExceeded, MotintError, NotIntegrable, ParseError,
                      UnsupportedH)
-from .padic import PContext, count_points
+from .padic import PContext, count_points, is_prime
 from .presburger import PFun, sum_fibers
 from .vfint import integrate_iterated
 from .zeta import (parse_poly, scalar_of, verify_meuser, zmot_monomial,
@@ -56,7 +56,7 @@ class RunConfig:
     method: str = "auto"
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is not None and not is_prime(self.p):
             raise ParseError(f"p must be prime, got {self.p}")
         if self.d is not None and self.d < 1:
             raise ParseError(f"d must be >= 1, got {self.d}")
@@ -70,17 +70,6 @@ class RunConfig:
             raise ParseError(f"q must be >= 2, got {self.q}")
         if self.method not in ("auto", "shells", "cylinder", "enumerate"):
             raise ParseError(f"unknown counting method {self.method!r}")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def _load_config(path: str) -> dict:
@@ -223,7 +212,7 @@ def _parse_grid(text: str, fallback_p, fallback_d) -> list:
     if ds is None:
         ds = [fallback_d if fallback_d is not None else 1]
     for p in ps:
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ParseError(f"grid p must be prime, got {p}")
     for d in ds:
         if d < 1:
@@ -355,7 +344,7 @@ def _integrate_common(cfg: RunConfig, args, weight) -> tuple:
         if not out.integrable:
             raise NotIntegrable("cannot count a value that is not "
                                 "integrable in some direction")
-        spec = specialize(out.value, ctx)
+        spec = specialize(out.value, ctx, cap=cfg.cap)
         report["counted"] = {"q": ctx.q, "value": str(spec)}
         lines.append(f"N at q={ctx.q}: {spec}")
     return 0, report, lines
@@ -495,7 +484,7 @@ def _build_parser() -> _Parser:
              "formula, a coefficient-ring expression, or a polynomial")
     sp.add_argument("--formula", help="three-sorted formula text")
     sp.add_argument("--ratfunc", help="coefficient-ring expression in L")
-    sp.add_argument("--poly", help="polynomial in named variables")
+    sp.add_argument("--poly", help="polynomial valued-field term")
     sp.add_argument("--sorts", help="variable sorts, e.g. 'x=vf,i=vg,s=res:1'")
     sp.add_argument("--default-sort", help="sort for unannotated variables "
                     "(vf, vg, or res:N)")
@@ -547,15 +536,19 @@ def _build_parser() -> _Parser:
 
     sp = add("zeta-motivic", _cmd_zeta_motivic, "closed-form rational series "
              "of the valuation-level family of a monomial")
-    sp.add_argument("--H", required=True, help="monomial, e.g. 'x^2*y^3'")
+    sp.add_argument("--H", required=True, help="monomial valued-field term, "
+                    "e.g. 'x^2*y^3'; a coefficient that is not a unit "
+                    "needs --p")
 
     sp = add("zeta-count", _cmd_zeta_count, "exact level-volume coefficients "
              "of the counting series")
-    sp.add_argument("--H", required=True, help="polynomial, e.g. 'x^2 + y^2'")
+    sp.add_argument("--H", required=True, help="polynomial valued-field term "
+                    "in +, -, * and ^, e.g. '(x + y)^2 - 3/2*z'")
 
     sp = add("verify-meuser", _cmd_verify_meuser, "check the counting series "
              "against the specialized closed form on a (p, d) grid")
-    sp.add_argument("--H", required=True, help="monomial, e.g. 'x*y'")
+    sp.add_argument("--H", required=True, help="monomial valued-field term, "
+                    "e.g. 'x*y' or '4*x^2'")
     sp.add_argument("--grid", help="grid spec like 'p=2,3;d=1,2' "
                     "(defaults to --p/--d)")
 

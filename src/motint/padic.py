@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import gcd, inf, lcm
+from math import gcd, inf, isqrt, lcm
 
 from .errors import CapExceeded, MotintError, SortError
 from . import formula as F
@@ -49,6 +49,11 @@ def enumeration_cap() -> int:
 
 # ---------------------------------------------------------------------------
 # integer and rational p-adic orders
+
+def is_prime(n: int) -> bool:
+    """Trial division; the primes of interest are small."""
+    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
+
 
 def vp_int(n: int, p: int) -> int:
     """p-adic order of a nonzero integer."""
@@ -477,6 +482,10 @@ class PContext:
     modulus: tuple = ()
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise MotintError(f"p must be prime, got {self.p}")
+        if self.d < 1:
+            raise MotintError(f"d must be >= 1, got {self.d}")
         if not self.modulus:
             object.__setattr__(self, "modulus", default_modulus(self.p, self.d))
         if not _is_irreducible_mod_p(self.modulus, self.p):
@@ -519,8 +528,10 @@ def _const(value):
     return lambda env: value
 
 
-def _res_term(t: F.Term, n: int, ctx: PContext, local: frozenset):
-    """Closure of a res(n) term."""
+def res_term(t: F.Term, n: int, ctx: PContext, local: frozenset):
+    """Closure env -> coefficient tuple mod p^n of a res(n) term.  The
+    variables named in ``local`` are read from env as coefficient tuples
+    reduced mod p^n, the others as GRElems of GR(p^n, d)."""
     m = ctx.p ** n
     if isinstance(t, F.Var):
         name = t.name
@@ -540,15 +551,15 @@ def _res_term(t: F.Term, n: int, ctx: PContext, local: frozenset):
     if isinstance(t, F.IntLit):
         return _const(ctx.residue_ring(n).from_int(t.value).coeffs)
     if isinstance(t, F.Neg):
-        a = _res_term(t.arg, n, ctx, local)
+        a = res_term(t.arg, n, ctx, local)
         return lambda env: tuple(-c % m for c in a(env))
     if isinstance(t, F.Pow):
-        a, e = _res_term(t.base, n, ctx, local), t.exp
+        a, e = res_term(t.base, n, ctx, local), t.exp
         mul = _res_mul(ctx.modulus, m)
         return lambda env: _power(a(env), e, mul)
     if isinstance(t, F.BinOp):
-        a = _res_term(t.left, n, ctx, local)
-        b = _res_term(t.right, n, ctx, local)
+        a = res_term(t.left, n, ctx, local)
+        b = res_term(t.right, n, ctx, local)
         if t.op == "+":
             return lambda env: tuple((x + y) % m for x, y in zip(a(env), b(env)))
         if t.op == "-":
@@ -561,7 +572,7 @@ def _res_term(t: F.Term, n: int, ctx: PContext, local: frozenset):
     if isinstance(t, F.Proj):
         if t.dst > t.src:
             raise SortError(f"cannot project level {t.src} up to {t.dst}")
-        a = _res_term(t.arg, t.src, ctx, local)
+        a = res_term(t.arg, t.src, ctx, local)
         return lambda env: tuple(c % m for c in a(env))
     raise MotintError(f"cannot evaluate term {t!r}")
 
@@ -650,7 +661,7 @@ def _vf_term(t: F.Term, ctx: PContext):
 def _term(t: F.Term, ctx: PContext, local: frozenset):
     s = t.sort()
     if s.kind == "res":
-        return _res_term(t, s.depth, ctx, local)
+        return res_term(t, s.depth, ctx, local)
     if s == F.VG:
         return _vg_term(t, ctx)
     return _vf_term(t, ctx)

@@ -16,16 +16,18 @@ denominator a product of factors 1 - L^a T^b.  This module computes:
   specialization to the closed form coefficientwise reproduces the
   counted volumes for every unramified degree, exactly.
 
-Polynomials are written in the ``x^2*y^3 - 2*x + 7`` syntax; see
-``parse_poly``.
+H is a valued-field term of the formula language (``x^2*y^3 - 2*x + 7``,
+``(x + y)^2``) built from variables, rational constants, +, -, * and
+powers; see ``parse_poly``.  Modulo p^l it is the matching res(l) term,
+compiled by ``padic.res_term``.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import formula as F
 from . import polynomials as P
@@ -33,9 +35,9 @@ from . import ring_a as R
 from .cells import AffineForm, universe
 from .cplus import CTerm, MotFun, normal_form, specialize, unit_class
 from .errors import (CapExceeded, FrameMismatch, MotintError,
-                     NonGeometricFamily, ParseError, UnsupportedH)
+                     NonGeometricFamily, ParseError, SortError, UnsupportedH)
 from .padic import (PContext, enumeration_cap, rational_mod, rational_ord,
-                    vp_int, zw_mul)
+                    res_term, vp_int)
 from .presburger import PFun, PTerm, eulerian, progression
 from .vfint import integrate_cell_family, integrate_iterated
 
@@ -112,53 +114,27 @@ class Poly:
     def compile_residue(self, ctx: PContext, level: int, order=None):
         """Compile H for evaluation modulo p^level.
 
-        Each coefficient is reduced once.  The result maps a tuple of
-        per-variable coordinate tuples, in the order of ``order`` (by
-        default ``variables()``; it must contain them all), to the
-        coordinate tuple of H mod p^level; it is the integer form of
+        H becomes a res(level) term, with each coefficient reduced once,
+        compiled by ``padic.res_term``.  The result maps a tuple of
+        per-variable coordinate tuples reduced mod p^level, in the order of
+        ``order`` (by default ``variables()``; it must contain them all),
+        to the coordinate tuple of H mod p^level; it is the integer form of
         ``eval_residue`` on ``ctx.residue_ring(level)``.
         """
-        p, d, f = ctx.p, ctx.d, ctx.modulus
-        m = p ** level
         order = self.variables() if order is None else order
-        index = {v: j for j, v in enumerate(order)}
-        terms = [(rational_mod(c, p, level),
-                  tuple((index[v], e) for v, e in mono))
-                 for c, mono in self.terms]
-        if d == 1:
-            def value(point):
-                total = 0
-                for c, mono in terms:
-                    for j, e in mono:
-                        c *= point[j][0] ** e
-                    total += c
-                return (total % m,)
-            return value
-
-        tops = [0] * len(index)
-        for _, mono in terms:
-            for j, e in mono:
-                tops[j] = max(tops[j], e)
-
-        def value(point):
-            pows = []
-            for x, top in zip(point, tops):
-                row = [None, x]
-                for _ in range(top - 1):
-                    row.append(zw_mul(row[-1], x, f))
-                pows.append(row)
-            total = [0] * d
-            for c, mono in terms:
-                acc = None
-                for j, e in mono:
-                    acc = pows[j][e] if acc is None else zw_mul(acc, pows[j][e], f)
-                if acc is None:
-                    total[0] += c
-                else:
-                    for t, a in enumerate(acc):
-                        total[t] += c * a
-            return tuple(a % m for a in total)
-        return value
+        sort = F.RES(level)
+        total = None
+        for c, mono in self.terms:
+            c = rational_mod(c, ctx.p, level)
+            factors = [F.Var(v, sort) if e == 1 else F.Pow(F.Var(v, sort), e)
+                       for v, e in mono]
+            if c != 1 or not factors:
+                factors.insert(0, F.IntLit(c, sort))
+            term = reduce(lambda a, b: F.BinOp("*", a, b), factors)
+            total = term if total is None else F.BinOp("+", total, term)
+        value = res_term(F.IntLit(0, sort) if total is None else total,
+                         level, ctx, frozenset(order))
+        return lambda point: value(dict(zip(order, point)))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -177,85 +153,48 @@ class Poly:
         return " ".join([head] + parts[1:])
 
 
-_POLY_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|[\^*+/-])")
-
-
 def parse_poly(text: str) -> Poly:
-    """Parse ``x^2*y^3 - 2*x + 7``: sums of products of variables with
-    ``^`` powers and rational constants (``3`` or ``3/4``)."""
-    toks: list = []
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(
-                    f"unexpected character {text[pos:].strip()[0]!r} "
-                    "in polynomial")
-            break
-        toks.append(m.group(1))
-        pos = m.end()
-    idx = [0]
+    """Parse H as a valued-field term of the formula language: variables,
+    integer and rational constants (``3``, ``3/4``), +, -, * and powers
+    ``^`` or ``**`` with exponents >= 1.  ``pi``, ``ord``, ``ac_n`` and
+    ``proj`` are terms but not polynomials, and raise ``ParseError``.
 
-    def peek():
-        return toks[idx[0]] if idx[0] < len(toks) else None
+    >>> str(parse_poly("(x + y)^2 - 3/2*x*y"))
+    '1/2*x*y + x^2 + y^2'
+    """
+    try:
+        term = F.parse_term(text, default_sort=F.VF)
+    except SortError as exc:
+        raise ParseError(f"H is not a valued-field term: {exc}") from None
+    return Poly.make(_term_pairs(term))
 
-    def take():
-        t = peek()
-        idx[0] += 1
-        return t
 
-    def number() -> int:
-        t = take()
-        if t is None or not t.isdigit():
-            raise ParseError(f"number expected, found {t!r}")
-        return int(t)
+def _term_pairs(t: F.Term) -> tuple:
+    """(coefficient, monomial) pairs that sum to t; products are merged."""
+    if isinstance(t, F.Var):
+        return ((1, ((t.name, 1),)),)
+    if isinstance(t, (F.IntLit, F.RatLit)):
+        return ((t.value, ()),)
+    if isinstance(t, F.Neg):
+        return tuple((-c, m) for c, m in _term_pairs(t.arg))
+    if isinstance(t, F.Pow):
+        base = out = _term_pairs(t.base)
+        for bit in bin(t.exp)[3:]:         # square and multiply
+            out = _product(out, out)
+            if bit == "1":
+                out = _product(out, base)
+        return out
+    if isinstance(t, F.BinOp):
+        a, b = _term_pairs(t.left), _term_pairs(t.right)
+        if t.op == "*":
+            return _product(a, b)
+        return a + tuple((c if t.op == "+" else -c, m) for c, m in b)
+    raise ParseError(f"{F.term_str(t)} is not a polynomial term")
 
-    def term(sign: int):
-        coeff = Fraction(sign)
-        powers: list = []
-        while True:
-            t = peek()
-            if t is None:
-                raise ParseError("polynomial term is empty")
-            if t.isdigit():
-                take()
-                num = int(t)
-                if peek() == "/":
-                    take()
-                    coeff *= Fraction(num, number())
-                else:
-                    coeff *= num
-            elif re.fullmatch(r"[A-Za-z_]\w*", t):
-                take()
-                e = 1
-                if peek() == "^":
-                    take()
-                    e = number()
-                powers.append((t, e))
-            else:
-                raise ParseError(f"unexpected token {t!r} in polynomial")
-            if peek() == "*":
-                take()
-                continue
-            return coeff, tuple(powers)
 
-    data = []
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    if peek() is None:
-        raise ParseError("empty polynomial")
-    data.append(term(sign))
-    while peek() is not None:
-        t = take()
-        if t == "+":
-            data.append(term(1))
-        elif t == "-":
-            data.append(term(-1))
-        else:
-            raise ParseError(f"'+' or '-' expected, found {t!r}")
-    return Poly.make(data)
+def _product(a: tuple, b: tuple) -> tuple:
+    return Poly.make((ca * cb, ma + mb) for ca, ma in a
+                     for cb, mb in b).terms
 
 
 def _as_poly(h) -> Poly:

@@ -318,6 +318,15 @@ def test_vol_with_counting(capsys):
     assert lines[-1] == "N at q=3: 1/3"
 
 
+def test_vol_count_honours_cap(capsys):
+    # counting the class-valued volume enumerates the 5 elements of res(1)
+    error = error_of(capsys, "vol", "--cond",
+                     "ord(t) = 0 && exists s : res(1) . s*s = ac_1(t)",
+                     "--order", "t", "--p", "5", "--count", "--cap", "1")
+    assert (error["code"], error["needed"], error["cap"]) == \
+        ("CapExceeded", 5, 1)
+
+
 def test_integrate_weight_json(capsys):
     status, out, _ = run(capsys, "integrate", "--cond", "ord(t) >= 0",
                          "--order", "t", "--weight", "1:t:0",
@@ -368,6 +377,12 @@ def test_zeta_motivic_json_round_trip(capsys):
     report = json.loads(out)
     rs = RatSeries.from_json(report["series"])
     assert rs.denominator == ((-1, 1), (-1, 1))
+
+
+def test_zeta_motivic_polynomial_term_unsupported(capsys):
+    # (x + y)^2 is a valued-field term, so it parses, but not a monomial
+    error = error_of(capsys, "zeta-motivic", "--H", "(x + y)^2")
+    assert error["code"] == "UnsupportedH"
 
 
 def test_zeta_count_frozen(capsys):

@@ -10,8 +10,9 @@ from motint.errors import CapExceeded, MotintError, SortError
 from motint.formula import RES, VF, VG, parse_formula
 from motint.padic import (
     GaloisRing, PadicElem, PContext, count_points,
-    default_modulus, eval_formula, rational_ac, rational_ord,
+    default_modulus, eval_formula, is_prime, rational_ac, rational_ord,
 )
+from motint.zeta import zprime_count
 
 from haar import haar_sum
 
@@ -179,6 +180,16 @@ def test_modulus_independence():
 def test_reducible_modulus_rejected():
     with pytest.raises(MotintError):
         PContext(3, 2, modulus=(0, 0, 1))
+
+
+def test_context_needs_prime_and_degree():
+    for p, d in ((4, 1), (1, 1), (0, 1), (2, 0), (3, -1)):
+        with pytest.raises(MotintError):
+            PContext(p, d)
+    with pytest.raises(MotintError, match="must be prime"):
+        zprime_count("x*y + 1", 4, 1, 2)
+    assert [n for n in range(30) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_vol_ord_equals_two():

@@ -61,9 +61,25 @@ def test_parse_cancellation():
 
 
 def test_parse_errors():
-    for bad in ("", "x +", "^2", "x^", "x ** y", "x @ y"):
+    for bad in ("", "x +", "^2", "x^", "x ** y", "x @ y",
+                "pi*x", "ord(x)", "ac_1(x)", "x^0", "proj_2_1(x)",
+                "ac_1(x) + ord(y)", "in*x", "x/2"):
         with pytest.raises(ParseError):
             parse_poly(bad)
+
+
+def test_parse_term_grammar():
+    # H is a valued-field term: grouping, ** and a sign after * parse
+    square = parse_poly("(x + y)^2")
+    assert square == parse_poly("x^2 + 2*x*y + y^2")
+    assert parse_poly("x**2") == parse_poly("x^2")
+    assert parse_poly("2*-x") == parse_poly("-2*x")
+    assert parse_poly("(1/2*x - 1)^3*y") == parse_poly(
+        "1/8*x^3*y - 3/4*x^2*y + 3/2*x*y - y")
+    for p, d in ((2, 1), (3, 1), (2, 2)):
+        assert (zprime_count(square, p, d, 3, method="cylinder")
+                == zprime_count("x^2 + 2*x*y + y^2", p, d, 3,
+                                method="cylinder"))
 
 
 def test_eval_residue():
@@ -373,6 +389,13 @@ _TERMS = st.lists(
               st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 4)),
                        max_size=3)),
     min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=_TERMS)
+def test_parse_printed_poly_round_trip(terms):
+    h = Poly.make((Fraction(n, den), mono) for n, den, mono in terms)
+    assert parse_poly(str(h)) == h
 
 
 @settings(max_examples=150, deadline=None)
