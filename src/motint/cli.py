@@ -253,7 +253,7 @@ def _cmd_parse(cfg: RunConfig, args) -> tuple:
                   "is_nonneg": R.is_nonneg(a)}
         lines = [report["canonical"]]
     else:
-        h = parse_poly(text)
+        h = parse_poly(text, cfg.cap)
         mono = h.as_monomial()
         report = {"kind": "poly", "input": text, "canonical": str(h),
                   "variables": list(h.variables()),
@@ -384,7 +384,7 @@ def _cmd_theta(cfg: RunConfig, args) -> tuple:
 
 
 def _cmd_zeta_motivic(cfg: RunConfig, args) -> tuple:
-    rs = zmot_monomial(parse_poly(args.H), p=cfg.p)
+    rs = zmot_monomial(parse_poly(args.H, cfg.cap), p=cfg.p)
     report = {"h": args.H, "series": rs.to_json(), "display": str(rs)}
     return 0, report, [str(rs)]
 
@@ -404,7 +404,7 @@ def _cmd_zeta_count(cfg: RunConfig, args) -> tuple:
 def _cmd_verify_meuser(cfg: RunConfig, args) -> tuple:
     if cfg.i_max is None:
         raise ParseError("verify-meuser needs --imax")
-    h = parse_poly(args.H)
+    h = parse_poly(args.H, cfg.cap)
     grid = _parse_grid(args.grid, cfg.p, cfg.d)
     try:
         series = zmot_monomial(h)      # one closed form for the whole grid

@@ -677,6 +677,17 @@ _TOKENS = re.compile(
     r"|(?P<op>&&|\|\||!=|<=|>=|\*\*|[-+*^=<>!().,:\[\]/]))"
 )
 
+
+def _int(digits: str) -> int:
+    """The int of a digit string; a literal longer than the interpreter's
+    int-string limit is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too "
+                         "long") from None
+
+
 _KEYWORDS = {"exists", "forall", "true", "false", "mod", "in", "inf", "vf", "vg", "res", "ord", "pi"}
 _AC = re.compile(r"^ac_(\d+)$")
 _PROJ = re.compile(r"^proj_(\d+)_(\d+)$")
@@ -811,7 +822,7 @@ class _Parser:
         m = _AC.match(t)
         if m:
             self.lx.take()
-            depth = int(m.group(1))
+            depth = _int(m.group(1))
             self.lx.take("(")
             arg = self.term()
             self.lx.take(")")
@@ -822,7 +833,7 @@ class _Parser:
         m = _PROJ.match(t)
         if m:
             self.lx.take()
-            src, dst = int(m.group(1)), int(m.group(2))
+            src, dst = _int(m.group(1)), _int(m.group(2))
             if not (1 <= dst <= src):
                 raise ParseError(f"bad projection proj_{src}_{dst}")
             self.lx.take("(")
@@ -836,13 +847,13 @@ class _Parser:
             self.lx.take()
             if self.lx.peek() == "/" and self.lx.peek(1).isdigit():
                 self.lx.take()
-                den = int(self.lx.take())
+                den = _int(self.lx.take())
                 if den == 0:
                     raise ParseError("rational literal with zero denominator")
-                n = self.node("rat", Fraction(int(t), den))
+                n = self.node("rat", Fraction(_int(t), den))
                 _set(n.cell, VF)
                 return n
-            return self.node("int", int(t))
+            return self.node("int", _int(t))
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t) and t not in _KEYWORDS:
             self.lx.take()
             n = self.node("var", t)
@@ -857,7 +868,7 @@ class _Parser:
             e = self.lx.take()
             if not e.isdigit():
                 raise ParseError(f"integer exponent expected, found {e!r}")
-            exp = int(e)
+            exp = _int(e)
             if exp < 1:
                 raise ParseError("power exponent must be >= 1")
             m = self.node("pow", exp, n)
@@ -916,11 +927,11 @@ class _Parser:
             if self.lx.peek() == "mod":
                 self.lx.take()
                 m = self.lx.take()
-                if not m.isdigit() or int(m) < 1:
+                if not m.isdigit() or _int(m) < 1:
                     raise ParseError(f"positive modulus expected, found {m!r}")
                 _set(left.cell, VG)
                 _set(right.cell, VG)
-                a = ("cong", left, right, int(m))
+                a = ("cong", left, right, _int(m))
             else:
                 _unify(left.cell, right.cell)
                 a = ("eq", left, right)
@@ -962,9 +973,9 @@ class _Parser:
         elif st == "res":
             self.lx.take("(")
             d = self.lx.take()
-            if not d.isdigit() or int(d) < 1:
+            if not d.isdigit() or _int(d) < 1:
                 raise ParseError(f"residue depth expected, found {d!r}")
-            sort = RES(int(d))
+            sort = RES(_int(d))
             self.lx.take(")")
         elif st == "vf":
             raise ParseError("quantification over the valued field is not supported")

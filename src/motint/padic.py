@@ -14,12 +14,13 @@ field element (PadicElem) is a tuple of integer numerators ``nums`` over
 one shared positive denominator ``den``, which may have a part prime to
 p; its order is min vp(nums) - vp(den).  Counts are integers.
 
-Formulas are compiled, not walked: ``_compile`` turns a formula into a
-closure once per (formula, context), making every dispatch on node type
-and sort at compile time, so a point costs closure calls on ints and
-tuples only.  ``eval_formula`` looks the closure up in a small bounded
-cache keyed by identity; ``count_points`` compiles once and runs the
-closure over its box.
+Formulas are compiled, not walked: ``compile_formula`` turns a formula
+into a closure once per (formula, context), making every dispatch on node
+type and sort at compile time, so a point costs closure calls on ints and
+tuples only.  Compiled objects live in one small bounded store keyed by
+identity, read through ``compiled``: ``eval_formula`` keeps its formula
+closures there, and ``vfint.cell_contains`` the membership test of each
+cell.  ``count_points`` compiles once and runs the closure over its box.
 """
 
 from __future__ import annotations
@@ -377,10 +378,6 @@ class PadicElem:
         nums = tuple(c.numerator * (den // c.denominator) for c in cs)
         return PadicElem._lowest(p, degree, nums, den, modulus)
 
-    @staticmethod
-    def from_rational(p: int, degree: int, c: Fraction) -> "PadicElem":
-        return PadicElem.exact(p, degree, (Fraction(c),))
-
     @property
     def coeffs(self) -> tuple:
         """The coordinates as Fractions."""
@@ -508,13 +505,13 @@ class PContext:
 # ---------------------------------------------------------------------------
 # compiled formula evaluation
 #
-# _compile turns a formula into a closure (env, cap) -> bool and each term
-# into a closure env -> value, dispatching on node type and sort once, at
-# compile time.  Values by sort: res(n) terms give coefficient tuples
-# reduced mod p^n, vg terms ints or +inf, vf terms PadicElems.  In env,
-# free residue variables hold GRElems; the names in ``local`` (bound
-# residue variables, and the free ones of count_points) hold coefficient
-# tuples.
+# compile_formula turns a formula into a closure (env, cap) -> bool and
+# each term into a closure env -> value, dispatching on node type and sort
+# once, at compile time.  Values by sort: res(n) terms give coefficient
+# tuples reduced mod p^n, vg terms ints or +inf, vf terms PadicElems.  In
+# env, free residue variables hold GRElems; the residue variables named in
+# ``local`` (bound ones, the free ones of count_points, the angular
+# coordinate of a cell) hold coefficient tuples at env[local[name]].
 
 
 def _lookup(env: dict, name: str):
@@ -528,15 +525,17 @@ def _const(value):
     return lambda env: value
 
 
-def res_term(t: F.Term, n: int, ctx: PContext, local: frozenset):
-    """Closure env -> coefficient tuple mod p^n of a res(n) term.  The
-    variables named in ``local`` are read from env as coefficient tuples
-    reduced mod p^n, the others as GRElems of GR(p^n, d)."""
+def res_term(t: F.Term, n: int, ctx: PContext, local: dict):
+    """Closure env -> coefficient tuple mod p^n of a res(n) term.  A
+    variable named in ``local`` is read as the coefficient tuple reduced
+    mod p^n at env[local[name]] (a name, or a position when env is a
+    tuple), the others as GRElems of GR(p^n, d) at env[name]."""
     m = ctx.p ** n
     if isinstance(t, F.Var):
         name = t.name
         if name in local:
-            return lambda env: env[name]
+            key = local[name]
+            return lambda env: env[key]
         ring = ctx.residue_ring(n)
         seen = [ring]                      # the last ring found equal to it
 
@@ -658,7 +657,7 @@ def _vf_term(t: F.Term, ctx: PContext):
     raise MotintError(f"cannot evaluate term {t!r}")
 
 
-def _term(t: F.Term, ctx: PContext, local: frozenset):
+def _term(t: F.Term, ctx: PContext, local: dict):
     s = t.sort()
     if s.kind == "res":
         return res_term(t, s.depth, ctx, local)
@@ -675,8 +674,10 @@ def _or(a, b):
     return lambda env, cap: a(env, cap) or b(env, cap)
 
 
-def _compile(f: F.Formula, ctx: PContext, local: frozenset = frozenset()):
-    """Closure (env, cap) -> bool of a formula; see the comment above."""
+def compile_formula(f: F.Formula, ctx: PContext, local: dict | None = None):
+    """Closure (env, cap) -> bool of a formula; see the comment above.
+    ``local`` maps residue variable names to their keys in env."""
+    local = {} if local is None else local
     if isinstance(f, F.TrueF):
         return lambda env, cap: True
     if isinstance(f, F.FalseF):
@@ -696,10 +697,10 @@ def _compile(f: F.Formula, ctx: PContext, local: frozenset = frozenset()):
             return lambda env, cap: (a(env) - b(env)).is_zero()
         return lambda env, cap: a(env) == b(env)
     if isinstance(f, F.Not):
-        body = _compile(f.body, ctx, local)
+        body = compile_formula(f.body, ctx, local)
         return lambda env, cap: not body(env, cap)
     if isinstance(f, (F.And, F.Or)):
-        parts = [_compile(g, ctx, local) for g in f.parts]
+        parts = [compile_formula(g, ctx, local) for g in f.parts]
         if not parts:
             empty = isinstance(f, F.And)
             return lambda env, cap: empty
@@ -709,13 +710,13 @@ def _compile(f: F.Formula, ctx: PContext, local: frozenset = frozenset()):
     raise MotintError(f"cannot evaluate formula {f!r}")
 
 
-def _quant(f: F.Quant, ctx: PContext, local: frozenset):
+def _quant(f: F.Quant, ctx: PContext, local: dict):
     """Residue quantifiers enumerate their ring; value-group quantifiers
     their explicit bounds.  Either range is checked against the cap."""
     name, sort = f.var.name, f.var.var_sort
     if sort.kind == "res":
         ring = ctx.residue_ring(sort.depth)
-        body = _compile(f.body, ctx, local | {name})
+        body = compile_formula(f.body, ctx, {**local, name: name})
 
         def values(env, cap):
             return ring.tuples(cap)
@@ -726,7 +727,8 @@ def _quant(f: F.Quant, ctx: PContext, local: frozenset):
         return missing
     else:
         lo, hi = _vg_term(f.lo, ctx), _vg_term(f.hi, ctx)
-        body = _compile(f.body, ctx, local - {name})
+        body = compile_formula(
+            f.body, ctx, {k: v for k, v in local.items() if k != name})
 
         def values(env, cap):
             a, b = lo(env), hi(env)
@@ -755,29 +757,29 @@ _COMPILED: dict = {}
 _COMPILED_MAX = 32
 
 
-def _compiled(f: F.Formula, ctx: PContext):
-    """The closure of f over ctx, compiled once and kept in a bounded
-    cache.  The key is the identities of formula and context, so a lookup
-    never hashes the formula tree; an entry holds both objects, so an id
-    cannot be reused while its entry lives.  When the cache is full the
-    oldest entry goes."""
-    key = (id(f), id(ctx))
+def compiled(obj, ctx: PContext, build=compile_formula):
+    """``build(obj, ctx)``, built once and kept in a bounded store: by
+    default the closure of a formula.  The key is the builder and the
+    identities of object and context, so a lookup never hashes the object;
+    an entry holds both objects, so an id cannot be reused while its entry
+    lives.  When the store is full the oldest entry goes."""
+    key = (build, id(obj), id(ctx))
     hit = _COMPILED.get(key)
     if hit is None:
         if len(_COMPILED) >= _COMPILED_MAX:
             del _COMPILED[next(iter(_COMPILED))]
-        hit = _COMPILED[key] = (f, ctx, _compile(f, ctx))
+        hit = _COMPILED[key] = (obj, ctx, build(obj, ctx))
     return hit[2]
 
 
-_compiled.cache_clear = _COMPILED.clear
+compiled.cache_clear = _COMPILED.clear
 
 
 def eval_formula(f: F.Formula, env: dict, ctx: PContext, cap: int | None = None) -> bool:
     """Evaluate a formula at a point.  Residue quantifiers enumerate their
     ring; value-group quantifiers must carry explicit bounds.  Either
     range is checked against the cap."""
-    return _compiled(f, ctx)(env, cap)
+    return compiled(f, ctx)(env, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +820,7 @@ def count_points(f: F.Formula, ctx: PContext,
         ranges.append(range(lo, hi + 1))
     _box_product([r.size for r in rings] + [len(r) for r in ranges], cap)
     names = [name for name, _ in frame.res] + list(frame.vg)
-    run = _compile(f, ctx, frozenset(name for name, _ in frame.res))
+    run = compile_formula(f, ctx, {name: name for name, _ in frame.res})
     values = [r.tuples(cap) for r in rings] + ranges
     return sum(1 for point in product(*values)
                if run(dict(zip(names, point)), cap))

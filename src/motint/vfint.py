@@ -33,8 +33,8 @@ from . import ring_a as R
 from .cells import (AffineForm, from_constraints, intersect, subtract_many,
                     universe)
 from .errors import (FrameMismatch, MotintError, NotCellPresented,
-                     NotIntegrable, OutsideFragment, ZeroDerivative)
-from .padic import (PadicElem, PContext, eval_formula, rational_ac,
+                     NotIntegrable, OutsideFragment, SortError, ZeroDerivative)
+from .padic import (PContext, compile_formula, compiled, rational_ac,
                     rational_mod, rational_ord)
 from .presburger import PFun, PTerm
 from .qplus import one as unit_class
@@ -844,28 +844,39 @@ def cell_contains(cell: VFCell, value, ctx: PContext, env=None) -> bool:
     """Exact membership of a field element in a cell.
 
     ``value`` is a Fraction or an exact PadicElem; ``env`` supplies the
-    base parameters (value-group integers, residue elements).
+    base parameters (value-group integers, residue elements).  The test
+    of each cell is built once per (cell, context) and kept in the
+    ``padic.compiled`` store: the center as a field element of ctx, and
+    the compiled ``xi_phi`` (reading xi as the coefficient tuple of
+    ac_depth(t - center)) or, for a point cell, the compiled ``cond``.
     """
-    env = dict(env or {})
-    if isinstance(value, Fraction) or isinstance(value, int):
-        value = PadicElem.from_rational(ctx.p, ctx.d, Fraction(value))
-    center = PadicElem.from_rational(ctx.p, ctx.d, cell.center)
-    diff = value - center
+    return compiled(cell, ctx, _cell_test)(ctx.vf(value), env or {})
+
+
+def _cell_test(cell: VFCell, ctx: PContext):
+    """The closure (value, env) -> bool behind ``cell_contains``."""
+    center = ctx.vf(cell.center)
     if cell.kind == "point":
-        if not diff.is_zero():
+        cond = compile_formula(cell.cond, ctx)
+        return lambda value, env: (value - center).is_zero() and cond(env, None)
+    name, depth = cell.xi_name, cell.depth
+    for v in F.free_vars(cell.xi_phi):
+        if v.name == name and v.var_sort != F.RES(depth):
+            raise SortError(f"{name} is {v.var_sort} in the angular "
+                            f"condition, expected {F.RES(depth)}")
+    xi_phi = compile_formula(cell.xi_phi, ctx, {name: name})
+    z_name, z_cells = cell.z_name, cell.z_cells
+
+    def test(value, env):
+        diff = value - center
+        if diff.is_zero():
             return False
-        return eval_formula(cell.cond, env, ctx)
-    if diff.is_zero():
-        return False
-    z = diff.ord()
-    xi = diff.ac(cell.depth)
-    zenv = {n: env[n] for n in env if isinstance(env[n], int)}
-    zenv[cell.z_name] = z
-    if not any(c.contains(zenv) for c in cell.z_cells):
-        return False
-    env2 = dict(env)
-    env2[cell.xi_name] = xi
-    return eval_formula(cell.xi_phi, env2, ctx)
+        zenv = {n: v for n, v in env.items() if isinstance(v, int)}
+        zenv[z_name] = diff.ord()
+        if not any(c.contains(zenv) for c in z_cells):
+            return False
+        return xi_phi({**env, name: diff.ac_coeffs(depth)}, None)
+    return test
 
 
 # ---------------------------------------------------------------------------

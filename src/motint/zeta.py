@@ -122,6 +122,9 @@ class Poly:
         ``eval_residue`` on ``ctx.residue_ring(level)``.
         """
         order = self.variables() if order is None else order
+        missing = sorted(set(self.variables()) - set(order))
+        if missing:
+            raise MotintError(f"unbound variable {missing[0]}")
         sort = F.RES(level)
         total = None
         for c, mono in self.terms:
@@ -132,9 +135,8 @@ class Poly:
                 factors.insert(0, F.IntLit(c, sort))
             term = reduce(lambda a, b: F.BinOp("*", a, b), factors)
             total = term if total is None else F.BinOp("+", total, term)
-        value = res_term(F.IntLit(0, sort) if total is None else total,
-                         level, ctx, frozenset(order))
-        return lambda point: value(dict(zip(order, point)))
+        return res_term(F.IntLit(0, sort) if total is None else total,
+                        level, ctx, {name: i for i, name in enumerate(order)})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -153,52 +155,66 @@ class Poly:
         return " ".join([head] + parts[1:])
 
 
-def parse_poly(text: str) -> Poly:
+def parse_poly(text: str, cap: int | None = None) -> Poly:
     """Parse H as a valued-field term of the formula language: variables,
     integer and rational constants (``3``, ``3/4``), +, -, * and powers
     ``^`` or ``**`` with exponents >= 1.  ``pi``, ``ord``, ``ac_n`` and
     ``proj`` are terms but not polynomials, and raise ``ParseError``.
+    Expanding a product of an a-term and a b-term polynomial needs a * b
+    term products, checked against the cap before it is built; a
+    coefficient too long to print raises ``ParseError``.
 
     >>> str(parse_poly("(x + y)^2 - 3/2*x*y"))
     '1/2*x*y + x^2 + y^2'
     """
+    cap = enumeration_cap() if cap is None else cap
     try:
         term = F.parse_term(text, default_sort=F.VF)
     except SortError as exc:
         raise ParseError(f"H is not a valued-field term: {exc}") from None
-    return Poly.make(_term_pairs(term))
+    h = Poly.make(_term_pairs(term, cap))
+    try:
+        str(h)
+    except ValueError:                 # the interpreter's int-string limit
+        raise ParseError("H has a coefficient too long to print") from None
+    return h
 
 
-def _term_pairs(t: F.Term) -> tuple:
+def _term_pairs(t: F.Term, cap: int) -> tuple:
     """(coefficient, monomial) pairs that sum to t; products are merged."""
     if isinstance(t, F.Var):
         return ((1, ((t.name, 1),)),)
     if isinstance(t, (F.IntLit, F.RatLit)):
         return ((t.value, ()),)
     if isinstance(t, F.Neg):
-        return tuple((-c, m) for c, m in _term_pairs(t.arg))
+        return tuple((-c, m) for c, m in _term_pairs(t.arg, cap))
     if isinstance(t, F.Pow):
-        base = out = _term_pairs(t.base)
+        base = out = _term_pairs(t.base, cap)
         for bit in bin(t.exp)[3:]:         # square and multiply
-            out = _product(out, out)
+            out = _product(out, out, cap)
             if bit == "1":
-                out = _product(out, base)
+                out = _product(out, base, cap)
         return out
     if isinstance(t, F.BinOp):
-        a, b = _term_pairs(t.left), _term_pairs(t.right)
+        a, b = _term_pairs(t.left, cap), _term_pairs(t.right, cap)
         if t.op == "*":
-            return _product(a, b)
+            return _product(a, b, cap)
         return a + tuple((c if t.op == "+" else -c, m) for c, m in b)
     raise ParseError(f"{F.term_str(t)} is not a polynomial term")
 
 
-def _product(a: tuple, b: tuple) -> tuple:
+def _product(a: tuple, b: tuple, cap: int) -> tuple:
+    need = len(a) * len(b)
+    if need > cap:
+        raise CapExceeded(
+            f"expanding a product of {len(a)} and {len(b)} terms needs "
+            f"{need} term products, over the cap {cap}", needed=need, cap=cap)
     return Poly.make((ca * cb, ma + mb) for ca, ma in a
                      for cb, mb in b).terms
 
 
-def _as_poly(h) -> Poly:
-    return parse_poly(h) if isinstance(h, str) else h
+def _as_poly(h, cap: int | None = None) -> Poly:
+    return parse_poly(h, cap) if isinstance(h, str) else h
 
 
 # ---------------------------------------------------------------------------
@@ -716,10 +732,10 @@ def zprime_count(h, p: int, d: int, i_max: int, *, cap: int | None = None,
     coefficients), the counting methods count p^k * H, whose order is
     ord H + k, and report volumes and cap errors in H's own index.
     """
-    h = _as_poly(h)
+    cap = enumeration_cap() if cap is None else cap
+    h = _as_poly(h, cap)
     if i_max < 0:
         raise MotintError("i_max must be >= 0")
-    cap = enumeration_cap() if cap is None else cap
     ctx = PContext(p, d)
     q = p ** d
     if h.is_zero():
@@ -765,7 +781,7 @@ def verify_meuser(h, p: int, d: int, i_max: int, *, cap: int | None = None,
     can serve every degree); otherwise the monomial closed form is
     computed.  The report lists both values for each i.
     """
-    h = _as_poly(h)
+    h = _as_poly(h, cap)
     rs = zmot_monomial(h) if series is None else series
     ctx = PContext(p, d)
     motivic = rs.expand_counts(ctx, i_max)

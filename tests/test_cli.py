@@ -57,6 +57,25 @@ def test_parse_poly(capsys):
     assert report["monomial"] is True
 
 
+def test_parse_long_literals_exit_1(capsys):
+    # a literal past the interpreter's int-string limit, and a coefficient
+    # too long to print, are JSON parse errors rather than tracebacks
+    for flag, text in (("--formula", "x = " + "9" * 5000),
+                       ("--poly", "2^20000*x")):
+        status, out, _ = run(capsys, "parse", flag, text, "--json")
+        assert status == 1
+        assert json.loads(out)["error"]["code"] == "ParseError"
+
+
+def test_parse_poly_honours_cap(capsys):
+    status, out, _ = run(capsys, "parse", "--poly", "(x + y + z + w)^40",
+                         "--cap", "10000", "--json")
+    assert status == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "CapExceeded"
+    assert error["needed"] > error["cap"] == 10000
+
+
 def test_parse_needs_exactly_one_input(capsys):
     status, _, err = run(capsys, "parse", "--formula", "0 = 0",
                          "--poly", "x")

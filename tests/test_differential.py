@@ -20,6 +20,8 @@ from motint.padic import PadicElem, PContext, count_points, eval_formula
 from motint.vfint import cell_contains, decompose_fragment
 
 CONTEXTS = {(p, d): PContext(p, d) for p in (2, 3) for d in (1, 2)}
+# fragment cases also run over a field with a non-default defining polynomial
+OTHER_MODULUS = PContext(3, 2, (2, 2, 1))
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None,
                     suppress_health_check=[HealthCheck.too_slow,
@@ -176,10 +178,11 @@ def fragment_points(draw, p, d):
 
 @st.composite
 def fragment_cases(draw):
-    p, d = draw(st.sampled_from(sorted(CONTEXTS)))
+    ctx = draw(st.sampled_from([*CONTEXTS.values(), OTHER_MODULUS]))
     text = draw(fragment_conditions())
-    points = draw(st.lists(fragment_points(p, d), min_size=12, max_size=12))
-    return text, CONTEXTS[p, d], points
+    points = draw(st.lists(fragment_points(ctx.p, ctx.d),
+                           min_size=12, max_size=12))
+    return text, ctx, points
 
 
 def check_fragment(text, ctx, points):
@@ -210,3 +213,10 @@ def test_fragment_cells_match_evaluation(case):
 ])
 def test_fragment_regression_unreduced_residue_literal(text, p, points):
     check_fragment(text, CONTEXTS[p, 1], [(x,) for x in points])
+
+
+def test_fragment_regression_non_default_modulus():
+    # cell_contains built the centre over the default modulus, so every
+    # membership test over another defining polynomial mixed two fields
+    check_fragment("ord(t - 1) >= 1", OTHER_MODULUS,
+                   [(Fraction(4), 0), (Fraction(2), 0), (Fraction(1), 0)])

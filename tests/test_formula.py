@@ -98,6 +98,15 @@ def test_parse_errors():
             parse_formula(bad)
 
 
+def test_long_literals_are_parse_errors():
+    # longer than the interpreter's int-string limit (4,300 digits)
+    long = "9" * 5000
+    for bad in (f"x = {long}", f"x = 1/{long}", f"x^{long} = 0",
+                f"ord(t) = 0 mod {long}", f"ac_{long}(t) = 0"):
+        with pytest.raises(ParseError, match="too long"):
+            parse_formula(bad)
+
+
 def test_parenthesized_formula_vs_term():
     f = parse_formula("(ord(x) >= 0 && z = 1) || x = 0")
     assert isinstance(f, Or)

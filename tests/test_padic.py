@@ -80,11 +80,11 @@ def test_rational_ord_and_ac():
 
 
 def test_exact_elem_ord_ac():
-    x = PadicElem.from_rational(2, 1, Fraction(12))
+    x = PContext(2, 1).vf(Fraction(12))
     assert x.ord() == 2
     assert x.ac(1).coeffs == (1,)
     assert x.ac(2).coeffs == (3,)
-    zero = PadicElem.from_rational(2, 1, Fraction(0))
+    zero = PContext(2, 1).vf(Fraction(0))
     assert zero.ord() == inf
     assert zero.ac(2).is_zero()
 
@@ -146,14 +146,14 @@ def test_unary_minus_and_powers_in_formulas():
     # valued-field terms
     g = parse_formula("ord(-t) = 1 && ord(t^3) = 3 && ac_1(-t) = 2",
                       default_sort=VF)
-    exact = PadicElem.from_rational(3, 1, Fraction(3))
+    exact = ctx3.vf(Fraction(3))
     assert eval_formula(g, {"t": exact}, ctx3)
-    assert not eval_formula(g, {"t": PadicElem.from_rational(3, 1, Fraction(-3))}, ctx3)
+    assert not eval_formula(g, {"t": ctx3.vf(Fraction(-3))}, ctx3)
     h = parse_formula("ord(-t) = 0 && ord(t^2) = 0", default_sort=VF)
-    assert eval_formula(h, {"t": PadicElem.from_rational(3, 1, Fraction(1))}, ctx3)
+    assert eval_formula(h, {"t": ctx3.vf(Fraction(1))}, ctx3)
     # value-group negation
     k = parse_formula("ord(t) = -n", defaults={"t": VF, "n": VG})
-    assert eval_formula(k, {"t": PadicElem.from_rational(3, 1, Fraction(1, 9)), "n": 2}, ctx3)
+    assert eval_formula(k, {"t": ctx3.vf(Fraction(1, 9)), "n": 2}, ctx3)
 
 
 def test_count_projection():
@@ -277,7 +277,7 @@ def test_infinite_order_arithmetic_is_an_error(text):
     # at t = 0 the order is +inf: negating it, subtracting it or scaling it
     # by k <= 0 has no value, and each is the same typed error
     f = parse_formula(text, defaults={"t": VF})
-    zero = PadicElem.from_rational(3, 1, Fraction(0))
+    zero = PContext(3, 1).vf(Fraction(0))
     with pytest.raises(MotintError, match="infinite order"):
         eval_formula(f, {"t": zero}, PContext(3, 1))
 
@@ -285,9 +285,9 @@ def test_infinite_order_arithmetic_is_an_error(text):
 def test_infinite_order_absorbs_sums_and_positive_multiples():
     f = parse_formula("2*ord(t) + 1 >= 7 && ord(t) - 3 >= 0", defaults={"t": VF})
     ctx = PContext(3, 1)
-    assert eval_formula(f, {"t": PadicElem.from_rational(3, 1, Fraction(0))}, ctx)
-    assert not eval_formula(f, {"t": PadicElem.from_rational(3, 1, Fraction(9))}, ctx)
-    assert eval_formula(f, {"t": PadicElem.from_rational(3, 1, Fraction(27))}, ctx)
+    assert eval_formula(f, {"t": ctx.vf(Fraction(0))}, ctx)
+    assert not eval_formula(f, {"t": ctx.vf(Fraction(9))}, ctx)
+    assert eval_formula(f, {"t": ctx.vf(Fraction(27))}, ctx)
 
 
 def test_exact_elem_integer_representation():

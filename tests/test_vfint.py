@@ -10,10 +10,10 @@ from motint import ring_a as R
 from motint.cells import AffineForm, universe
 from motint.cplus import MotFun, is_equal, normal_form, specialize
 from motint.errors import (FrameMismatch, NotCellPresented, NotIntegrable,
-                           OutsideFragment, ZeroDerivative)
-from motint.padic import PadicElem, PContext, eval_formula
+                           OutsideFragment, SortError, ZeroDerivative)
+from motint.padic import PadicElem, PContext, compiled, eval_formula
 from motint.presburger import PFun, PTerm
-from motint.vfint import (cell_contains, change_of_variables_1d,
+from motint.vfint import (VFCell, cell_contains, change_of_variables_1d,
                           decompose_fragment, integrate_cell_family,
                           integrate_iterated)
 
@@ -143,6 +143,41 @@ def test_decomposer_soundness_quadratic_extension():
             inside = eval_formula(cond, {"t": t}, ctx)
             holders = sum(cell_contains(c, t, ctx) for c in dec.cells)
             assert holders == (1 if inside else 0), text
+
+
+def test_cell_test_is_transparent():
+    # the test of each cell is built once per (cell, context) and kept in
+    # the compiled store: answers are the same cold, warm and after the
+    # store is emptied, point cells and parameters included
+    ctx = PContext(3, 2)
+    cond = vf("ac_1(t - 1) = 2 || ord(t) >= n", n=F.VG)
+    dec = decompose_fragment(cond, "t", ctx, base_vg=("n",))
+    assert {c.kind for c in dec.cells} == {"ball", "point"}
+    pts = [ctx.vf(c) for c in (0, 1, 4, Fraction(1, 3), 10)]
+    pts += random_points(random.Random(5), ctx, 30)
+    envs = [{"n": n} for n in (-1, 0, 2)]
+
+    def answers():
+        return [[cell_contains(c, t, ctx, env) for c in dec.cells]
+                for t in pts for env in envs]
+
+    compiled.cache_clear()
+    cold = answers()
+    warm = answers()
+    compiled.cache_clear()
+    assert cold == warm == answers()
+    inside = [eval_formula(cond, {"t": t, **env}, ctx)
+              for t in pts for env in envs]
+    assert [sum(row) for row in cold] == [int(x) for x in inside]
+
+
+def test_cell_test_checks_the_angular_sort():
+    # xi is res(2) in the angular condition of a depth-1 cell
+    cell = VFCell("t", "ball", Fraction(0), 1, "xi",
+                  F.parse_formula("xi = 1", {"xi": F.RES(2)}), "z",
+                  (universe(("z",)),))
+    with pytest.raises(SortError):
+        cell_contains(cell, Fraction(1), Q2)
 
 
 def test_outside_fragment_rejections():

@@ -1,5 +1,6 @@
 """Zeta series: closed forms, counting, interpolation."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,17 @@ def test_parse_errors():
                 "ac_1(x) + ord(y)", "in*x", "x/2"):
         with pytest.raises(ParseError):
             parse_poly(bad)
+
+
+def test_power_expansion_checked_against_cap():
+    # each product of an a-term and a b-term polynomial is checked against
+    # the cap before it is built, so a short H cannot run for minutes
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        parse_poly("(x + y + z + w)^40", cap=10_000)
+    assert time.perf_counter() - start < 1
+    assert info.value.needed > info.value.cap == 10_000
+    assert len(parse_poly("(x + y + z + w)^4", cap=10_000).terms) == 35
 
 
 def test_parse_term_grammar():
