@@ -3,15 +3,16 @@
 One binary with subcommands wiring the parsers, the summation and
 integration engines, the counting oracle, and the interpolation check.
 
-Configuration values may be preloaded from a ``key = value`` file passed
-as ``--config``; explicit flags win over the file.  The enumeration cap
-falls back to the MOTINT_CAP environment variable when neither a flag
-nor a config entry sets it.  Reports are deterministic for a given
-configuration, and JSON output is key-sorted.
+Every option has one channel, the flag on the subcommand that reads it:
+each subcommand declares ``--json`` and those of the shared flags
+(``--p --d --level --imax --cap --q --method``) that it reads, and any
+other flag is a usage error.  Reports are deterministic for given flags,
+and JSON output is key-sorted.
 
 Exit status: 0 on success (including a verification that matched
 everywhere), 2 when a verification ran to completion and found a
-mismatch, 1 on any error (bad usage, bad input, resource caps).
+mismatch, 1 on any error (bad usage, bad input, resource caps); with
+``--json`` every error, usage errors included, is a JSON error object.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as F
@@ -33,100 +33,6 @@ from .presburger import PFun, sum_fibers
 from .vfint import integrate_iterated
 from .zeta import (parse_poly, scalar_of, verify_meuser, zmot_monomial,
                    zprime_count)
-
-CONFIG_KEYS = ("p", "d", "level", "imax", "cap", "q", "method", "json")
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated numeric/run options shared by the subcommands."""
-
-    command: str
-    json_out: bool
-    p: int | None = None
-    d: int | None = None
-    level: int | None = None
-    i_max: int | None = None
-    cap: int | None = None
-    q: int | None = None
-    method: str = "auto"
-
-    def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ParseError(f"p must be prime, got {self.p}")
-        if self.d is not None and self.d < 1:
-            raise ParseError(f"d must be >= 1, got {self.d}")
-        if self.level is not None and self.level < 1:
-            raise ParseError(f"level must be >= 1, got {self.level}")
-        if self.i_max is not None and self.i_max < 0:
-            raise ParseError(f"imax must be >= 0, got {self.i_max}")
-        if self.cap is not None and self.cap < 1:
-            raise ParseError(f"cap must be >= 1, got {self.cap}")
-        if self.q is not None and self.q < 2:
-            raise ParseError(f"q must be >= 2, got {self.q}")
-        if self.method not in ("auto", "shells", "cylinder", "enumerate"):
-            raise ParseError(f"unknown counting method {self.method!r}")
-
-
-def _load_config(path: str) -> dict:
-    """Read a key = value file; '#' starts a comment, blank lines ignored."""
-    out = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected key = value, got {line!r}")
-                key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ParseError(f"cannot read config file {path}: {exc}") from None
-    return out
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill flag values that were not given from the config file."""
-    if not getattr(args, "config", None):
-        return
-    file_values = _load_config(args.config)
-    unknown = set(file_values) - set(CONFIG_KEYS)
-    if unknown:
-        raise ParseError(
-            f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, text in file_values.items():
-        if getattr(args, key, None) is not None:
-            continue                      # explicit flag wins
-        if key == "method":
-            setattr(args, key, text)
-        elif key == "json":
-            if text not in ("true", "false"):
-                raise ParseError(f"config json must be true or false, got {text!r}")
-            args.json = text == "true"
-        else:
-            try:
-                setattr(args, key, int(text))
-            except ValueError:
-                raise ParseError(
-                    f"config {key} must be an integer, got {text!r}") from None
-
-
-def _runconfig(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(command=args.command,
-                     json_out=bool(getattr(args, "json", None)),
-                     p=getattr(args, "p", None),
-                     d=getattr(args, "d", None),
-                     level=getattr(args, "level", None),
-                     i_max=getattr(args, "imax", None),
-                     cap=getattr(args, "cap", None),
-                     q=getattr(args, "q", None),
-                     method=getattr(args, "method", None) or "auto")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +135,7 @@ def _fun_str(fun) -> str:
 # subcommands: each returns (exit_status, report_dict, text_lines)
 
 
-def _cmd_parse(cfg: RunConfig, args) -> tuple:
+def _cmd_parse(args) -> tuple:
     given = [opt for opt in ("formula", "ratfunc", "poly")
              if getattr(args, opt) is not None]
     if len(given) != 1:
@@ -253,7 +159,7 @@ def _cmd_parse(cfg: RunConfig, args) -> tuple:
                   "is_nonneg": R.is_nonneg(a)}
         lines = [report["canonical"]]
     else:
-        h = parse_poly(text, cfg.cap)
+        h = parse_poly(text, args.cap)
         mono = h.as_monomial()
         report = {"kind": "poly", "input": text, "canonical": str(h),
                   "variables": list(h.variables()),
@@ -268,12 +174,12 @@ def _load_pfun(path: str) -> PFun:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:         # bad JSON, or an int past the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     return PFun.from_json(data)
 
 
-def _cmd_sum(cfg: RunConfig, args) -> tuple:
+def _cmd_sum(args) -> tuple:
     pf = _load_pfun(args.file)
     if args.var is not None:
         if args.var not in pf.vars:
@@ -290,22 +196,19 @@ def _cmd_sum(cfg: RunConfig, args) -> tuple:
         value = out.eval_arat({})
         report["value"] = str(value)
         lines.append(str(value))
-        if cfg.q is not None:
-            report["theta"] = {str(cfg.q): str(R.theta(value, cfg.q))}
-            lines.append(f"theta_{cfg.q} = {R.theta(value, cfg.q)}")
+        if args.q is not None:
+            report["theta"] = {str(args.q): str(R.theta(value, args.q))}
+            lines.append(f"theta_{args.q} = {R.theta(value, args.q)}")
     else:
         lines.append(f"summed to a function of {', '.join(out.vars)} "
                      f"({len(out.pieces)} pieces)")
     return 0, report, lines
 
 
-def _cmd_count(cfg: RunConfig, args) -> tuple:
-    p = cfg.p if cfg.p is not None else 2
-    d = cfg.d if cfg.d is not None else 1
-    level = cfg.level if cfg.level is not None else 1
-    ctx = PContext(p, d)
+def _cmd_count(args) -> tuple:
+    ctx = PContext(args.p, args.d)
     f = F.parse_formula(args.formula, _parse_sorts(args.sorts),
-                        F.RES(level))
+                        F.RES(args.level))
     free = F.free_vars(f)
     bad = [v.name for v in free if v.var_sort.kind != "res"]
     if bad:
@@ -313,26 +216,25 @@ def _cmd_count(cfg: RunConfig, args) -> tuple:
             f"count needs residue-sorted free variables; {', '.join(bad)} "
             f"are not (quantify value-group variables with bounded "
             f"quantifiers)")
-    count = count_points(f, ctx, cap=cfg.cap)
-    report = {"formula": F.formula_str(f), "p": p, "d": d, "level": level,
+    count = count_points(f, ctx, cap=args.cap)
+    report = {"formula": F.formula_str(f), "p": args.p, "d": args.d,
+              "level": args.level,
               "free_vars": [v.name for v in free],
               "assignments": ctx.q ** sum(v.var_sort.depth for v in free),
               "count": count}
     return 0, report, [str(count)]
 
 
-def _integrate_common(cfg: RunConfig, args, weight) -> tuple:
-    p = cfg.p if cfg.p is not None else 2
-    d = cfg.d if cfg.d is not None else 1
-    ctx = PContext(p, d)
+def _integrate_common(args, weight) -> tuple:
+    ctx = PContext(args.p, args.d)
     order = tuple(v.strip() for v in args.order.split(",") if v.strip())
     if not order:
         raise ParseError("empty --order")
     cond = F.parse_formula(args.cond, _parse_sorts(args.sorts), F.VF)
-    strict = not getattr(args, "lenient", False)
+    strict = not args.lenient
     out = integrate_iterated(cond, order, ctx, weight=weight, strict=strict)
     report = {"condition": F.formula_str(cond), "order": list(order),
-              "p": p, "d": d,
+              "p": args.p, "d": args.d,
               "weight": [[m, v, str(c)] for m, v, c in weight],
               "result": out.to_json(),
               "value": _fun_str(out.value) if out.integrable else None}
@@ -340,25 +242,25 @@ def _integrate_common(cfg: RunConfig, args, weight) -> tuple:
              else "not integrable in some direction"]
     if out.discarded:
         lines.append(f"discarded {len(out.discarded)} measure-zero loci")
-    if getattr(args, "count", False):
+    if args.count:
         if not out.integrable:
             raise NotIntegrable("cannot count a value that is not "
                                 "integrable in some direction")
-        spec = specialize(out.value, ctx, cap=cfg.cap)
+        spec = specialize(out.value, ctx, cap=args.cap)
         report["counted"] = {"q": ctx.q, "value": str(spec)}
         lines.append(f"N at q={ctx.q}: {spec}")
     return 0, report, lines
 
 
-def _cmd_vol(cfg: RunConfig, args) -> tuple:
-    return _integrate_common(cfg, args, ())
+def _cmd_vol(args) -> tuple:
+    return _integrate_common(args, ())
 
 
-def _cmd_integrate(cfg: RunConfig, args) -> tuple:
-    return _integrate_common(cfg, args, _parse_weight(args.weight))
+def _cmd_integrate(args) -> tuple:
+    return _integrate_common(args, _parse_weight(args.weight))
 
 
-def _cmd_eval(cfg: RunConfig, args) -> tuple:
+def _cmd_eval(args) -> tuple:
     pf = _load_pfun(args.file)
     env = _parse_point(args.point)
     missing = [v for v in pf.vars if v not in env]
@@ -368,44 +270,43 @@ def _cmd_eval(cfg: RunConfig, args) -> tuple:
     report = {"point": {k: env[k] for k in sorted(env)},
               "value": str(value)}
     lines = [str(value)]
-    if cfg.q is not None:
-        report["theta"] = {str(cfg.q): str(R.theta(value, cfg.q))}
-        lines.append(f"theta_{cfg.q} = {R.theta(value, cfg.q)}")
+    if args.q is not None:
+        report["theta"] = {str(args.q): str(R.theta(value, args.q))}
+        lines.append(f"theta_{args.q} = {R.theta(value, args.q)}")
     return 0, report, lines
 
 
-def _cmd_theta(cfg: RunConfig, args) -> tuple:
-    if cfg.q is None:
+def _cmd_theta(args) -> tuple:
+    if args.q is None:
         raise ParseError("theta needs --q")
     a = R.parse_ratfunc(args.expr)
-    value = R.theta(a, cfg.q)
-    report = {"expr": str(a), "q": cfg.q, "value": str(value)}
+    value = R.theta(a, args.q)
+    report = {"expr": str(a), "q": args.q, "value": str(value)}
     return 0, report, [str(value)]
 
 
-def _cmd_zeta_motivic(cfg: RunConfig, args) -> tuple:
-    rs = zmot_monomial(parse_poly(args.H, cfg.cap), p=cfg.p)
+def _cmd_zeta_motivic(args) -> tuple:
+    rs = zmot_monomial(parse_poly(args.H, args.cap), p=args.p)
     report = {"h": args.H, "series": rs.to_json(), "display": str(rs)}
     return 0, report, [str(rs)]
 
 
-def _cmd_zeta_count(cfg: RunConfig, args) -> tuple:
-    if cfg.p is None or cfg.i_max is None:
+def _cmd_zeta_count(args) -> tuple:
+    if args.p is None or args.imax is None:
         raise ParseError("zeta-count needs --p and --imax")
-    d = cfg.d if cfg.d is not None else 1
-    cl = zprime_count(args.H, cfg.p, d, cfg.i_max, cap=cfg.cap,
-                      method=cfg.method)
-    report = {"h": args.H, "p": cfg.p, "d": d, "method": cfg.method,
+    cl = zprime_count(args.H, args.p, args.d, args.imax, cap=args.cap,
+                      method=args.method)
+    report = {"h": args.H, "p": args.p, "d": args.d, "method": args.method,
               "coefficients": cl.to_json()}
     lines = [f"{i}\t{v}" for i, v in enumerate(cl.values)]
     return 0, report, lines
 
 
-def _cmd_verify_meuser(cfg: RunConfig, args) -> tuple:
-    if cfg.i_max is None:
+def _cmd_verify_meuser(args) -> tuple:
+    if args.imax is None:
         raise ParseError("verify-meuser needs --imax")
-    h = parse_poly(args.H, cfg.cap)
-    grid = _parse_grid(args.grid, cfg.p, cfg.d)
+    h = parse_poly(args.H, args.cap)
+    grid = _parse_grid(args.grid, args.p, args.d)
     try:
         series = zmot_monomial(h)      # one closed form for the whole grid
     except UnsupportedH:
@@ -414,12 +315,12 @@ def _cmd_verify_meuser(cfg: RunConfig, args) -> tuple:
     entries = []
     for p, d in grid:
         rs = series if series is not None else zmot_monomial(h, p=p)
-        entries.append(verify_meuser(h, p, d, cfg.i_max, cap=cfg.cap,
-                                     series=rs, method=cfg.method))
+        entries.append(verify_meuser(h, p, d, args.imax, cap=args.cap,
+                                     series=rs, method=args.method))
     all_match = all(e["all_match"] for e in entries)
-    report = {"h": str(h), "i_max": cfg.i_max, "entries": entries,
+    report = {"h": str(h), "i_max": args.imax, "entries": entries,
               "all_match": all_match}
-    lines = [f"H = {h}   i_max = {cfg.i_max}"]
+    lines = [f"H = {h}   i_max = {args.imax}"]
     for e in entries:
         if e["all_match"]:
             lines.append(f"p={e['p']} d={e['d']} q={e['q']}: "
@@ -437,51 +338,70 @@ def _cmd_verify_meuser(cfg: RunConfig, args) -> tuple:
 # parser
 
 
+# The shared flags, each declared only on the subcommands that read it:
+# argparse keywords, then the check a given value must pass and the message
+# when it fails.
+_SHARED = {
+    "p": (dict(type=int, help="residue characteristic"),
+          is_prime, "p must be prime, got {}"),
+    "d": (dict(type=int, help="unramified extension degree"),
+          lambda v: v >= 1, "d must be >= 1, got {}"),
+    "level": (dict(type=int, help="residue-ring level"),
+              lambda v: v >= 1, "level must be >= 1, got {}"),
+    "imax": (dict(type=int, help="largest series index"),
+             lambda v: v >= 0, "imax must be >= 0, got {}"),
+    "cap": (dict(type=int, help="enumeration cap (default 10^8)"),
+            lambda v: v >= 1, "cap must be >= 1, got {}"),
+    "q": (dict(type=int, help="residue-field size for theta"),
+          lambda v: v >= 2, "q must be >= 2, got {}"),
+    "method": (dict(choices=("auto", "shells", "cylinder", "enumerate"),
+                    help="counting method: cylinder refines residue "
+                    "classes a + p^l O^n level by level and credits a "
+                    "class on which H vanishes mod p^l in one Hensel "
+                    "step when the gradient of H at a is nonzero mod "
+                    "p^l; enumerate walks every residue tuple; shells "
+                    "takes monomials only; auto picks shells for "
+                    "monomials, else cylinder"),
+               None, None),
+}
+
+
+def _check_shared(args: argparse.Namespace) -> None:
+    for name, (_, ok, message) in _SHARED.items():
+        value = getattr(args, name, None)
+        if ok is not None and value is not None and not ok(value):
+            raise ParseError(message.format(value))
+
+
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit 1, not 2."""
+    """Argument parser whose usage failures are ParseErrors, so that they
+    exit 1 and follow --json like every other error."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value file with defaults "
-                        "for the shared numeric flags")
-    common.add_argument("--json", action="store_const", const=True,
-                        default=None, help="emit a key-sorted JSON report")
-    common.add_argument("--p", type=int, help="residue characteristic")
-    common.add_argument("--d", type=int, help="unramified extension degree")
-    common.add_argument("--level", type=int, help="residue-ring level")
-    common.add_argument("--imax", type=int, help="largest series index")
-    common.add_argument("--cap", type=int,
-                        help="enumeration cap (default MOTINT_CAP or 10^8)")
-    common.add_argument("--q", type=int, help="residue-field size for theta")
-    common.add_argument("--method",
-                        choices=("auto", "shells", "cylinder", "enumerate"),
-                        help="counting method: cylinder refines residue "
-                        "classes a + p^l O^n level by level and credits a "
-                        "class on which H vanishes mod p^l in one Hensel "
-                        "step when the gradient of H at a is nonzero mod "
-                        "p^l; enumerate walks every residue tuple; shells "
-                        "takes monomials only; auto picks shells for "
-                        "monomials, else cylinder")
-
     top = _Parser(prog="motint",
                   description="exact motivic integration calculus with a "
                               "p-adic counting oracle")
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, fn, help_text):
-        sp = sub.add_parser(name, parents=[common], help=help_text,
-                            description=help_text)
+    def add(name, fn, help_text, shared="", **defaults):
+        # no abbreviations: "--p" must not stand for "--poly" or "--point"
+        sp = sub.add_parser(name, help=help_text, description=help_text,
+                            allow_abbrev=False)
+        sp.add_argument("--json", action="store_true",
+                        help="emit a key-sorted JSON report")
+        for flag in shared.split():
+            sp.add_argument("--" + flag, default=defaults.get(flag),
+                            **_SHARED[flag][0])
         sp.set_defaults(fn=fn)
         return sp
 
     sp = add("parse", _cmd_parse, "parse and echo the canonical form of a "
-             "formula, a coefficient-ring expression, or a polynomial")
+             "formula, a coefficient-ring expression, or a polynomial",
+             "cap")
     sp.add_argument("--formula", help="three-sorted formula text")
     sp.add_argument("--ratfunc", help="coefficient-ring expression in L")
     sp.add_argument("--poly", help="polynomial valued-field term")
@@ -490,16 +410,18 @@ def _build_parser() -> _Parser:
                     "(vf, vg, or res:N)")
 
     sp = add("sum", _cmd_sum, "sum a constructible function over its "
-             "integer variables")
+             "integer variables", "q")
     sp.add_argument("--file", required=True,
                     help="JSON file holding a motint.pfun/1 object")
     sp.add_argument("--var", help="sum over this variable only")
 
-    sp = add("count", _cmd_count, "count residue-ring solutions of a formula")
+    sp = add("count", _cmd_count, "count residue-ring solutions of a formula",
+             "p d level cap", p=2, d=1, level=1)
     sp.add_argument("--formula", required=True)
     sp.add_argument("--sorts", help="variable sorts, e.g. 'x=res:2'")
 
-    sp = add("vol", _cmd_vol, "motivic volume of a valued-field condition")
+    sp = add("vol", _cmd_vol, "motivic volume of a valued-field condition",
+             "p d cap", p=2, d=1)
     sp.add_argument("--cond", required=True, help="condition on VF variables")
     sp.add_argument("--order", required=True,
                     help="integration order, outermost first, e.g. 't,x'")
@@ -510,14 +432,14 @@ def _build_parser() -> _Parser:
                     help="also apply the counting morphism at (p, d)")
 
     sp = add("eval", _cmd_eval, "evaluate a constructible function at an "
-             "integer point")
+             "integer point", "q")
     sp.add_argument("--file", required=True,
                     help="JSON file holding a motint.pfun/1 object")
     sp.add_argument("--point", required=True,
                     help="comma list name=integer")
 
     sp = add("integrate", _cmd_integrate, "integrate a weighted condition "
-             "over valued-field variables")
+             "over valued-field variables", "p d cap", p=2, d=1)
     sp.add_argument("--cond", required=True)
     sp.add_argument("--order", required=True,
                     help="integration order, outermost first")
@@ -531,22 +453,24 @@ def _build_parser() -> _Parser:
                     help="also apply the counting morphism at (p, d)")
 
     sp = add("theta", _cmd_theta, "evaluate a coefficient-ring expression "
-             "at L = q")
+             "at L = q", "q")
     sp.add_argument("--expr", required=True)
 
     sp = add("zeta-motivic", _cmd_zeta_motivic, "closed-form rational series "
-             "of the valuation-level family of a monomial")
+             "of the valuation-level family of a monomial", "p cap")
     sp.add_argument("--H", required=True, help="monomial valued-field term, "
                     "e.g. 'x^2*y^3'; a coefficient that is not a unit "
                     "needs --p")
 
     sp = add("zeta-count", _cmd_zeta_count, "exact level-volume coefficients "
-             "of the counting series")
+             "of the counting series", "p d imax cap method", d=1,
+             method="auto")
     sp.add_argument("--H", required=True, help="polynomial valued-field term "
                     "in +, -, * and ^, e.g. '(x + y)^2 - 3/2*z'")
 
     sp = add("verify-meuser", _cmd_verify_meuser, "check the counting series "
-             "against the specialized closed form on a (p, d) grid")
+             "against the specialized closed form on a (p, d) grid",
+             "p d imax cap method", method="auto")
     sp.add_argument("--H", required=True, help="monomial valued-field term, "
                     "e.g. 'x*y' or '4*x^2'")
     sp.add_argument("--grid", help="grid spec like 'p=2,3;d=1,2' "
@@ -581,13 +505,13 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    args = _build_parser().parse_args(argv)
-    json_out = False
+    argv = sys.argv[1:] if argv is None else argv
+    json_out = "--json" in argv      # read before parsing: usage errors too
     try:
-        _merge_config(args)
-        cfg = _runconfig(args)
-        json_out = cfg.json_out
-        status, report, lines = args.fn(cfg, args)
+        args = _build_parser().parse_args(argv)
+        json_out = args.json
+        _check_shared(args)
+        status, report, lines = args.fn(args)
         _emit(report, lines, json_out)
         return status
     except MotintError as exc:

@@ -203,49 +203,40 @@ def _map_pfun_var(pf: PFun, name: str, sign: int, delta: int) -> PFun:
 # ---------------------------------------------------------------------------
 # normal form
 
-def _torus_factor(conjunct: F.Formula, name: str, depth: int) -> bool:
-    """Does the conjunct say exactly 'the variable is a unit'?"""
+def _torus_factor(conjunct: F.Formula, name: str) -> bool:
+    """Does the conjunct say exactly 'the depth-1 variable is a unit'?"""
     if not isinstance(conjunct, F.Not) or not isinstance(conjunct.body, F.Eq):
         return False
     eq = conjunct.body
-    for v_side, z_side in ((eq.left, eq.right), (eq.right, eq.left)):
-        if not (isinstance(z_side, F.IntLit) and z_side.value == 0):
-            continue
-        if depth == 1 and isinstance(v_side, F.Var) and v_side.name == name:
-            return True
-        if (depth > 1 and isinstance(v_side, F.Proj) and v_side.dst == 1
-                and isinstance(v_side.arg, F.Var)
-                and v_side.arg.name == name):
-            return True
-    return False
+    return any(isinstance(z_side, F.IntLit) and z_side.value == 0
+               and isinstance(v_side, F.Var) and v_side.name == name
+               for v_side, z_side in ((eq.left, eq.right),
+                                      (eq.right, eq.left)))
 
 
 def _extract_gen(gen: ResGen):
     """Move scalar content of one generator into a coefficient: its L-power,
     ground conjuncts, and full torus factors.  Returns (coef, ground parts,
-    reduced generator or None)."""
+    reduced generator or None).
+
+    The generator is in qplus normal form, so every variable is mentioned
+    and a variable read only through proj_{d,1} has depth 1 already; a
+    torus conjunct mentions only its own variable, so removing it leaves
+    the other variables' conjuncts alone and one pass suffices."""
     coef = R.L_pow(gen.lpow)
     parts = list(F.conjuncts(gen.phi))
     ground = [p for p in parts if not F.free_vars(p)]
     parts = [p for p in parts if F.free_vars(p)]
-    vars_ = list(gen.vars)
-    changed = True
-    while changed:
-        changed = False
-        for name, depth in vars_:
-            touching = [p for p in parts
-                        if name in {v.name for v in F.free_vars(p)}]
-            if len(touching) == 1 and _torus_factor(touching[0], name, depth):
-                coef = coef * R.L_pow(depth - 1) * (R.L - R.ONE)
-                parts.remove(touching[0])
-                vars_.remove((name, depth))
-                changed = True
-                break
-            if not touching:
-                coef = coef * R.L_pow(depth)
-                vars_.remove((name, depth))
-                changed = True
-                break
+    vars_ = []
+    for name, depth in gen.vars:
+        touching = [p for p in parts
+                    if name in {v.name for v in F.free_vars(p)}]
+        if (depth == 1 and len(touching) == 1
+                and _torus_factor(touching[0], name)):
+            coef = coef * (R.L - R.ONE)
+            parts.remove(touching[0])
+        else:
+            vars_.append((name, depth))
     if not vars_ and not parts:
         return coef, ground, None
     return coef, ground, ResGen(tuple(vars_), F.land(*parts) if parts

@@ -25,7 +25,6 @@ cell.  ``count_points`` compiles once and runs the closure over its box.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -36,16 +35,6 @@ from .errors import CapExceeded, MotintError, SortError
 from . import formula as F
 
 DEFAULT_CAP = 10 ** 8
-
-
-def enumeration_cap() -> int:
-    raw = os.environ.get("MOTINT_CAP", "")
-    if raw.strip():
-        try:
-            return int(raw)
-        except ValueError:
-            raise MotintError(f"MOTINT_CAP must be an integer, got {raw!r}")
-    return DEFAULT_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +247,7 @@ class GaloisRing:
     def tuples(self, cap: int | None = None):
         """The coefficient tuples of all elements, in lexicographic order;
         the ring size is checked against the cap at the call."""
-        cap = enumeration_cap() if cap is None else cap
+        cap = DEFAULT_CAP if cap is None else cap
         if self.size > cap:
             raise CapExceeded(
                 f"enumerating {self.size} elements exceeds the cap {cap}",
@@ -460,11 +449,6 @@ class PadicElem:
             unit //= self.p
         inv = pow(unit, -1, m)
         return tuple(c // shift * inv % m for c in self.nums)
-
-    def ac(self, n: int) -> GRElem:
-        """Angular component of depth n, an element of GR(p^n, degree)."""
-        ring = GaloisRing(self.p, n, self.degree, self.modulus)
-        return GRElem(ring, self.ac_coeffs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +718,7 @@ def _quant(f: F.Quant, ctx: PContext, local: dict):
             a, b = lo(env), hi(env)
             if a == inf or b == inf:
                 raise MotintError("quantifier bounds must be finite")
-            cap = enumeration_cap() if cap is None else cap
+            cap = DEFAULT_CAP if cap is None else cap
             if b - a + 1 > cap:
                 raise CapExceeded(
                     f"enumerating {b - a + 1} values of {name} exceeds the cap {cap}",
@@ -806,7 +790,7 @@ def count_points(f: F.Formula, ctx: PContext,
     contain vf variables.  The size of the whole box is checked against
     the cap before any point is evaluated.
     """
-    cap = enumeration_cap() if cap is None else cap
+    cap = DEFAULT_CAP if cap is None else cap
     boxes = boxes or {}
     frame = F.frame_of(f)
     if frame.vf:

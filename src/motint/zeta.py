@@ -36,7 +36,7 @@ from .cells import AffineForm, universe
 from .cplus import CTerm, MotFun, normal_form, specialize, unit_class
 from .errors import (CapExceeded, FrameMismatch, MotintError,
                      NonGeometricFamily, ParseError, SortError, UnsupportedH)
-from .padic import (PContext, enumeration_cap, rational_mod, rational_ord,
+from .padic import (DEFAULT_CAP, PContext, rational_mod, rational_ord,
                     res_term, vp_int)
 from .presburger import PFun, PTerm, eulerian, progression
 from .vfint import integrate_cell_family, integrate_iterated
@@ -167,7 +167,7 @@ def parse_poly(text: str, cap: int | None = None) -> Poly:
     >>> str(parse_poly("(x + y)^2 - 3/2*x*y"))
     '1/2*x*y + x^2 + y^2'
     """
-    cap = enumeration_cap() if cap is None else cap
+    cap = DEFAULT_CAP if cap is None else cap
     try:
         term = F.parse_term(text, default_sort=F.VF)
     except SortError as exc:
@@ -732,7 +732,7 @@ def zprime_count(h, p: int, d: int, i_max: int, *, cap: int | None = None,
     coefficients), the counting methods count p^k * H, whose order is
     ord H + k, and report volumes and cap errors in H's own index.
     """
-    cap = enumeration_cap() if cap is None else cap
+    cap = DEFAULT_CAP if cap is None else cap
     h = _as_poly(h, cap)
     if i_max < 0:
         raise MotintError("i_max must be >= 0")

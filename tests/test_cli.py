@@ -1,4 +1,4 @@
-"""Command-line interface: dispatch, config, exit codes, determinism."""
+"""Command-line interface: dispatch, flags, exit codes, determinism."""
 
 import json
 
@@ -230,6 +230,20 @@ def test_sum_non_integer_coefficient(capsys, tmp_path, coef):
     assert error["code"] == "ParseError"
 
 
+@pytest.mark.parametrize("command", [["sum"], ["eval", "--point", "n=1"]])
+def test_long_integer_in_file_is_a_parse_error(capsys, tmp_path, command):
+    # json.load refuses an int of more than 4,300 digits with ValueError
+    path = _box_file(tmp_path, {"numer": [1], "denom": [1]})
+    with open(path) as fh:
+        text = fh.read().replace('"numer": [1]',
+                                 '"numer": [' + "9" * 5000 + "]")
+    with open(path, "w") as fh:
+        fh.write(text)
+    error = error_of(capsys, command[0], "--file", path, *command[1:])
+    assert error["code"] == "ParseError"
+    assert "is not valid JSON" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -239,20 +253,6 @@ def test_count_example(capsys):
                          "--p", "2", "--d", "1", "--level", "2")
     assert status == 0
     assert out.strip() == "2"
-
-
-def test_count_config_file(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 3\nd = 1\nlevel = 1   # comment\n")
-    status, out, _ = run(capsys, "count", "--formula", "x^2 = 1",
-                         "--config", str(cfg))
-    assert status == 0
-    assert out.strip() == "2"          # x = 1, 2 mod 3
-    # a flag overrides the file
-    status, out, _ = run(capsys, "count", "--formula", "x^2 = 1",
-                         "--config", str(cfg), "--p", "5")
-    assert status == 0
-    assert out.strip() == "2"          # x = 1, 4 mod 5
 
 
 def test_count_rejects_vg_free_vars(capsys):
@@ -302,26 +302,11 @@ def test_nonprime_p_rejected(capsys):
     assert "must be prime" in err
 
 
-def test_bad_config_key(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("prime = 2\n")
+def test_threads_option_rejected(capsys):
     status, _, err = run(capsys, "count", "--formula", "x = 0",
-                         "--config", str(cfg))
+                         "--threads", "2")
     assert status == 1
-    assert "unknown config keys: prime" in err
-
-
-def test_threads_option_rejected(capsys, tmp_path):
-    with pytest.raises(SystemExit) as ei:
-        cli.main(["count", "--formula", "x = 0", "--threads", "2"])
-    assert ei.value.code == 1
-    assert "unrecognized arguments: --threads" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("threads = 2\n")
-    status, _, err = run(capsys, "count", "--formula", "x = 0",
-                         "--config", str(cfg))
-    assert status == 1
-    assert "unknown config keys: threads" in err
+    assert "unrecognized arguments: --threads" in err
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +417,9 @@ def test_zeta_count_non_integral_coefficient(capsys):
         assert report["coefficients"]["values"] == ["1/4", "1/8", "1/16", "1/32"]
 
 
-def test_zeta_count_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("MOTINT_CAP", "20")
+def test_zeta_count_env_cap(capsys):
     status, _, err = run(capsys, "zeta-count", "--H", "x*y", "--p", "2",
-                         "--imax", "6", "--method", "enumerate")
+                         "--imax", "6", "--method", "enumerate", "--cap", "20")
     assert status == 1 and "CapExceeded" in err
 
 
@@ -475,16 +459,75 @@ def test_verify_meuser_mismatch_exits_2(capsys, monkeypatch):
 
 
 def test_usage_error_exits_1(capsys):
-    with pytest.raises(SystemExit) as ei:
-        cli.main(["count"])                  # missing --formula
-    assert ei.value.code == 1
-    assert "--formula" in capsys.readouterr().err
+    status, out, err = run(capsys, "count")      # missing --formula
+    assert status == 1 and out == ""
+    assert "--formula" in err
+    error = error_of(capsys, "count", "--formula", "x = 0", "--p", "two")
+    assert error["code"] == "ParseError"
+    assert "invalid int value: 'two'" in error["message"]
 
 
 def test_unknown_command_exits_1(capsys):
+    status, _, err = run(capsys, "frobnicate")
+    assert status == 1
+    assert "frobnicate" in err
+    assert error_of(capsys, "frobnicate")["code"] == "ParseError"
+
+
+# the shared flags each subcommand reads; every other one is a usage error
+SHARED = ("--p", "--d", "--level", "--imax", "--cap", "--q", "--method")
+READS = {
+    "parse": {"--cap"},
+    "sum": {"--q"},
+    "eval": {"--q"},
+    "theta": {"--q"},
+    "count": {"--p", "--d", "--level", "--cap"},
+    "vol": {"--p", "--d", "--cap"},
+    "integrate": {"--p", "--d", "--cap"},
+    "zeta-motivic": {"--p", "--cap"},
+    "zeta-count": {"--p", "--d", "--imax", "--cap", "--method"},
+    "verify-meuser": {"--p", "--d", "--imax", "--cap", "--method"},
+}
+UNREAD = [(command, flag) for command, reads in READS.items()
+          for flag in SHARED if flag not in reads]
+
+
+# a call of each subcommand that succeeds; "FILE" is the geometric series
+VALID = {
+    "parse": ["--ratfunc", "L"],
+    "sum": ["--file", "FILE"],
+    "eval": ["--file", "FILE", "--point", "n=1"],
+    "theta": ["--expr", "L", "--q", "3"],
+    "count": ["--formula", "x = 0"],
+    "vol": ["--cond", "ord(t) >= 1", "--order", "t"],
+    "integrate": ["--cond", "ord(t) >= 1", "--order", "t"],
+    "zeta-motivic": ["--H", "x"],
+    "zeta-count": ["--H", "x", "--p", "2", "--imax", "1"],
+    "verify-meuser": ["--H", "x", "--imax", "1"],
+}
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_unread_shared_flag_is_a_usage_error(capsys, geo_file, command,
+                                             flag):
+    argv = [command] + [geo_file if a == "FILE" else a
+                        for a in VALID[command]]
+    status, _, _ = run(capsys, *argv, "--json")
+    assert status == 0
+    value = "auto" if flag == "--method" else "3"
+    error = error_of(capsys, *argv, flag, value)
+    assert error["code"] == "ParseError"
+    assert f"unrecognized arguments: {flag} {value}" in error["message"]
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_the_flags_read(capsys, command):
     with pytest.raises(SystemExit) as ei:
-        cli.main(["frobnicate"])
-    assert ei.value.code == 1
+        cli.main([command, "--help"])
+    assert ei.value.code == 0
+    listed = set(capsys.readouterr().out.split())
+    assert {flag for flag in SHARED if flag in listed} == READS[command]
+    assert "--json" in listed and "--config" not in listed
 
 
 class _ClosedPipe:

@@ -107,6 +107,21 @@ def test_complementary_merge_gives_l():
     assert is_equal(a + b, l_class(1)) == "equal"
 
 
+def test_eq2_merges_generators_on_the_same_variables():
+    # {x = 1 && x*y = 1} + {x != 1 && x*y = 1} on res(1)^2: the two
+    # generators differ in one complementary conjunct, so eq2 merges them
+    # into the single generator x*y = 1
+    vars_ = (("x", 1), ("y", 1))
+    rc = (from_formula(vars_, res_formula("x = 1 && x*y = 1", x=1, y=1))
+          + from_formula(vars_, res_formula("x != 1 && x*y = 1", x=1, y=1)))
+    log = RewriteLog()
+    nf = normal_form(rc, log)
+    assert "eq2" in [rule for rule, _, _ in log.events]
+    assert [F.formula_str(g.phi) for g in nf.gens] == ["r1*r2 = 1"]
+    for ctx, count in zip(GRID, (1, 2, 3, 8)):      # q - 1 units
+        assert count_class(rc, ctx) == count_class(nf, ctx) == count
+
+
 def test_disjoint_or_split():
     rc = from_formula((("x", 1),), res_formula("x = 0 || x != 0", x=1))
     assert is_equal(rc, l_class(1)) == "equal"
