@@ -105,9 +105,9 @@ def zw_mul(a: tuple, b: tuple, f: tuple) -> tuple:
 
 def _res_mul(f: tuple, m: int):
     """The product of coefficient tuples in Z[w]/(m, f), unrolled for
-    degrees 1 and 2."""
-    if len(f) == 2:
-        return lambda a, b: (a[0] * b[0] % m,)
+    degree 2.  No caller multiplies in degree 1: ``res_term`` multiplies
+    the single coordinates itself, and ``_is_irreducible_mod_p`` returns
+    first."""
     if len(f) == 3:
         c0, c1 = f[0], f[1]
 
@@ -373,7 +373,8 @@ class PadicElem:
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     def _compat(self, other: "PadicElem") -> None:
-        if (self.p, self.modulus) != (other.p, other.modulus):
+        if self.p != other.p or (self.modulus is not other.modulus
+                                 and self.modulus != other.modulus):
             raise SortError("mixing elements of different fields")
 
     def _plus(self, other, sign: int):
@@ -381,6 +382,18 @@ class PadicElem:
             return NotImplemented
         self._compat(other)
         da, db = self.den, other.den
+        if self.degree == 1:
+            (a,), (b,) = self.nums, other.nums
+            if da == db:
+                a += sign * b
+            else:
+                a = a * db + sign * b * da
+                da *= db
+            if da != 1:
+                g = gcd(da, a)
+                a //= g
+                da //= g
+            return PadicElem(self.p, 1, (a,), da, self.modulus)
         if da == db:
             nums = tuple(a + sign * b for a, b in zip(self.nums, other.nums))
         else:
@@ -444,6 +457,8 @@ class PadicElem:
         if v == inf:
             return (0,) * self.degree
         shift = self.p ** v
+        if self.den == 1:
+            return tuple(c // shift % m for c in self.nums)
         unit = self.den
         while unit % self.p == 0:
             unit //= self.p
@@ -496,13 +511,17 @@ class PContext:
 # env, free residue variables hold GRElems; the residue variables named in
 # ``local`` (bound ones, the free ones of count_points, the angular
 # coordinate of a cell) hold coefficient tuples at env[local[name]].
+#
+# Whatever depends on the residue degree d = ctx.d is decided at compile
+# time too: the residue operations are unrolled for d = 1 (one int in a
+# 1-tuple, powers by pow(x, e, m)) and d = 2 (two ints, the product of
+# _res_mul), and d >= 3 takes one generic path over the tuples.
+# eval_formula remembers the last (formula, context, closure) it ran, so a
+# loop over the points of one formula skips even the store lookup.
 
 
-def _lookup(env: dict, name: str):
-    try:
-        return env[name]
-    except KeyError:
-        raise MotintError(f"unbound variable {name}") from None
+def _unbound(name: str) -> MotintError:
+    return MotintError(f"unbound variable {name}")
 
 
 def _const(value):
@@ -513,42 +532,78 @@ def res_term(t: F.Term, n: int, ctx: PContext, local: dict):
     """Closure env -> coefficient tuple mod p^n of a res(n) term.  A
     variable named in ``local`` is read as the coefficient tuple reduced
     mod p^n at env[local[name]] (a name, or a position when env is a
-    tuple), the others as GRElems of GR(p^n, d) at env[name]."""
-    m = ctx.p ** n
+    tuple), the others as GRElems of GR(p^n, d) at env[name].  The
+    closures of +, -, negation, * and ^ are chosen here for d = ctx.d:
+    unrolled for d = 1 and d = 2, generic for d >= 3."""
+    m, d = ctx.p ** n, ctx.d
     if isinstance(t, F.Var):
         name = t.name
         if name in local:
             key = local[name]
             return lambda env: env[key]
-        ring = ctx.residue_ring(n)
-        seen = [ring]                      # the last ring found equal to it
+        ring = seen = ctx.residue_ring(n)      # seen: the last ring equal to it
 
         def var(env):
-            v = _lookup(env, name)
-            if v.ring is not seen[0]:
-                if v.ring != ring:
-                    raise SortError(f"{name} is in {v.ring}, expected {ring}")
-                seen[0] = v.ring
+            nonlocal seen
+            try:
+                v = env[name]
+                r = v.ring
+            except KeyError:
+                raise _unbound(name) from None
+            except AttributeError:
+                raise SortError(f"{name} is {v!r}, expected an element "
+                                f"of {ring}") from None
+            if r is not seen:
+                if r != ring:
+                    raise SortError(f"{name} is in {r}, expected {ring}")
+                seen = r
             return v.coeffs
         return var
     if isinstance(t, F.IntLit):
         return _const(ctx.residue_ring(n).from_int(t.value).coeffs)
     if isinstance(t, F.Neg):
         a = res_term(t.arg, n, ctx, local)
+        if d == 1:
+            return lambda env: (-a(env)[0] % m,)
+        if d == 2:
+            def neg2(env):
+                x0, x1 = a(env)
+                return (-x0 % m, -x1 % m)
+            return neg2
         return lambda env: tuple(-c % m for c in a(env))
     if isinstance(t, F.Pow):
         a, e = res_term(t.base, n, ctx, local), t.exp
+        if d == 1:
+            return lambda env: (pow(a(env)[0], e, m),)
         mul = _res_mul(ctx.modulus, m)
         return lambda env: _power(a(env), e, mul)
     if isinstance(t, F.BinOp):
         a = res_term(t.left, n, ctx, local)
         b = res_term(t.right, n, ctx, local)
+        if t.op == "*":
+            if d == 1:
+                return lambda env: (a(env)[0] * b(env)[0] % m,)
+            mul = _res_mul(ctx.modulus, m)
+            return lambda env: mul(a(env), b(env))
         if t.op == "+":
+            if d == 1:
+                return lambda env: ((a(env)[0] + b(env)[0]) % m,)
+            if d == 2:
+                def add2(env):
+                    x0, x1 = a(env)
+                    y0, y1 = b(env)
+                    return ((x0 + y0) % m, (x1 + y1) % m)
+                return add2
             return lambda env: tuple((x + y) % m for x, y in zip(a(env), b(env)))
-        if t.op == "-":
-            return lambda env: tuple((x - y) % m for x, y in zip(a(env), b(env)))
-        mul = _res_mul(ctx.modulus, m)
-        return lambda env: mul(a(env), b(env))
+        if d == 1:
+            return lambda env: ((a(env)[0] - b(env)[0]) % m,)
+        if d == 2:
+            def sub2(env):
+                x0, x1 = a(env)
+                y0, y1 = b(env)
+                return ((x0 - y0) % m, (x1 - y1) % m)
+            return sub2
+        return lambda env: tuple((x - y) % m for x, y in zip(a(env), b(env)))
     if isinstance(t, F.Ac):
         x, depth = _vf_term(t.arg, ctx), t.depth
         return lambda env: x(env).ac_coeffs(depth)
@@ -566,7 +621,13 @@ def _vg_term(t: F.Term, ctx: PContext):
     subtracting it is an error."""
     if isinstance(t, F.Var):
         name = t.name
-        return lambda env: _lookup(env, name)
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise _unbound(name) from None
+        return var
     if isinstance(t, F.IntLit):
         return _const(t.value)
     if isinstance(t, F.Ord):
@@ -617,7 +678,10 @@ def _vf_term(t: F.Term, ctx: PContext):
         name = t.name
 
         def var(env):
-            v = _lookup(env, name)
+            try:
+                v = env[name]
+            except KeyError:
+                raise _unbound(name) from None
             return v if isinstance(v, PadicElem) else ctx.vf(v)
         return var
     if isinstance(t, (F.IntLit, F.RatLit)):
@@ -756,14 +820,34 @@ def compiled(obj, ctx: PContext, build=compile_formula):
     return hit[2]
 
 
-compiled.cache_clear = _COMPILED.clear
+_last = (None, None, None)          # eval_formula's last (formula, ctx, closure)
+
+
+def _clear_compiled() -> None:
+    global _last
+    _COMPILED.clear()
+    _last = (None, None, None)
+
+
+compiled.cache_clear = _clear_compiled
 
 
 def eval_formula(f: F.Formula, env: dict, ctx: PContext, cap: int | None = None) -> bool:
     """Evaluate a formula at a point.  Residue quantifiers enumerate their
     ring; value-group quantifiers must carry explicit bounds.  Either
-    range is checked against the cap."""
-    return compiled(f, ctx)(env, cap)
+    range is checked against the cap.
+
+    The closure comes from the ``compiled`` store, specialized on ctx.d
+    when it was built.  The last (formula, context, closure) is kept in a
+    one-slot record compared by identity, so repeated calls on one
+    formula and context skip the store; ``compiled.cache_clear`` empties
+    the slot with the store."""
+    global _last
+    last_f, last_ctx, run = _last
+    if last_f is not f or last_ctx is not ctx:
+        run = compiled(f, ctx)
+        _last = (f, ctx, run)
+    return run(env, cap)
 
 
 # ---------------------------------------------------------------------------

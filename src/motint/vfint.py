@@ -871,11 +871,15 @@ def _cell_test(cell: VFCell, ctx: PContext):
         diff = value - center
         if diff.is_zero():
             return False
-        zenv = {n: v for n, v in env.items() if isinstance(v, int)}
+        zenv = {n: v for n, v in env.items() if isinstance(v, int)} if env else {}
         zenv[z_name] = diff.ord()
-        if not any(c.contains(zenv) for c in z_cells):
+        for c in z_cells:
+            if c.contains(zenv):
+                break
+        else:
             return False
-        return xi_phi({**env, name: diff.ac_coeffs(depth)}, None)
+        xi = diff.ac_coeffs(depth)
+        return xi_phi({**env, name: xi} if env else {name: xi}, None)
     return test
 
 

@@ -16,10 +16,14 @@ from hypothesis import strategies as st
 
 from motint import formula as F
 from motint.errors import NotIntegrable, OutsideFragment
-from motint.padic import PadicElem, PContext, count_points, eval_formula
+from motint.padic import (PadicElem, PContext, count_points, eval_formula,
+                          res_term)
 from motint.vfint import cell_contains, decompose_fragment
 
 CONTEXTS = {(p, d): PContext(p, d) for p in (2, 3) for d in (1, 2)}
+# the generic path of degree d >= 3, at level 1 only; at p = 2 and level 1
+# negation is the identity, so p = 3 checks signs
+CONTEXTS.update({(p, 3): PContext(p, 3) for p in (2, 3)})
 # fragment cases also run over a field with a non-default defining polynomial
 OTHER_MODULUS = PContext(3, 2, (2, 2, 1))
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -62,13 +66,17 @@ def brute_holds(f, env, ctx):
     return any(hits) if f.q == "exists" else all(hits)
 
 
-def brute_count(f, ctx):
-    frame = F.frame_of(f)
+def box_points(f, ctx):
+    """Every assignment of GRElems to the free residue variables of f."""
     points = [{}]
-    for name, depth in frame.res:
+    for name, depth in F.frame_of(f).res:
         points = [{**pt, name: e} for pt in points
                   for e in ctx.residue_ring(depth).elements()]
-    return sum(brute_holds(f, pt, ctx) for pt in points)
+    return points
+
+
+def brute_count(f, ctx):
+    return sum(brute_holds(f, pt, ctx) for pt in box_points(f, ctx))
 
 
 @st.composite
@@ -117,7 +125,7 @@ def res_formulas(draw, level, scope, size):
 @st.composite
 def residue_cases(draw):
     p, d = draw(st.sampled_from(sorted(CONTEXTS)))
-    level = draw(st.integers(1, 2))
+    level = 1 if d >= 3 else draw(st.integers(1, 2))
     # two free variables only where the box stays small
     names = ("x", "y") if (p ** d) ** level <= 9 else ("x",)
     f = draw(res_formulas(level, {n: level for n in names}, 3))
@@ -129,6 +137,41 @@ def residue_cases(draw):
 def test_count_points_matches_grelem_brute_force(case):
     f, ctx = case
     assert count_points(f, ctx) == brute_count(f, ctx), F.formula_str(f)
+
+
+@SETTINGS
+@given(residue_cases())
+def test_eval_formula_matches_grelem_brute_force_pointwise(case):
+    # a count can hide a wrong bijection of the points (x -> -x, say);
+    # eval_formula also reads its free variables as GRElems, not tuples
+    f, ctx = case
+    for point in box_points(f, ctx):
+        assert eval_formula(f, point, ctx) == brute_holds(f, point, ctx), (
+            F.formula_str(f), point)
+
+
+def residue_operations(level):
+    x, y = F.Var("x", F.RES(level)), F.Var("y", F.RES(level))
+    ops = [F.BinOp(op, x, y) for op in "+-*"] + [F.Neg(x)]
+    ops += [F.Pow(x, e) for e in range(4)]
+    if level == 2:
+        ops.append(F.Proj(2, 1, F.BinOp("*", x, F.Neg(y))))
+    return ops
+
+
+@pytest.mark.parametrize("p, d, level", [
+    (p, d, level) for p, d in sorted(CONTEXTS) for level in (1, 2)
+    if (p ** d) ** level <= 81])
+def test_residue_operations_match_grelem_on_every_pair(p, d, level):
+    # every closure res_term chooses by degree, on every pair of elements
+    ctx = CONTEXTS[p, d]
+    ring = ctx.residue_ring(level)
+    for t in residue_operations(level):
+        run = res_term(t, t.sort().depth, ctx, {})
+        for a in ring.elements():
+            for b in ring.elements():
+                env = {"x": a, "y": b}
+                assert run(env) == brute_term(t, env, ctx).coeffs, (t, env)
 
 
 # ---------------------------------------------------------------------------

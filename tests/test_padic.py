@@ -5,12 +5,16 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motint import padic
 from motint.errors import CapExceeded, MotintError, SortError
 from motint.formula import RES, VF, VG, parse_formula
 from motint.padic import (
-    GaloisRing, PadicElem, PContext, count_points,
-    default_modulus, eval_formula, is_prime, rational_ac, rational_ord,
+    GaloisRing, PadicElem, PContext, compiled, count_points,
+    default_modulus, eval_formula, is_prime, rational_ac, rational_mod,
+    rational_ord,
 )
 from motint.zeta import zprime_count
 
@@ -308,3 +312,100 @@ def test_exact_elem_integer_representation():
     # modulus x^2 + 1: (a + b w)^2 = a^2 - b^2 + 2ab w
     assert (x * x).coeffs == (Fraction(-11, 81), Fraction(20, 27))
     assert (x ** 2) == x * x
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_residue_variable_errors(d):
+    ctx = PContext(3, d)
+    f = parse_formula("x*x = 1", {"x": RES(1)})
+    one = ctx.residue_ring(1).one()
+    with pytest.raises(MotintError, match="unbound variable x"):
+        eval_formula(f, {}, ctx)
+    with pytest.raises(SortError, match=r"x is in GaloisRing\(.*level=2"):
+        eval_formula(f, {"x": ctx.residue_ring(2).one()}, ctx)
+    assert eval_formula(f, {"x": one}, ctx)
+    # a non-element fails the same way before and after a good read
+    for _ in range(2):
+        with pytest.raises(SortError,
+                           match=r"x is 2, expected an element of GaloisRing"):
+            eval_formula(f, {"x": 2}, ctx)
+        assert eval_formula(f, {"x": one}, ctx)
+
+
+def _clear_like_the_benchmark():
+    # bench/run.py empties every module attribute that has a cache_clear
+    for value in vars(padic).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+
+
+def test_last_formula_slot_is_transparent():
+    texts = ["x*x = 1", "x*x*x + x = 2", "-x = x^2", "x - 1 = 0 || x = 2"]
+    formulas = [parse_formula(t, {"x": RES(1)}) for t in texts]
+    contexts = [PContext(3, 1), PContext(2, 2), PContext(2, 3)]
+
+    def run(clear_each: bool):
+        out = []
+        for f in formulas:
+            for ctx in contexts:
+                if clear_each:
+                    compiled.cache_clear()
+                out.append([eval_formula(f, {"x": e}, ctx)
+                            for e in ctx.residue_ring(1).elements()])
+        return out
+
+    cold = run(clear_each=True)
+    assert padic._last[0] is formulas[-1]
+    _clear_like_the_benchmark()
+    assert not padic._COMPILED and padic._last == (None, None, None)
+    warm = run(clear_each=False)
+    again = run(clear_each=False)
+    assert cold == warm == again
+    assert any(map(any, cold)) and not all(map(all, cold))
+    # the slot holds what the store holds
+    f, ctx, run_last = padic._last
+    assert run_last is compiled(f, ctx)
+    compiled.cache_clear()
+    assert not padic._COMPILED and padic._last == (None, None, None)
+
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+
+
+@st.composite
+def field_operands(draw):
+    """Two elements of a field of degree 1 or 2 as Fraction coordinates,
+    with denominators 1, p^k and prime to p (q = 3 at p = 2, 2 at p = 3)."""
+    p, d = draw(st.sampled_from(FIELDS))
+    q = 5 - p
+    coord = st.builds(Fraction, st.integers(-p ** 4, p ** 4),
+                      st.sampled_from([1, p, p ** 3, q, q * p]))
+    pair = st.lists(coord, min_size=d, max_size=d)
+    return p, d, draw(pair), draw(pair)
+
+
+def model_ord(coords, p):
+    return min(rational_ord(c, p) for c in coords)
+
+
+def model_ac(coords, p, n):
+    if not any(coords):
+        return (0,) * len(coords)
+    shift = Fraction(p) ** model_ord(coords, p)
+    return tuple(rational_mod(c / shift, p, n) for c in coords)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(field_operands())
+def test_field_arithmetic_matches_fraction_model(case):
+    p, d, u, v = case
+    x, y = PadicElem.exact(p, d, u), PadicElem.exact(p, d, v)
+    for got, want in [(x, u), (y, v),
+                      (x + y, [a + b for a, b in zip(u, v)]),
+                      (x - y, [a - b for a, b in zip(u, v)])]:
+        # lowest terms: equal values are equal dataclasses
+        assert got == PadicElem.exact(p, d, want)
+        assert got.coeffs == tuple(want)
+        assert got.ord() == model_ord(want, p)
+        for n in (1, 2):
+            assert got.ac_coeffs(n) == model_ac(want, p, n)
