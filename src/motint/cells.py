@@ -565,9 +565,15 @@ def _apply_negation(cell: PCell, con) -> list:
 
 def intersect(a: PCell, b: PCell) -> list:
     """Disjoint cells covering the intersection; both cells must share the
-    variable order."""
+    variable order.
+
+    With a the universe cell the answer is b, or nothing when b is empty
+    at a glance: inserting b's constraints into the universe one at a
+    time rebuilds b slot by slot without a split, so that is skipped."""
     if a.vars != b.vars:
         raise FrameMismatch(f"variable order mismatch: {a.vars} vs {b.vars}")
+    if all(vc.lo is None and vc.hi is None and vc.mod == 1 for vc in a.tower):
+        return _prune([b])
     cells = [a]
     for con in _constraints_of(b):
         cells = [c for base in cells for c in _apply(base, con)]

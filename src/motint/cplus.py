@@ -76,8 +76,8 @@ class MotFun:
 
     @staticmethod
     def unit(res_vars=(), vg_vars=()) -> "MotFun":
-        return MotFun.from_pfun(PFun.constant(tuple(vg_vars), R.ONE),
-                                res_vars)
+        """The constant 1; one shared instance per frame (see ``_unit``)."""
+        return _unit(tuple(res_vars), tuple(vg_vars))
 
     @staticmethod
     def from_pfun(pf: PFun, res_vars=()) -> "MotFun":
@@ -152,6 +152,14 @@ class MotFun:
                   ResClass.from_json(t["rc"]))
             for t in data["terms"])
         return MotFun(res_vars, vg_vars, terms)
+
+
+@lru_cache(maxsize=256)
+def _unit(res_vars: tuple, vg_vars: tuple) -> MotFun:
+    """``MotFun.unit`` per frame, at most 256 frames, least recently used
+    first out; ``_unit.cache_clear()`` empties it.  Sharing is safe
+    because a ``MotFun`` is frozen."""
+    return MotFun.from_pfun(PFun.constant(vg_vars, R.ONE), res_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +254,24 @@ def _extract_gen(gen: ResGen):
 def _disjoint_pieces(pf: PFun) -> PFun:
     """The same function on pairwise disjoint pieces, folding the pieces
     in one at a time: a new piece splits into its overlaps with the pieces
-    so far (both term lists) and each side's part off the other."""
+    so far (both term lists) and each side's part off the other.
+
+    When the overlap is empty, the old piece and the new piece's remainder
+    are kept as they are, without the two subtractions: removing a
+    disjoint cell leaves a point set as it was.  ``subtract`` may still
+    cut a cell along a disjoint cell's constraints (into odd and even
+    parts, say), which this skips; on the closed-form workload and the
+    golden corpus no disjoint pair was cut, so their outputs are
+    unchanged."""
     done = []
     for cell, terms in pf.pieces:
         rest, nxt = [cell], []
         for old, old_terms in done:
-            nxt += [(c, old_terms + terms) for c in intersect(old, cell)]
+            common = intersect(old, cell)
+            if not common:
+                nxt.append((old, old_terms))
+                continue
+            nxt += [(c, old_terms + terms) for c in common]
             nxt += [(c, old_terms) for c in subtract(old, cell)]
             rest = [c for r in rest for c in subtract(r, old)]
         done = nxt + [(c, terms) for c in rest]
@@ -342,7 +362,14 @@ def normal_form(a: MotFun, log: RewriteLog | None = None) -> MotFun:
     for 1,024 classes, and the rewrite events recorded on its first split
     are replayed into ``log`` on every call, so a log sees the same
     events with a cold or a warm cache.  ``_scalar_split.cache_clear()``
-    empties it."""
+    empties it.
+
+    The normal form is idempotent: ``normal_form(normal_form(a))`` equals
+    ``normal_form(a)`` (pinned by ``tests/test_cplus.py``).
+    ``vfint.integrate_cell_family`` relies on it: it returns the normal
+    form of a lone ball cell's contribution without normalizing it again.
+    ``is_equal`` needs less, only that equal inputs have equal normal
+    forms, to answer them without normalizing."""
     buckets: dict = {}
     for t in a.terms:
         for coef, ground, reduced in _reduce_tensor(t.rc, log):
@@ -368,8 +395,10 @@ def normal_form(a: MotFun, log: RewriteLog | None = None) -> MotFun:
 
 
 def is_equal(a: MotFun, b: MotFun) -> str:
-    """'equal' when normal forms coincide, otherwise 'unknown'."""
-    if normal_form(a) == normal_form(b):
+    """'equal' when normal forms coincide, otherwise 'unknown'.  Equal
+    inputs have equal normal forms, so they are answered without
+    normalizing either one."""
+    if a == b or normal_form(a) == normal_form(b):
         return "equal"
     return "unknown"
 

@@ -281,14 +281,22 @@ class GRElem:
         return self.ring.make(zw_mul(self.coeffs, other.coeffs, self.ring.modulus))
 
     def __pow__(self, e: int) -> "GRElem":
+        """Square and multiply from the lowest set bit: x**e takes
+        floor(log2 e) squarings and one product per further set bit."""
         if e < 0:
             raise ValueError("negative powers are not defined in a residue ring")
-        acc = self.ring.one()
+        if e == 0:
+            return self.ring.one()
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        acc = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 acc = acc * base
-            base = base * base
             e >>= 1
         return acc
 
@@ -508,9 +516,12 @@ class PContext:
 # each term into a closure env -> value, dispatching on node type and sort
 # once, at compile time.  Values by sort: res(n) terms give coefficient
 # tuples reduced mod p^n, vg terms ints or +inf, vf terms PadicElems.  In
-# env, free residue variables hold GRElems; the residue variables named in
-# ``local`` (bound ones, the free ones of count_points, the angular
-# coordinate of a cell) hold coefficient tuples at env[local[name]].
+# env, free residue variables hold GRElems, value-group variables ints
+# (not bools) or +inf, and valued-field variables PadicElems, ints or
+# Fractions; any other value raises SortError naming the variable.  The
+# residue variables named in ``local`` (bound ones, the free ones of
+# count_points, the angular coordinate of a cell) hold coefficient tuples
+# at env[local[name]].
 #
 # Whatever depends on the residue degree d = ctx.d is decided at compile
 # time too: the residue operations are unrolled for d = 1 (one int in a
@@ -624,9 +635,13 @@ def _vg_term(t: F.Term, ctx: PContext):
 
         def var(env):
             try:
-                return env[name]
+                v = env[name]
             except KeyError:
                 raise _unbound(name) from None
+            if type(v) is int or v == inf:
+                return v
+            raise SortError(f"{name} is {v!r}, expected a value-group "
+                            f"element (an int or +inf)")
         return var
     if isinstance(t, F.IntLit):
         return _const(t.value)
@@ -682,7 +697,12 @@ def _vf_term(t: F.Term, ctx: PContext):
                 v = env[name]
             except KeyError:
                 raise _unbound(name) from None
-            return v if isinstance(v, PadicElem) else ctx.vf(v)
+            if isinstance(v, PadicElem):
+                return v
+            if type(v) is int or isinstance(v, Fraction):
+                return ctx.vf(v)
+            raise SortError(f"{name} is {v!r}, expected a valued-field "
+                            f"element (a PadicElem, an int or a Fraction)")
         return var
     if isinstance(t, (F.IntLit, F.RatLit)):
         return _const(ctx.vf(t.value))

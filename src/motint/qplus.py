@@ -114,8 +114,12 @@ def zero() -> ResClass:
     return ResClass(())
 
 
+_ONE = ResClass((ResGen((), F.TRUE, 0),))
+
+
 def one() -> ResClass:
-    return ResClass((ResGen((), F.TRUE, 0),))
+    """The class of the point, one shared instance (classes are frozen)."""
+    return _ONE
 
 
 def l_class(k: int = 1) -> ResClass:

@@ -895,8 +895,13 @@ def integrate_cell_family(dec: CellDecomposition, *, log=None,
     the shell sum goes through the Presburger engine and the angular sum
     through the residue-class engine.  Point cells carry no volume and
     are reported in the discard ledger.
+
+    Each contribution comes out of ``mu_vg_res`` in normal form.  With
+    one ball cell it is the result: ``normal_form`` is idempotent, so a
+    second normalization would return it unchanged.  Two or more are
+    summed and normalized once more, which merges their terms.
     """
-    total = MotFun.zero(dec.base_res, dec.base_vg)
+    contribs: list = []
     discarded: list = []
     for cell, value in zip(dec.cells, dec.values):
         if cell.kind == "point":
@@ -921,7 +926,10 @@ def integrate_cell_family(dec: CellDecomposition, *, log=None,
             if strict:
                 raise
             return IntegrationResult(None, False, tuple(discarded))
-        total = total + contrib
+        contribs.append(contrib)
+    if len(contribs) == 1:
+        return IntegrationResult(contribs[0], True, tuple(discarded))
+    total = sum(contribs, MotFun.zero(dec.base_res, dec.base_vg))
     return IntegrationResult(normal_form(total, log), True,
                              tuple(discarded))
 

@@ -418,3 +418,72 @@ def test_rational_inequalities_match_sets(models):
         NAMES, box, lambda e: all(model_value(clean(m), e) <= 0
                                   for m in models))
     assert covered(cells, box) == want
+
+
+# ---------------------------------------------------------------------------
+# set operations whose answer is known: a universe operand, disjoint pieces
+
+SMALL = st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(0),
+                         Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def bounded_cells(draw, names=("a", "b")):
+    """Cells with both bounds on every variable; all their points lie in
+    the box [-8, 8]^2."""
+    lo = draw(st.integers(-2, 2))
+    tower = [VarCell(af({}, lo), af({}, lo + draw(st.integers(0, 3))),
+                     *draw(st.sampled_from([(1, 0), (2, 0), (2, 1), (3, 2)])))]
+    bounds = [af({names[0]: draw(SMALL)}, draw(st.integers(-2, 2)))
+              for _ in range(2)]
+    m = draw(st.integers(1, 3))
+    tower.append(VarCell(*bounds, m, draw(st.integers(0, m - 1))))
+    return PCell(names, tuple(tower))
+
+
+CELL_BOX = {"a": (-8, 8), "b": (-8, 8)}
+
+
+@SETTINGS
+@given(bounded_cells())
+def test_intersect_with_universe_is_the_cell(b):
+    from motint.cells import _apply, _constraints_of
+    one_at_a_time = [universe(b.vars)]
+    for con in _constraints_of(b):
+        one_at_a_time = [c for base in one_at_a_time for c in _apply(base, con)]
+    fast = intersect(universe(b.vars), b)
+    assert fast == one_at_a_time
+    assert covered(fast, CELL_BOX) == covered([b], CELL_BOX)
+
+
+def _labels_per_point(pieces) -> dict:
+    """{point: sorted labels of the pieces holding it}, by enumeration."""
+    out: dict = {}
+    for cell, labels in pieces:
+        for env in enumerate_points(cell, CELL_BOX):
+            out.setdefault((env["a"], env["b"]), []).extend(labels)
+    return {pt: sorted(labels) for pt, labels in out.items()}
+
+
+@SETTINGS
+@given(st.lists(bounded_cells(), min_size=2, max_size=3))
+def test_disjoint_pieces_keep_the_point_multiset(cells):
+    # (four overlapping sloped cells can take seconds: the pieces multiply)
+    from motint import ring_a as R
+    from motint.cplus import _disjoint_pieces
+    from motint.presburger import PFun, PTerm
+    # term k + 1 marks input piece k, so each point's terms name its pieces
+    pf = PFun(("a", "b"), tuple(
+        (c, (PTerm(R.from_int(k + 1), af()),)) for k, c in enumerate(cells)))
+    out = _disjoint_pieces(pf)
+    # pairwise disjoint: no point lies in two output pieces
+    seen: set = set()
+    for cell, _ in out.pieces:
+        for env in enumerate_points(cell, CELL_BOX):
+            point = (env["a"], env["b"])
+            assert point not in seen, point
+            seen.add(point)
+    want = _labels_per_point((c, [k]) for k, c in enumerate(cells))
+    got = _labels_per_point(
+        (c, [int(str(t.coef)) - 1 for t in terms]) for c, terms in out.pieces)
+    assert got == want

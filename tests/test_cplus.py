@@ -396,3 +396,40 @@ def test_class_split_cache_is_transparent():
     warm = run(clear_each=False)
     assert _scalar_split.cache_info().hits - hits == len(funcs)
     assert cold == cleared == warm
+
+
+def test_normal_form_is_idempotent_on_integrals():
+    # integrate_cell_family returns a lone ball cell's contribution as
+    # mu_vg_res normalized it, and normalizes only sums of two or more;
+    # both are right only if the normal form is a fixed point
+    from motint.vfint import integrate_iterated
+    from test_acceptance import FRAGMENT_CORPUS
+    checked = 0
+    for text in FRAGMENT_CORPUS:
+        cond = parse_formula(text, {"t": F.VF})
+        for ctx in GRID:
+            try:
+                value = integrate_iterated(cond, ("t",), ctx).value
+            except NotIntegrable:
+                continue
+            once = normal_form(value)
+            assert once == value, (text, ctx.p, ctx.d)
+            assert normal_form(once) == once, (text, ctx.p, ctx.d)
+            assert is_equal(value, once) == "equal"
+            checked += 1
+    assert checked == 4 * 12          # three corpus entries diverge
+
+
+def test_unit_is_one_cached_value_per_frame():
+    from motint import cplus
+    frame = ((("eta", 1),), ("z",))
+    u = MotFun.unit(*frame)
+    assert MotFun.unit(list(frame[0]), list(frame[1])) is u
+    assert u == MotFun.from_pfun(PFun.constant(("z",), R.ONE), frame[0])
+    # bench/run.py empties every module attribute that has a cache_clear
+    clearable = [v for v in vars(cplus).values()
+                 if callable(getattr(v, "cache_clear", None))]
+    assert cplus._unit in clearable
+    cplus._unit.cache_clear()
+    assert MotFun.unit(*frame) is not u and MotFun.unit(*frame) == u
+    assert unit_class() is unit_class()

@@ -12,7 +12,7 @@ from motint import padic
 from motint.errors import CapExceeded, MotintError, SortError
 from motint.formula import RES, VF, VG, parse_formula
 from motint.padic import (
-    GaloisRing, PadicElem, PContext, compiled, count_points,
+    GaloisRing, GRElem, PadicElem, PContext, compiled, count_points,
     default_modulus, eval_formula, is_prime, rational_ac, rational_mod,
     rational_ord,
 )
@@ -330,6 +330,60 @@ def test_residue_variable_errors(d):
                            match=r"x is 2, expected an element of GaloisRing"):
             eval_formula(f, {"x": 2}, ctx)
         assert eval_formula(f, {"x": one}, ctx)
+
+
+@pytest.mark.parametrize("bad", ["a", "1", 1.5, True, Fraction(1), -inf,
+                                 None])
+def test_value_group_variable_errors(bad):
+    ctx = PContext(3, 1)
+    f = parse_formula("n >= 1", {"n": VG})
+    for _ in range(2):
+        with pytest.raises(SortError, match=r"n is .*expected a value-group"):
+            eval_formula(f, {"n": bad}, ctx)
+        assert eval_formula(f, {"n": 2}, ctx)
+        assert not eval_formula(f, {"n": 0}, ctx)
+        assert eval_formula(f, {"n": inf}, ctx)
+        assert eval_formula(f, {"n": float("inf")}, ctx)
+
+
+@pytest.mark.parametrize("bad", ["3", 1.5, 3.0, True, None])
+def test_valued_field_variable_errors(bad):
+    ctx = PContext(3, 2)
+    f = parse_formula("ord(t) >= 1", {"t": VF})
+    for _ in range(2):
+        with pytest.raises(SortError,
+                           match=r"t is .*expected a valued-field element"):
+            eval_formula(f, {"t": bad}, ctx)
+        # the accepted kinds read the same value
+        for good in (3, Fraction(3), ctx.vf(3), Fraction(9, 2)):
+            assert eval_formula(f, {"t": good}, ctx)
+        assert not eval_formula(f, {"t": Fraction(1, 3)}, ctx)
+    with pytest.raises(SortError, match=r"t is .*expected a valued-field"):
+        eval_formula(f, {"t": ctx.residue_ring(1).one()}, ctx)
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (2, 3)])
+def test_grelem_power_counts_products(monkeypatch, p, d):
+    ring = GaloisRing(p, 2, d, default_modulus(p, d))
+    x = ring.make(tuple(range(1, d + 1)))
+    products = [ring.one(), x]          # repeated multiplication
+    for e in range(2, 6):
+        products.append(products[-1] * x)
+    calls = 0
+    real_mul = GRElem.__mul__
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return real_mul(a, b)
+
+    monkeypatch.setattr(GRElem, "__mul__", counting_mul)
+    # squarings for the highest bit, one product per further set bit
+    want_calls = [0, 0, 1, 2, 2, 3]
+    for e in range(6):
+        calls = 0
+        assert x ** e == products[e], e
+        assert calls == want_calls[e], (e, calls)
 
 
 def _clear_like_the_benchmark():
