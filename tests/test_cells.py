@@ -11,12 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_differential import SETTINGS
 
+from motint import ring_a as R
 from motint.cells import (
-    AffineForm, PCell, VarCell, add_cong, add_eq, add_ineq, complement,
-    ensure_known_value_mod, from_constraints, intersect, reorder, subtract,
-    universe,
+    AffineForm, PCell, VarCell, _apply, _constraints_of, add_cong, add_eq,
+    add_ineq, complement, ensure_known_value_mod, from_constraints,
+    intersect, reorder, subtract, universe,
 )
+from motint.cplus import _disjoint_pieces
 from motint.errors import FrameMismatch, MotintError
+from motint.presburger import PFun, PTerm
 
 
 def af(coeffs=None, const=0):
@@ -447,7 +450,6 @@ CELL_BOX = {"a": (-8, 8), "b": (-8, 8)}
 @SETTINGS
 @given(bounded_cells())
 def test_intersect_with_universe_is_the_cell(b):
-    from motint.cells import _apply, _constraints_of
     one_at_a_time = [universe(b.vars)]
     for con in _constraints_of(b):
         one_at_a_time = [c for base in one_at_a_time for c in _apply(base, con)]
@@ -468,10 +470,7 @@ def _labels_per_point(pieces) -> dict:
 @SETTINGS
 @given(st.lists(bounded_cells(), min_size=2, max_size=3))
 def test_disjoint_pieces_keep_the_point_multiset(cells):
-    # (four overlapping sloped cells can take seconds: the pieces multiply)
-    from motint import ring_a as R
-    from motint.cplus import _disjoint_pieces
-    from motint.presburger import PFun, PTerm
+    # at most three cells: with four, empty pieces can multiply for minutes
     # term k + 1 marks input piece k, so each point's terms name its pieces
     pf = PFun(("a", "b"), tuple(
         (c, (PTerm(R.from_int(k + 1), af()),)) for k, c in enumerate(cells)))

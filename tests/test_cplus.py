@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from motint import cplus
 from motint import formula as F
 from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell, universe
@@ -18,6 +19,9 @@ from motint.padic import PContext
 from motint.presburger import PFun, PTerm
 from motint.qplus import (RewriteLog, from_formula, l_class,
                           one as unit_class, torus)
+from motint.vfint import integrate_iterated
+
+from test_acceptance import FRAGMENT_CORPUS
 
 GRID = [PContext(2, 1), PContext(3, 1), PContext(2, 2), PContext(3, 2)]
 
@@ -402,8 +406,6 @@ def test_normal_form_is_idempotent_on_integrals():
     # integrate_cell_family returns a lone ball cell's contribution as
     # mu_vg_res normalized it, and normalizes only sums of two or more;
     # both are right only if the normal form is a fixed point
-    from motint.vfint import integrate_iterated
-    from test_acceptance import FRAGMENT_CORPUS
     checked = 0
     for text in FRAGMENT_CORPUS:
         cond = parse_formula(text, {"t": F.VF})
@@ -421,7 +423,6 @@ def test_normal_form_is_idempotent_on_integrals():
 
 
 def test_unit_is_one_cached_value_per_frame():
-    from motint import cplus
     frame = ((("eta", 1),), ("z",))
     u = MotFun.unit(*frame)
     assert MotFun.unit(list(frame[0]), list(frame[1])) is u
