@@ -207,14 +207,6 @@ class AffineForm:
         # adding a multiple of den keeps the numerators coprime to den
         return AffineForm(self.ints, self.cnum + c * self.den, self.den)
 
-    def drop(self, name: str) -> "AffineForm":
-        ints = tuple(t for t in self.ints if t[0] != name)
-        if len(ints) == len(self.ints):
-            return self
-        if self.den == 1:
-            return AffineForm(ints, self.cnum)
-        return _reduced(ints, self.cnum, self.den)
-
     def substitute(self, name: str, repl: "AffineForm") -> "AffineForm":
         """Replace the variable by the form: with self = (c*name + rest)/d,
         the result is (rest*repl.den + c*repl)/(d*repl.den)."""

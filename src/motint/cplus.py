@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from . import formula as F
 from . import ring_a as R
-from .cells import AffineForm, PCell, VarCell, intersect, subtract, universe
-from .errors import FrameMismatch, MotintError, NotIntegrable
+from .cells import intersect, subtract, universe
+from .errors import FrameMismatch, MotintError, SortError
 from .padic import GRElem, PContext, eval_formula
 from .presburger import PFun, PTerm, sum_fibers
 from .qplus import (ResClass, ResGen, RewriteLog, count_class, from_formula,
@@ -160,52 +160,6 @@ def _unit(res_vars: tuple, vg_vars: tuple) -> MotFun:
     first out; ``_unit.cache_clear()`` empties it.  Sharing is safe
     because a ``MotFun`` is frozen."""
     return MotFun.from_pfun(PFun.constant(vg_vars, R.ONE), res_vars)
-
-
-# ---------------------------------------------------------------------------
-# pullback along simple value-group substitutions
-
-def pullback_vg_affine(a: MotFun, name: str, sign: int = 1,
-                       delta: int = 0) -> MotFun:
-    """Precompose with the map sending the named coordinate to
-    sign*z + delta.  Only unimodular maps are bijections on integers."""
-    if sign not in (1, -1):
-        raise MotintError("pullback needs coefficient 1 or -1 on "
-                          "a value-group coordinate")
-    if name not in a.vg_vars:
-        raise FrameMismatch(f"{name} is not a value-group variable")
-    return MotFun(a.res_vars, a.vg_vars,
-                  tuple(CTerm(t.guard, _map_pfun_var(t.pf, name, sign, delta),
-                              t.rc)
-                        for t in a.terms))
-
-
-def _map_pfun_var(pf: PFun, name: str, sign: int, delta: int) -> PFun:
-    form = AffineForm.make({name: sign}, delta)
-    pieces = []
-    for cell, terms in pf.pieces:
-        i = cell.index(name)
-        tower = list(cell.tower)
-        vc = tower[i]
-        # lo <= sign*z + delta <= hi pulls back to bounds on z
-        if sign == 1:
-            lo = vc.lo.shift(-delta) if vc.lo is not None else None
-            hi = vc.hi.shift(-delta) if vc.hi is not None else None
-            res = (vc.res - delta) % vc.mod
-        else:
-            lo = vc.hi.scale(-1).shift(delta) if vc.hi is not None else None
-            hi = vc.lo.scale(-1).shift(delta) if vc.lo is not None else None
-            res = (delta - vc.res) % vc.mod
-        tower[i] = VarCell(lo, hi, vc.mod, res)
-        for j in range(i + 1, len(tower)):
-            w = tower[j]
-            tower[j] = VarCell(
-                w.lo.substitute(name, form) if w.lo is not None else None,
-                w.hi.substitute(name, form) if w.hi is not None else None,
-                w.mod, w.res)
-        pieces.append((PCell(cell.vars, tuple(tower)),
-                       tuple(t.substitute(name, form) for t in terms)))
-    return PFun(pf.vars, tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +362,32 @@ def is_equal(a: MotFun, b: MotFun) -> str:
 
 def specialize(a: MotFun, ctx: PContext, env: dict | None = None,
                cap: int | None = None) -> Fraction:
-    """Evaluate at a prime-power context and a point of the base."""
+    """Evaluate at a prime-power context and a point of the base.
+
+    A residue parameter takes a ``GRElem`` or an int, a value-group
+    variable an int; anything else (a bool, a float, a str) raises
+    ``SortError``."""
     env = env or {}
     res_env = {}
     for name, depth in a.res_vars:
         if name not in env:
             raise MotintError(f"no value for residue parameter {name}")
         val = env[name]
-        res_env[name] = (val if isinstance(val, GRElem)
-                         else ctx.residue_ring(depth).from_int(int(val)))
+        if type(val) is int:
+            val = ctx.residue_ring(depth).from_int(val)
+        elif not isinstance(val, GRElem):
+            raise SortError(f"{name} is {val!r}, expected an element of "
+                            f"{ctx.residue_ring(depth)} (a GRElem or an int)")
+        res_env[name] = val
     vg_env = {}
     for name in a.vg_vars:
         if name not in env:
             raise MotintError(f"no value for value-group variable {name}")
-        vg_env[name] = int(env[name])
+        val = env[name]
+        if type(val) is not int:
+            raise SortError(f"{name} is {val!r}, expected a value-group "
+                            f"element (an int)")
+        vg_env[name] = val
     total = Fraction(0)
     for t in a.terms:
         if not eval_formula(t.guard, res_env, ctx, cap=cap):
@@ -483,47 +449,3 @@ def mu_vg_res(a: MotFun, vg_out=None, res_out=None,
         terms.append(CTerm(guard, pf, rc))
     out = MotFun(kept_res, kept_vg, tuple(terms))
     return normal_form(out, log)
-
-
-def is_integrable(a: MotFun, vg_out=None) -> bool:
-    try:
-        mu_vg_res(a, vg_out=vg_out, res_out=())
-    except NotIntegrable:
-        return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# lifting classes back to explicit residue variables
-
-def lift(a: MotFun):
-    """Present every class by explicit fiber variables: returns a function
-    over an extended residue frame together with the new names, such that
-    integrating them back out reproduces the input."""
-    taken = {n for n, _ in a.res_vars}
-    new_vars = []
-    raw = []                        # (guard, pf, gen or None, own vars)
-    counter = 0
-    for t in a.terms:
-        rc_n = class_normal_form(t.rc)
-        for gen in rc_n.gens:
-            mapping = {}
-            for name, depth in gen.vars:
-                counter += 1
-                fresh = f"w{counter}"
-                while fresh in taken:
-                    counter += 1
-                    fresh = f"w{counter}"
-                taken.add(fresh)
-                mapping[name] = fresh
-                new_vars.append((fresh, depth))
-            gen2 = gen.rename(mapping) if mapping else gen
-            raw.append((t.guard, t.pf.scale(R.L_pow(gen2.lpow)), gen2))
-    terms = []
-    for guard, pf, gen in raw:
-        own = {n for n, _ in gen.vars}
-        pins = [F.Eq(F.Var(w, F.RES(dw)), F.IntLit(0, F.RES(dw)))
-                for w, dw in new_vars if w not in own]
-        terms.append(CTerm(F.land(guard, gen.phi, *pins), pf, unit_class()))
-    lifted = MotFun(a.res_vars + tuple(new_vars), a.vg_vars, tuple(terms))
-    return lifted, tuple(n for n, _ in new_vars)

@@ -25,6 +25,7 @@ cell.  ``count_points`` compiles once and runs the closure over its box.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -33,6 +34,7 @@ from math import gcd, inf, isqrt, lcm
 
 from .errors import CapExceeded, MotintError, SortError
 from . import formula as F
+from .polynomials import power
 
 DEFAULT_CAP = 10 ** 8
 
@@ -120,19 +122,6 @@ def _res_mul(f: tuple, m: int):
     return lambda a, b: tuple(c % m for c in zw_mul(a, b, f))
 
 
-def _power(a: tuple, e: int, mul) -> tuple:
-    """a^e for e >= 0 under the product mul of coefficient tuples, by
-    square and multiply."""
-    acc = (1,) + (0,) * (len(a) - 1)
-    while e:
-        if e & 1:
-            acc = mul(acc, a)
-        e >>= 1
-        if e:
-            a = mul(a, a)
-    return acc
-
-
 def _pgcd(a: list, b: list, p: int) -> list:
     a = [c % p for c in a]
     b = [c % p for c in b]
@@ -165,8 +154,8 @@ def _is_irreducible_mod_p(f: tuple, p: int) -> bool:
     if d == 1:
         return True
     mul = _res_mul(f, p)
-    x = tuple([0, 1] + [0] * (d - 2))
-    if _power(x, p ** d, mul) != x:
+    one, x = tuple([1] + [0] * (d - 1)), tuple([0, 1] + [0] * (d - 2))
+    if power(x, p ** d, mul, one) != x:
         return False
     m, r = d, 2
     primes = set()
@@ -179,7 +168,7 @@ def _is_irreducible_mod_p(f: tuple, p: int) -> bool:
     if m > 1:
         primes.add(m)
     for r in primes:
-        xk = _power(x, p ** (d // r), mul)
+        xk = power(x, p ** (d // r), mul, one)
         diff = [(a - b) % p for a, b in zip(xk, x)]
         g = _pgcd(diff, list(f), p)
         if len(g) != 1:
@@ -281,24 +270,10 @@ class GRElem:
         return self.ring.make(zw_mul(self.coeffs, other.coeffs, self.ring.modulus))
 
     def __pow__(self, e: int) -> "GRElem":
-        """Square and multiply from the lowest set bit: x**e takes
-        floor(log2 e) squarings and one product per further set bit."""
+        """``polynomials.power`` with each product through ``__mul__``."""
         if e < 0:
             raise ValueError("negative powers are not defined in a residue ring")
-        if e == 0:
-            return self.ring.one()
-        base = self
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        acc = base
-        e >>= 1
-        while e:
-            base = base * base
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-        return acc
+        return power(self, e, operator.mul, self.ring.one())
 
     def _same(self, other: "GRElem") -> None:
         if self.ring != other.ring:
@@ -432,7 +407,8 @@ class PadicElem:
         if e < 0:
             raise ValueError("negative powers are not supported on field terms")
         f = self.modulus
-        nums = _power(self.nums, e, lambda a, b: zw_mul(a, b, f))
+        one = (1,) + (0,) * (len(self.nums) - 1)
+        nums = power(self.nums, e, lambda a, b: zw_mul(a, b, f), one)
         return PadicElem._lowest(self.p, self.degree, nums, self.den ** e, f)
 
     def is_zero(self) -> bool:
@@ -586,8 +562,8 @@ def res_term(t: F.Term, n: int, ctx: PContext, local: dict):
         a, e = res_term(t.base, n, ctx, local), t.exp
         if d == 1:
             return lambda env: (pow(a(env)[0], e, m),)
-        mul = _res_mul(ctx.modulus, m)
-        return lambda env: _power(a(env), e, mul)
+        mul, one = _res_mul(ctx.modulus, m), (1,) + (0,) * (d - 1)
+        return lambda env: power(a(env), e, mul, one)
     if isinstance(t, F.BinOp):
         a = res_term(t.left, n, ctx, local)
         b = res_term(t.right, n, ctx, local)

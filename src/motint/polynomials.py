@@ -11,7 +11,8 @@ appear only when a polynomial is evaluated at a rational point
 (`evaluate`, `count_roots_right_of`).
 
 Only the small amount of machinery the coefficient ring needs lives here:
-arithmetic, exact division, primitive gcd, content/primitive split,
+arithmetic, square-and-multiply powers (`power`, also used by `padic`),
+exact division, primitive gcd, content/primitive split,
 cyclotomic polynomials, square-free decomposition and Sturm sequences.
 """
 
@@ -81,15 +82,29 @@ def shift_up(p: Poly, k: int) -> Poly:
     return tuple([0] * k + list(p))
 
 
+def power(a, e: int, times, one):
+    """a^e for e >= 0 under the product ``times``, with ``one`` for e = 0.
+
+    Square and multiply from the lowest set bit: a^e takes floor(log2 e)
+    squarings and one product per further set bit, and never multiplies
+    by ``one``."""
+    if e == 0:
+        return one
+    while not e & 1:
+        a = times(a, a)
+        e >>= 1
+    acc = a
+    e >>= 1
+    while e:
+        a = times(a, a)
+        if e & 1:
+            acc = times(acc, a)
+        e >>= 1
+    return acc
+
+
 def poly_pow(p: Poly, n: int) -> Poly:
-    out: Poly = (1,)
-    base = p
-    while n:
-        if n & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        n >>= 1
-    return out
+    return power(p, n, mul, (1,))
 
 
 def evaluate(p: Poly, x):

@@ -418,23 +418,3 @@ def sum_fibers(f: PFun, var: str | None = None) -> PFun:
     return PFun(f.vars[:-1], tuple(piece for cell, terms in f.pieces
                                    for term in terms
                                    for piece in _sum_cell_term(cell, term, var)))
-
-
-def sum_all(f: PFun) -> PFun:
-    """Sum out all variables, innermost first."""
-    while f.vars:
-        f = sum_fibers(f)
-    return f
-
-
-def sum_value(f: PFun) -> ARat:
-    return sum_all(f).eval_arat({})
-
-
-def is_integrable(f: PFun) -> bool:
-    """Whether the iterated innermost-first sum converges at every level."""
-    try:
-        sum_all(f)
-        return True
-    except NotIntegrable:
-        return False

@@ -95,9 +95,6 @@ class ResClass:
                 out.append(_tensor(a, b))
         return ResClass(tuple(out))
 
-    def scale_l(self, k: int) -> "ResClass":
-        return ResClass(tuple(ResGen(g.vars, g.phi, g.lpow + k) for g in self.gens))
-
     def is_zero(self) -> bool:
         return not self.gens
 
@@ -120,16 +117,6 @@ _ONE = ResClass((ResGen((), F.TRUE, 0),))
 def one() -> ResClass:
     """The class of the point, one shared instance (classes are frozen)."""
     return _ONE
-
-
-def l_class(k: int = 1) -> ResClass:
-    return ResClass((ResGen((), F.TRUE, k),))
-
-
-def torus() -> ResClass:
-    v = F.Var("r1", F.RES(1))
-    return ResClass((ResGen((("r1", 1),),
-                            F.Not(F.Eq(v, F.IntLit(0, F.RES(1)))), 0),))
 
 
 def from_formula(names_depths, phi: F.Formula, lpow: int = 0) -> ResClass:

@@ -643,7 +643,7 @@ def _mini_to_formula(m) -> F.Formula:
 # scanning a condition for centers and depths
 
 
-def _scan_var(f: F.Formula, var: str, p: int):
+def _scan_var(f: F.Formula, var: str):
     """Collect the centers and the angular depth a variable needs."""
     centers: list = []
     depth = 1
@@ -706,7 +706,9 @@ def _piece_constraint(z_name, piece):
 
 
 def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
-               outer: dict, track, depth_min: int) -> CellDecomposition:
+               outer: dict, centers, depth: int) -> CellDecomposition:
+    """Cells of ``var`` around ``centers`` (the origin when there are none)
+    at angular ``depth``; the caller scans the condition for both."""
     p = ctx.p
     base_res = tuple(base_res)
     base_vg = tuple(base_vg)
@@ -715,16 +717,7 @@ def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
     if z_name in base_vg or xi_name in [n for n, _ in base_res]:
         raise MotintError(
             f"shell names {z_name}/{xi_name} collide with the base frame")
-
-    centers, depth = _scan_var(cond, var, p)
-    for c in track:
-        c = Fraction(c)
-        if c not in centers:
-            centers.append(c)
-    depth = max(depth, depth_min, 1)
-    if not centers:
-        centers = [Fraction(0)]
-    centers.sort()
+    centers = sorted(centers) or [Fraction(0)]
 
     dists = {}
     for i, ci in enumerate(centers):
@@ -822,18 +815,18 @@ def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
 
 
 def decompose_fragment(cond: F.Formula, var: str, ctx: PContext, *,
-                       base_res=(), base_vg=(), track=(),
-                       depth: int = 1) -> CellDecomposition:
+                       base_res=(), base_vg=()) -> CellDecomposition:
     """Decompose the solution set of a fragment condition in one
     valued-field variable into disjoint cells with unit values.
 
-    ``track`` lists extra centers whose ord/ac must be readable from the
-    output cells; ``depth`` forces a minimum angular depth.  Order bounds
-    may mention the base value-group parameters.
+    The cells are built around the centers of the condition's ord and ac
+    terms in ``var`` (the origin when there are none), at the largest
+    angular depth among its ac terms.  Order bounds may mention the base
+    value-group parameters.
     """
     F.check_sorts(cond)
-    return _decompose(cond, var, ctx, base_res, base_vg, {},
-                      tuple(Fraction(c) for c in track), depth)
+    centers, depth = _scan_var(cond, var)
+    return _decompose(cond, var, ctx, base_res, base_vg, {}, centers, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -887,14 +880,15 @@ def _cell_test(cell: VFCell, ctx: PContext):
 # integration
 
 
-def integrate_cell_family(dec: CellDecomposition, *, log=None,
-                          strict: bool = True) -> IntegrationResult:
+def integrate_cell_family(dec: CellDecomposition, *,
+                          log=None) -> IntegrationResult:
     """Integrate the values over the valued-field variable of a family.
 
     Each ball cell contributes sum over (z, xi) of value * L^(-z-depth);
     the shell sum goes through the Presburger engine and the angular sum
-    through the residue-class engine.  Point cells carry no volume and
-    are reported in the discard ledger.
+    through the residue-class engine, which raises ``NotIntegrable`` when
+    the shell sum diverges.  Point cells carry no volume and are reported
+    in the discard ledger.
 
     Each contribution comes out of ``mu_vg_res`` in normal form.  With
     one ball cell it is the result: ``normal_form`` is idempotent, so a
@@ -919,14 +913,8 @@ def integrate_cell_family(dec: CellDecomposition, *, log=None,
         shell = MotFun(frame_res, frame_vg,
                        (CTerm(cell.xi_phi, PFun(frame_vg, pieces),
                               unit_class()),))
-        try:
-            contrib = mu_vg_res(value * shell, vg_out=(cell.z_name,),
-                                res_out=(cell.xi_name,), log=log)
-        except NotIntegrable:
-            if strict:
-                raise
-            return IntegrationResult(None, False, tuple(discarded))
-        contribs.append(contrib)
+        contribs.append(mu_vg_res(value * shell, vg_out=(cell.z_name,),
+                                  res_out=(cell.xi_name,), log=log))
     if len(contribs) == 1:
         return IntegrationResult(contribs[0], True, tuple(discarded))
     total = sum(contribs, MotFun.zero(dec.base_res, dec.base_vg))
@@ -951,21 +939,26 @@ def _split_stages(cond: F.Formula, order) -> list:
 
 
 def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
-                       weight=(), base_res=(), base_vg=(), log=None,
+                       weight=(), base_vg=(), log=None,
                        strict: bool = True) -> IntegrationResult:
     """Iterated integral over several valued-field variables.
 
     ``order`` lists the variables outermost first; integration proceeds
     innermost first, one variable at a time, decomposing each variable's
-    conjuncts over the cells already chosen for the outer ones.
+    conjuncts over the cells already chosen for the outer ones.  The
+    whole condition is scanned once per variable: its cells are built
+    around every center that the condition or the weight gives it, so
+    that each of its cells reads ord and ac of every term in it.
     ``weight`` multiplies the integrand by a product of factors
     L^(-mult*ord(var - center)), given as (mult, var, center) triples.
+    A divergent integral raises ``NotIntegrable``; with ``strict=False``
+    it gives a result with no value and the loci discarded before the
+    divergent family was reached.
     """
     order = tuple(order)
     if not order or len(set(order)) != len(order):
         raise MotintError("integration order must list distinct variables")
     F.check_sorts(cond)
-    base_res = tuple(base_res)
     base_vg = tuple(base_vg)
     staged = _split_stages(cond, order)
     weight = tuple((int(m), v, Fraction(c)) for m, v, c in weight)
@@ -973,18 +966,10 @@ def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
         if v not in order:
             raise MotintError(f"weight variable {v} is not being integrated")
 
-    track: dict = {v: [] for v in order}
-    depth_need: dict = {v: 1 for v in order}
-    for v in order:
-        for part in [p for lst in staged for p in lst]:
-            cs, dep = _scan_var(part, v, ctx.p)
-            for c in cs:
-                if c not in track[v]:
-                    track[v].append(c)
-            depth_need[v] = max(depth_need[v], dep)
-    for m, v, c in weight:
-        if c not in track[v]:
-            track[v].append(c)
+    scans = {v: _scan_var(cond, v) for v in order}
+    for _, v, c in weight:
+        if c not in scans[v][0]:
+            scans[v][0].append(c)
 
     discarded: list = []
 
@@ -992,7 +977,7 @@ def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
         var = order[idx]
         cond_i = F.land(*staged[idx]) if staged[idx] else F.TRUE
         dec = _decompose(cond_i, var, ctx, res_cur, vg_cur, outer,
-                         track[var], depth_need[var])
+                         *scans[var])
         ext_res = res_cur + ((f"xi_{var}", dec.depth),)
         ext_vg = vg_cur + (f"z_{var}",)
         values: list = []
@@ -1014,25 +999,17 @@ def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
                 PFun(ext_vg, ((universe(ext_vg), (PTerm(R.ONE, wform),)),)),
                 res_vars=ext_res)
             if idx + 1 < len(order):
-                inner = stage(idx + 1, {**outer, var: rs}, ext_res, ext_vg)
-                if inner is None:
-                    return None
-                val = val * inner
+                val = val * stage(idx + 1, {**outer, var: rs}, ext_res, ext_vg)
             values.append(val)
-        out = integrate_cell_family(dec.with_values(values), log=log,
-                                    strict=strict)
+        out = integrate_cell_family(dec.with_values(values), log=log)
         discarded.extend(out.discarded)
-        if not out.integrable:
-            return None
         return out.value
 
     try:
-        value = stage(0, {}, base_res, base_vg)
+        value = stage(0, {}, (), base_vg)
     except NotIntegrable:
         if strict:
             raise
-        return IntegrationResult(None, False, tuple(discarded))
-    if value is None:
         return IntegrationResult(None, False, tuple(discarded))
     return IntegrationResult(value, True, tuple(discarded))
 

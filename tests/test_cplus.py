@@ -10,18 +10,20 @@ from motint import formula as F
 from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell, universe
 from motint.cplus import (
-    MotFun, CTerm, _scalar_split, is_equal, is_integrable, lift,
-    mu_vg_res, normal_form, pullback_vg_affine, specialize,
+    MotFun, CTerm, _scalar_split, is_equal, mu_vg_res, normal_form,
+    specialize,
 )
-from motint.errors import FrameMismatch, MotintError, NotIntegrable
+from motint.errors import FrameMismatch, MotintError, NotIntegrable, SortError
 from motint.formula import RES, parse_formula
 from motint.padic import PContext
 from motint.presburger import PFun, PTerm
-from motint.qplus import (RewriteLog, from_formula, l_class,
-                          one as unit_class, torus)
+from motint.qplus import (RewriteLog, from_formula,
+                          normal_form as class_normal_form,
+                          one as unit_class)
 from motint.vfint import integrate_iterated
 
 from test_acceptance import FRAGMENT_CORPUS
+from test_qplus import l_class, torus
 
 GRID = [PContext(2, 1), PContext(3, 1), PContext(2, 2), PContext(3, 2)]
 
@@ -139,6 +141,28 @@ def test_specialize_guard():
         specialize(a, ctx, {})
 
 
+def test_specialize_checks_the_sort_of_each_value():
+    # the indicator of n = 1 reads n only as an int
+    cell = PCell(("n",), (VarCell(af(const=1), af(const=1)),))
+    a = MotFun.indicator((), ("n",), cells=(cell,))
+    ctx = PContext(3, 1)
+    assert specialize(a, ctx, {"n": 1}) == 1
+    for bad in (1.5, "1", True, Fraction(1), None):
+        with pytest.raises(SortError, match="n is .*expected a value-group"):
+            specialize(a, ctx, {"n": bad})
+    # a residue parameter reads a GRElem of its ring or an int
+    e = MotFun.indicator((("e", 1),), (), guard=res_phi("e = 2", e=1))
+    ring = ctx.residue_ring(1)
+    assert specialize(e, ctx, {"e": 2}) == 1
+    assert specialize(e, ctx, {"e": 5}) == 1
+    assert specialize(e, ctx, {"e": ring.from_int(2)}) == 1
+    for bad in ("2", 2.0, True, Fraction(2)):
+        with pytest.raises(SortError, match="e is .*expected an element"):
+            specialize(e, ctx, {"e": bad})
+    with pytest.raises(SortError):
+        specialize(e, ctx, {"e": ctx.residue_ring(2).from_int(2)})
+
+
 def test_mu_geometric_with_full_class():
     pf = geom_pf("z", coef=R.ONE - R.L_pow(-1))
     a = MotFun((), ("z",), (CTerm(F.TRUE, pf,
@@ -165,8 +189,7 @@ def test_mu_divergent():
     a = MotFun.from_pfun(pf)
     with pytest.raises(NotIntegrable):
         mu_vg_res(a)
-    assert not is_integrable(a)
-    assert is_integrable(MotFun.from_pfun(geom_pf("z", slope=-1)))
+    mu_vg_res(MotFun.from_pfun(geom_pf("z", slope=-1)))
 
 
 def test_mu_linked_guard_rejected():
@@ -177,37 +200,6 @@ def test_mu_linked_guard_rejected():
     # integrating both is fine
     out = mu_vg_res(a, vg_out=(), res_out=("e", "f"))
     assert is_equal(out, MotFun.from_pfun(PFun.constant((), R.L))) == "equal"
-
-
-def test_pullback_shift_and_reflect():
-    a = MotFun.from_pfun(PFun(("z",), ((universe(("z",)),
-                                        (PTerm(R.ONE, af({"z": -1})),)),)))
-    shifted = pullback_vg_affine(a, "z", 1, 1)
-    direct = MotFun.from_pfun(PFun(("z",), ((universe(("z",)),
-                                             (PTerm(R.ONE, af({"z": -1}, -1)),)),)))
-    assert is_equal(shifted, direct) == "equal"
-    for k in range(-3, 4):
-        assert (specialize(shifted, PContext(2, 1), {"z": k})
-                == specialize(a, PContext(2, 1), {"z": k + 1}))
-
-    ind = MotFun.indicator((), ("z",), cells=(ray_cell("z"),))
-    refl = pullback_vg_affine(ind, "z", -1, 0)
-    for k in range(-4, 5):
-        assert (specialize(refl, PContext(3, 1), {"z": k})
-                == (1 if -k >= 0 else 0))
-    with pytest.raises(MotintError):
-        pullback_vg_affine(a, "z", 2, 0)
-    with pytest.raises(FrameMismatch):
-        pullback_vg_affine(a, "w", 1, 0)
-
-
-def test_pullback_congruence_cell():
-    cell = PCell(("z",), (VarCell(af(const=0), None, 2, 0),))
-    a = MotFun.indicator((), ("z",), cells=(cell,))
-    b = pullback_vg_affine(a, "z", 1, 1)
-    for k in range(-2, 8):
-        want = 1 if k + 1 >= 0 and (k + 1) % 2 == 0 else 0
-        assert specialize(b, PContext(2, 1), {"z": k}) == want
 
 
 def _random_pfun(rng, vars_, depth=2):
@@ -309,6 +301,38 @@ def test_presentation_independence():
         ctx = rng.choice(GRID)
         env = {"z": rng.randint(-5, 5)}
         assert specialize(a1, ctx, env) == specialize(a2, ctx, env)
+
+
+def lift(a: MotFun):
+    """Present every class by explicit fiber variables: returns a function
+    over an extended residue frame together with the new names, such that
+    integrating them back out reproduces the input."""
+    taken = {n for n, _ in a.res_vars}
+    new_vars = []
+    raw = []                        # (guard, pf, gen)
+    counter = 0
+    for t in a.terms:
+        for gen in class_normal_form(t.rc).gens:
+            mapping = {}
+            for name, depth in gen.vars:
+                counter += 1
+                fresh = f"w{counter}"
+                while fresh in taken:
+                    counter += 1
+                    fresh = f"w{counter}"
+                taken.add(fresh)
+                mapping[name] = fresh
+                new_vars.append((fresh, depth))
+            gen2 = gen.rename(mapping) if mapping else gen
+            raw.append((t.guard, t.pf.scale(R.L_pow(gen2.lpow)), gen2))
+    terms = []
+    for guard, pf, gen in raw:
+        own = {n for n, _ in gen.vars}
+        pins = [F.Eq(F.Var(w, F.RES(dw)), F.IntLit(0, F.RES(dw)))
+                for w, dw in new_vars if w not in own]
+        terms.append(CTerm(F.land(guard, gen.phi, *pins), pf, unit_class()))
+    lifted = MotFun(a.res_vars + tuple(new_vars), a.vg_vars, tuple(terms))
+    return lifted, tuple(n for n, _ in new_vars)
 
 
 def test_lift_round_trip():

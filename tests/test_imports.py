@@ -1,9 +1,12 @@
 """Stdlib ast checks over the package and the tests: every imported name
 is used, no package module reaches into another one's private
-(underscore) names, and every ``lru_cache`` of the package wraps a
-module-level function."""
+(underscore) names, every ``lru_cache`` of the package wraps a
+module-level function, every public name of the package has a caller
+outside the tests, and every name the benchmark's tracing shim pins
+exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,3 +137,102 @@ def test_caches_wrap_module_level_functions():
              for path in PACKAGE
              for line, text in misplaced_caches(path.read_text())]
     assert not found, "caches the benchmark cannot clear:\n" + "\n".join(found)
+
+
+
+# ---------------------------------------------------------------------------
+# the library surface: every public name has a caller outside the tests
+
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# public names that no caller reaches yet, each with its reason
+SURFACE_ALLOWED = {
+    # its tests compare it with integrate_iterated; it goes once
+    # integrate_iterated builds the same families (ROADMAP item 5)
+    "zmot_from_cells",
+}
+
+
+def identifiers(node, strings: bool = False) -> set:
+    """Names a node reads: plain names, attributes and imported names, and
+    with ``strings`` every string constant too."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out |= {alias.name for alias in sub.names}
+        elif (strings and isinstance(sub, ast.Constant)
+              and isinstance(sub.value, str)):
+            out.add(sub.value)
+    return out
+
+
+def uncalled_public_names(package: dict, outside: set) -> list:
+    """(file, name) for each public top-level def or class of the package
+    sources ({file: source}) that no other top-level statement of the
+    package reads and that ``outside`` does not hold."""
+    trees = {path: ast.parse(source) for path, source in package.items()}
+    reads = [(node, identifiers(node))
+             for tree in trees.values() for node in tree.body]
+    return [(path, node.name)
+            for path, tree in trees.items() for node in tree.body
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
+            and node.name not in outside
+            and not any(node.name in names
+                        for other, names in reads if other is not node)]
+
+
+def test_uncalled_public_names_are_detected():
+    package = {"a.py": ("def f():\n    return f()\n"
+                        "def g():\n    pass\n"
+                        "class C:\n    pass\n"
+                        "class D:\n    pass\n"),
+               "b.py": "from a import g\ndef _h():\n    return D.x\n"}
+    assert uncalled_public_names(package, {"C"}) == [("a.py", "f")]
+
+
+def test_public_names_have_callers_outside_the_tests():
+    package = {path.relative_to(ROOT): path.read_text() for path in PACKAGE}
+    defined = {node.name for source in package.values()
+               for node in ast.parse(source).body
+               if isinstance(node, DEFINITIONS)}
+    assert SURFACE_ALLOWED <= defined, "allowed names that are gone"
+    outside = SURFACE_ALLOWED | identifiers(ast.parse(ACCEPTANCE.read_text()))
+    for path in BENCH:
+        # the tracing shim names its targets by string
+        outside |= identifiers(ast.parse(path.read_text()), strings=True)
+    found = [f"{path}: {name}"
+             for path, name in uncalled_public_names(package, outside)]
+    assert not found, "public names that only tests call:\n" + "\n".join(found)
+
+
+def shim_targets() -> list:
+    """(owner, attribute) of every entry of ``SPANNED`` and ``COUNTED`` in
+    bench/tracing.py; the owner is "module" or "module:Class"."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    return [(owner, attr)
+            for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id in ("SPANNED", "COUNTED")
+                    for t in node.targets)
+            for _, owner, attr in ast.literal_eval(node.value)]
+
+
+def test_names_the_tracing_shim_pins_exist():
+    # the shim reads each target from the owner's __dict__
+    targets = shim_targets()
+    assert ("padic:GRElem", "__mul__") in targets
+    missing = []
+    for owner, attr in targets:
+        module, _, cls = owner.partition(":")
+        holder = importlib.import_module(f"motint.{module}")
+        if cls:
+            holder = vars(holder).get(cls)
+        if holder is None or attr not in vars(holder):
+            missing.append(f"{owner} {attr}")
+    assert not missing, "names the tracing shim pins are gone:\n" + \
+        "\n".join(missing)

@@ -24,6 +24,27 @@ def test_arithmetic():
     assert P.evaluate((2, 0, 1), Fraction(1, 2)) == Fraction(9, 4)
 
 
+def test_power_counts_products_and_matches_repeated_products():
+    # squarings for the highest bit, one product per further set bit
+    calls = 0
+
+    def times(a, b):
+        nonlocal calls
+        calls += 1
+        return a * b
+
+    for e, want_calls in enumerate([0, 0, 1, 2, 2, 3]):
+        calls = 0
+        assert P.power(3, e, times, 1) == 3 ** e
+        assert calls == want_calls, (e, calls)
+    for f in [(1, 1), (2, -1, 3), (0, 1), (5,), ()]:
+        repeated = (1,)
+        for e in range(9):
+            assert P.poly_pow(f, e) == repeated, (f, e)
+            assert P.power(f, e, P.mul, (1,)) == repeated, (f, e)
+            repeated = P.mul(repeated, f)
+
+
 def test_divmod_exact():
     num = (-1, 0, 0, 1)            # x^3 - 1
     den = (-1, 1)                  # x - 1

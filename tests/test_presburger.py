@@ -16,10 +16,9 @@ from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell, from_constraints, universe
 from motint.cplus import MotFun, normal_form
 from motint.errors import FrameMismatch, NotIntegrable
-from motint.presburger import (
-    PFun, PTerm, is_integrable, sum_all, sum_fibers, sum_value,
-)
+from motint.presburger import PFun, PTerm, sum_fibers
 from motint.ring_a import ONE, ZERO, theta
+from test_acceptance import full_sum
 from test_differential import SETTINGS
 
 
@@ -39,50 +38,49 @@ def one_var_fun(var, term, lo=0, hi=None, mod=1, res=0):
 
 def test_geometric_ray():
     f = one_var_fun("i", PTerm(ONE, af({"i": -1})))
-    assert sum_value(f) == R.parse_ratfunc("L/(L-1)")
+    assert full_sum(f) == R.parse_ratfunc("L/(L-1)")
 
 
 def test_weighted_geometric_is_one():
     coef = R.parse_ratfunc("(L-1)/L")
     f = one_var_fun("i", PTerm(coef, af({"i": -1})))
-    assert sum_value(f) == ONE
+    assert full_sum(f) == ONE
 
 
 def test_polynomial_times_geometric():
     f = one_var_fun("i", PTerm(ONE, af({"i": -1}), (af({"i": 1}, 1),)))
-    assert sum_value(f) == R.parse_ratfunc("L^2/(L^2 - 2*L + 1)")
+    assert full_sum(f) == R.parse_ratfunc("L^2/(L^2 - 2*L + 1)")
     g = one_var_fun("i", PTerm(ONE, af({"i": -1}), (af({"i": 1}, 1), af({"i": 1}, 1))))
     # sum (i+1)^2 L^-i = L^2(L+1)/(L-1)^3
-    assert sum_value(g) == R.parse_ratfunc("(L^3 + L^2)/(L^3 - 3*L^2 + 3*L - 1)")
+    assert full_sum(g) == R.parse_ratfunc("(L^3 + L^2)/(L^3 - 3*L^2 + 3*L - 1)")
 
 
 def test_congruence_class_ray():
     f = one_var_fun("i", PTerm(ONE, af({"i": -1})), mod=2, res=1)
-    assert sum_value(f) == R.parse_ratfunc("L/(L^2-1)")
+    assert full_sum(f) == R.parse_ratfunc("L/(L^2-1)")
     g = one_var_fun("i", PTerm(ONE, af({"i": -1})), mod=3, res=2)
-    assert sum_value(g) == R.parse_ratfunc("L/(L^3-1)")
+    assert full_sum(g) == R.parse_ratfunc("L/(L^3-1)")
 
 
 def test_shifted_start():
     f = one_var_fun("i", PTerm(ONE, af({"i": -1})), lo=4)
-    assert sum_value(f) == R.parse_ratfunc("1/(L^3*(L-1))")
+    assert full_sum(f) == R.parse_ratfunc("1/(L^3*(L-1))")
 
 
 def test_downward_ray():
     cell = PCell(("i",), (VarCell(None, af(const=0)),))
     f = PFun(("i",), ((cell, (PTerm(ONE, af({"i": 1})),)),))
-    assert sum_value(f) == R.parse_ratfunc("L/(L-1)")
+    assert full_sum(f) == R.parse_ratfunc("L/(L-1)")
 
 
 def test_two_sided_divergence_and_flat_divergence():
     cell = PCell(("i",), (VarCell(None, None),))
     f = PFun(("i",), ((cell, (PTerm(ONE, af({"i": -1})),)),))
     with pytest.raises(NotIntegrable):
-        sum_all(f)
-    assert not is_integrable(f)
+        sum_fibers(f)
     g = one_var_fun("i", PTerm(ONE, af()))
     with pytest.raises(NotIntegrable):
-        sum_all(g)
+        sum_fibers(g)
 
 
 def test_finite_interval_values():
@@ -133,12 +131,12 @@ def test_fubini_double_geometric():
         ("ineq", af({"j": -1})), ("ineq", af({"j": 1, "i": -1})),
     ])
     fa = PFun(("i", "j"), tuple((c, (PTerm(ONE, af({"i": -1})),)) for c in cells_a))
-    va = sum_value(fa)
+    va = full_sum(fa)
     cells_b = from_constraints(("j", "i"), [
         ("ineq", af({"j": -1})), ("ineq", af({"j": 1, "i": -1})),
     ])
     fb = PFun(("j", "i"), tuple((c, (PTerm(ONE, af({"i": -1})),)) for c in cells_b))
-    vb = sum_value(fb)
+    vb = full_sum(fb)
     assert va == vb == R.parse_ratfunc("L^2/(L^2 - 2*L + 1)")
 
 
@@ -150,7 +148,7 @@ def test_reorder_matches():
     f = PFun(("i", "j"), tuple((c, (PTerm(ONE, af({"i": -1, "j": -1})),))
                                for c in cells))
     g = f.reorder(("j", "i"))
-    assert sum_value(f) == sum_value(g)
+    assert full_sum(f) == full_sum(g)
     for env in ({"i": 3, "j": 1}, {"i": 2, "j": 2}, {"i": 5, "j": 0}):
         assert f.eval_arat(env) == g.eval_arat(env)
 
@@ -191,7 +189,7 @@ def test_sum_matches_truncated_series():
                         for _ in range(deg))
         term = PTerm(ONE, af({"i": slope}, shift), factors)
         f = one_var_fun("i", term, lo=lo, mod=mod, res=res)
-        total = sum_value(f)
+        total = full_sum(f)
         for q in (2, 3):
             # geometric tail bound: |f(i)| <= C * poly; cut when negligible
             acc = Fraction(0)
@@ -205,7 +203,7 @@ def test_sum_matches_truncated_series():
 def test_fractional_slope_congruence_refinement():
     # lpow i/2 on even i: values are integers, step exponent is -1 per class
     f = one_var_fun("i", PTerm(ONE, af({"i": Fraction(-1, 2)})), mod=2, res=0)
-    assert sum_value(f) == R.parse_ratfunc("L/(L-1)")
+    assert full_sum(f) == R.parse_ratfunc("L/(L-1)")
 
 
 def test_sum_requires_innermost():
@@ -263,7 +261,7 @@ def test_overlapping_pieces_add_up(tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         reports.append((report["value"], report["theta"]))
     assert reports[0] == reports[1]
-    assert reports[0][0] == str(sum_value(disjoint))
+    assert reports[0][0] == str(full_sum(disjoint))
 
 
 def test_reordered_three_variable_cell():
@@ -276,10 +274,10 @@ def test_reordered_three_variable_cell():
         VarCell(af({"x": Fraction(1, 2)}, Fraction(-1, 2)), af({"y": -1}, 2),
                 2, 1)))
     f = PFun(("x", "y", "z"), ((cell, (PTerm(ONE, af()),)),))
-    assert sum_all(f).eval_arat({}) == R.from_int(6)
+    assert full_sum(f) == R.from_int(6)
     g = f.reorder(("z", "y", "x"))
     assert len(sum_fibers(g).pieces) <= 27
-    assert sum_all(g).eval_arat({}) == R.from_int(6)
+    assert full_sum(g) == R.from_int(6)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +359,8 @@ def check_fiber_sums(f: PFun):
         for k in range(box[last][0], box[last][1] + 1):
             direct = direct + f.eval_arat({**env, last: k})
         assert partial.eval_arat(env) == direct, f"fiber sum at {env}"
-    total = sum_value(f)
-    assert sum_value(f.reorder(f.vars[::-1])) == total
+    total = full_sum(f)
+    assert full_sum(f.reorder(f.vars[::-1])) == total
 
 
 @SETTINGS

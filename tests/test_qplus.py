@@ -11,10 +11,22 @@ from motint.formula import RES, parse_formula
 from motint.padic import PContext
 from motint.qplus import (
     ResClass, ResGen, RewriteLog, count_class, from_formula,
-    is_equal, l_class, normal_form, one, torus, zero,
+    is_equal, normal_form, one, zero,
 )
 
 GRID = [PContext(2, 1), PContext(3, 1), PContext(2, 2), PContext(3, 2)]
+
+
+def l_class(k: int = 1) -> ResClass:
+    """The class of a point times L^k."""
+    return ResClass((ResGen((), F.TRUE, k),))
+
+
+def torus() -> ResClass:
+    """The units of res(1), a class counted by q - 1."""
+    v = F.Var("r1", RES(1))
+    return ResClass((ResGen((("r1", 1),), F.Not(F.Eq(v, F.IntLit(0, RES(1)))),
+                            0),))
 
 
 def res_formula(text, **sorts):
@@ -85,7 +97,7 @@ def test_unused_variable_extraction():
 
 def test_projection_depth_drop():
     rc = from_formula((("x", 2),), res_formula("proj_2_1(x) = 0", x=2))
-    low = from_formula((("y", 1),), res_formula("y = 0", y=1)).scale_l(1)
+    low = from_formula((("y", 1),), res_formula("y = 0", y=1), lpow=1)
     assert is_equal(rc, low) == "equal"
     for ctx in GRID:
         assert count_class(rc, ctx) == count_class(low, ctx)

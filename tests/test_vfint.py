@@ -293,6 +293,21 @@ def test_divergent_integral():
     assert not out.integrable and out.value is None
 
 
+@pytest.mark.parametrize("text, order, loci", [
+    # the inner variable converges and discards its point cell, then the
+    # outer one diverges
+    ("ord(x - 1) >= 1 && ord(y) <= 0", ("y", "x"), [("x", Fraction(1))]),
+    ("ord(x) <= 0 && ord(y - 2) >= 0", ("x", "y"), [("y", Fraction(2))]),
+    # the inner y diverges on its first ball cell, before any point cell
+    ("ord(x - 1) >= 1 && ord(y) <= 0", ("x", "y"), []),
+])
+def test_lenient_result_keeps_loci_discarded_before_divergence(text, order,
+                                                               loci):
+    out = integrate_iterated(vf(text), order, Q2, strict=False)
+    assert not out.integrable and out.value is None
+    assert [(d.var, d.center) for d in out.discarded] == loci
+
+
 def test_divergent_by_weight():
     # L^{+ord t} over the maximal ideal grows as fast as the shells shrink
     with pytest.raises(NotIntegrable):
