@@ -541,7 +541,17 @@ def _constraints_of(cell: PCell) -> list:
 def _apply(cell: PCell, con) -> list:
     if con[0] == "ineq":
         return add_ineq(cell, con[1])
-    return add_cong(cell, con[1], con[2])
+    if con[0] == "eq":
+        return add_eq(cell, con[1])
+    if con[0] == "cong":
+        return add_cong(cell, con[1], con[2])
+    raise MotintError(f"unknown constraint kind {con[0]}")
+
+
+def _apply_all(cells: list, cons) -> list:
+    for con in cons:
+        cells = [c for base in cells for c in _apply(base, con)]
+    return cells
 
 
 def _apply_negation(cell: PCell, con) -> list:
@@ -566,10 +576,7 @@ def intersect(a: PCell, b: PCell) -> list:
         raise FrameMismatch(f"variable order mismatch: {a.vars} vs {b.vars}")
     if all(vc.lo is None and vc.hi is None and vc.mod == 1 for vc in a.tower):
         return _prune([b])
-    cells = [a]
-    for con in _constraints_of(b):
-        cells = [c for base in cells for c in _apply(base, con)]
-    return cells
+    return _apply_all([a], _constraints_of(b))
 
 
 def subtract(a: PCell, b: PCell) -> list:
@@ -604,17 +611,7 @@ def complement(cells: list, names) -> list:
 def from_constraints(names, cons) -> list:
     """Build disjoint cells from scratch: cons is a list of ('ineq', form),
     ('eq', form) or ('cong', form, m) records."""
-    cells = [universe(names)]
-    for con in cons:
-        if con[0] == "ineq":
-            cells = [c for base in cells for c in add_ineq(base, con[1])]
-        elif con[0] == "eq":
-            cells = [c for base in cells for c in add_eq(base, con[1])]
-        elif con[0] == "cong":
-            cells = [c for base in cells for c in add_cong(base, con[1], con[2])]
-        else:
-            raise MotintError(f"unknown constraint kind {con[0]}")
-    return cells
+    return _apply_all([universe(names)], cons)
 
 
 def reorder(cell: PCell, new_vars) -> list:

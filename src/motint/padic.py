@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import gcd, inf, isqrt, lcm
+from math import gcd, inf, isqrt, lcm, prod
 
 from .errors import CapExceeded, MotintError, SortError
 from . import formula as F
@@ -157,17 +157,7 @@ def _is_irreducible_mod_p(f: tuple, p: int) -> bool:
     one, x = tuple([1] + [0] * (d - 1)), tuple([0, 1] + [0] * (d - 2))
     if power(x, p ** d, mul, one) != x:
         return False
-    m, r = d, 2
-    primes = set()
-    while r * r <= m:
-        if m % r == 0:
-            primes.add(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    if m > 1:
-        primes.add(m)
-    for r in primes:
+    for r in (r for r in range(2, d + 1) if d % r == 0 and is_prime(r)):
         xk = power(x, p ** (d // r), mul, one)
         diff = [(a - b) % p for a, b in zip(xk, x)]
         g = _pgcd(diff, list(f), p)
@@ -468,6 +458,9 @@ class PContext:
             raise MotintError(f"d must be >= 1, got {self.d}")
         if not self.modulus:
             object.__setattr__(self, "modulus", default_modulus(self.p, self.d))
+        if len(self.modulus) != self.d + 1 or self.modulus[-1] != 1:
+            raise MotintError(
+                f"modulus {self.modulus} is not monic of degree {self.d}")
         if not _is_irreducible_mod_p(self.modulus, self.p):
             raise MotintError(f"modulus {self.modulus} is reducible mod {self.p}")
 
@@ -849,42 +842,26 @@ def eval_formula(f: F.Formula, env: dict, ctx: PContext, cap: int | None = None)
 # ---------------------------------------------------------------------------
 # counting
 
-def _box_product(sizes: list, cap: int) -> int:
-    total = 1
-    for n in sizes:
-        total *= n
-    if total > cap:
-        raise CapExceeded(
-            f"enumerating {total} tuples exceeds the cap {cap}", needed=total, cap=cap)
-    return total
-
-
-def count_points(f: F.Formula, ctx: PContext,
-                 boxes: dict | None = None,
+def count_points(f: F.Formula, ctx: PContext, *,
                  cap: int | None = None) -> int:
-    """Count assignments of the free residue and value-group variables
-    satisfying f; this is the library's one enumerator of formula points.
+    """Count assignments of the free residue variables satisfying f; this
+    is the library's one enumerator of formula points.
 
-    Free residue variables range over their residue rings and free vg
-    variables over boxes[name] = (lo, hi) inclusive.  The frame must not
-    contain vf variables.  The size of the whole box is checked against
-    the cap before any point is evaluated.
+    Free residue variables range over their residue rings; the frame must
+    not contain vf or vg variables.  The size of the whole box is checked
+    against the cap before any point is evaluated.
     """
     cap = DEFAULT_CAP if cap is None else cap
-    boxes = boxes or {}
     frame = F.frame_of(f)
-    if frame.vf:
-        raise SortError(f"count_points does not accept vf variables: {frame.vf}")
+    if frame.vf or frame.vg:
+        raise SortError("count_points enumerates residue variables only, "
+                        f"not {frame.vf + frame.vg}")
     rings = [ctx.residue_ring(depth) for _, depth in frame.res]
-    ranges = []
-    for name in frame.vg:
-        if name not in boxes:
-            raise MotintError(f"free value-group variable {name} needs a box")
-        lo, hi = boxes[name]
-        ranges.append(range(lo, hi + 1))
-    _box_product([r.size for r in rings] + [len(r) for r in ranges], cap)
-    names = [name for name, _ in frame.res] + list(frame.vg)
-    run = compile_formula(f, ctx, {name: name for name, _ in frame.res})
-    values = [r.tuples(cap) for r in rings] + ranges
-    return sum(1 for point in product(*values)
+    needed = prod(r.size for r in rings)
+    if needed > cap:
+        raise CapExceeded(f"enumerating {needed} tuples exceeds the cap {cap}",
+                          needed=needed, cap=cap)
+    names = [name for name, _ in frame.res]
+    run = compile_formula(f, ctx, {name: name for name in names})
+    return sum(1 for point in product(*(r.tuples(cap) for r in rings))
                if run(dict(zip(names, point)), cap))

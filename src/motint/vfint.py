@@ -230,74 +230,62 @@ def _affine_in(t: F.Term, var: str | None):
     raise OutsideFragment(f"unsupported valued-field term {F.term_str(t)}")
 
 
+def _arg_of(t: F.Term):
+    """Read the argument of an Ord or Ac term as u*name + v, with name
+    None for a constant; (name, u, v) with u, v exact rationals."""
+    names = _vf_free_vars(t.arg)
+    if len(names) > 1:
+        raise OutsideFragment(f"{F.term_str(t)} mixes valued-field variables")
+    name = names[0] if names else None
+    u, v = _affine_in(t.arg, name)
+    return name, u, v
+
+
 # ---------------------------------------------------------------------------
-# extended value-group values: finite affine form or a signed infinity
-
-_PINF = ("pinf",)
-_NINF = ("ninf",)
+# extended value-group values: an AffineForm, inf or -inf
 
 
-def _x_fin(form: AffineForm):
-    return ("fin", form)
-
-
-def _x_const(c):
-    return ("fin", AffineForm.const_form(c))
-
-
-def _x_neg(a):
-    if a == _PINF:
-        return _NINF
-    if a == _NINF:
-        return _PINF
-    return ("fin", a[1].scale(-1))
+def _x_ord(c: Fraction, p: int):
+    """The order of a rational constant as an extended order."""
+    o = rational_ord(c, p)
+    return o if o == inf else AffineForm.const_form(o)
 
 
 def _x_add(a, b):
-    if a[0] == "fin" and b[0] == "fin":
-        return ("fin", a[1] + b[1])
-    if a[0] == "fin":
+    if isinstance(a, AffineForm) and isinstance(b, AffineForm):
+        return a + b
+    if isinstance(a, AffineForm):
         return b
-    if b[0] == "fin":
-        return a
-    if a == b:
+    if isinstance(b, AffineForm) or a == b:
         return a
     raise OutsideFragment("indeterminate difference of infinite orders")
 
 
 def _x_scale(a, c: Fraction):
     c = Fraction(c)
-    if a[0] == "fin":
-        return ("fin", a[1].scale(c))
+    if isinstance(a, AffineForm):
+        return a.scale(c)
     if c == 0:
-        return _x_const(0)
-    if c > 0:
-        return a
-    return _x_neg(a)
+        return AffineForm.const_form(0)
+    return a if c > 0 else -a
 
 
 # ---------------------------------------------------------------------------
 # per-cell resolvers for ord(t - c) and ac_m(t - c)
+#
+# A resolver reads one variable on one cell: ord_of(center) gives
+# ord(t - center) as an extended order, ac_of(center, m) gives
+# ac_m(t - center) as a residue term.
 
 
-class _Resolver:
-    """How one variable's cell turns its ord/ac terms into cell data."""
-
-    def ord_of(self, center: Fraction):
-        raise NotImplementedError
-
-    def ac_of(self, center: Fraction, m: int) -> F.Term:
-        raise NotImplementedError
-
-
-class _BallResolver(_Resolver):
+class _BallResolver:
     def __init__(self, anchor: Fraction, depth: int, z_name: str,
-                 xi_name: str, links: dict, p: int):
+                 xi_name: str, links: tuple, p: int):
         self.anchor = anchor
         self.depth = depth
         self.z_name = z_name
         self.xi_name = xi_name
-        self.links = links              # center -> (rel, dist, zval)
+        self.links = {c: (rel, d, zv) for c, rel, d, zv in links}
         self.p = p
 
     def _xi(self, m: int) -> F.Term:
@@ -315,11 +303,11 @@ class _BallResolver(_Resolver):
 
     def ord_of(self, center: Fraction):
         if center == self.anchor:
-            return _x_fin(AffineForm.var(self.z_name))
+            return AffineForm.var(self.z_name)
         rel, dist, _ = self._link(center)
         if rel == "above":
-            return _x_const(dist)
-        return _x_fin(AffineForm.var(self.z_name))
+            return AffineForm.const_form(dist)
+        return AffineForm.var(self.z_name)
 
     def ac_of(self, center: Fraction, m: int) -> F.Term:
         if m > self.depth:
@@ -347,22 +335,17 @@ class _BallResolver(_Resolver):
                        F.BinOp("*", F.IntLit(scale, F.RES(m)), self._xi(m)))
 
 
-class _PointResolver(_Resolver):
+class _PointResolver:
     def __init__(self, center: Fraction, p: int):
         self.center = center
         self.p = p
 
     def ord_of(self, center: Fraction):
-        diff = self.center - center
-        if diff == 0:
-            return _PINF
-        return _x_const(rational_ord(diff, self.p))
+        return _x_ord(self.center - center, self.p)
 
     def ac_of(self, center: Fraction, m: int) -> F.Term:
-        diff = self.center - center
-        if diff == 0:
-            return F.IntLit(0, F.RES(m))
-        return F.IntLit(rational_ac(diff, self.p, m), F.RES(m))
+        return F.IntLit(rational_ac(self.center - center, self.p, m),
+                        F.RES(m))
 
 
 # ---------------------------------------------------------------------------
@@ -381,46 +364,31 @@ class _Rewriter:
 
     # -- terms ---------------------------------------------------------
 
-    def _resolve_ord(self, arg: F.Term):
-        names = _vf_free_vars(arg)
-        if not names:
-            _, v = _affine_in(arg, None)
-            o = rational_ord(v, self.p)
-            return _PINF if o == inf else _x_const(o)
-        if len(names) > 1:
-            raise OutsideFragment(
-                f"ord({F.term_str(arg)}) mixes valued-field variables")
-        name = names[0]
+    def _arg(self, t: F.Term):
+        """``_arg_of``, where a variable argument needs a resolver and a
+        nonzero slope."""
+        name, u, v = _arg_of(t)
+        if name is None:
+            return name, u, v
         if name not in self.rs:
             raise OutsideFragment(
                 f"valued-field variable {name} is not resolvable here")
-        u, v = _affine_in(arg, name)
-        if u == 0:                      # cannot happen: name is free in arg
-            raise OutsideFragment(f"degenerate term {F.term_str(arg)}")
-        center = -v / u
-        base = self.rs[name].ord_of(center)
-        return _x_add(base, _x_const(rational_ord(u, self.p)))
+        if u == 0:
+            raise OutsideFragment(f"degenerate term {F.term_str(t)}")
+        return name, u, v
+
+    def _resolve_ord(self, t: F.Ord):
+        name, u, v = self._arg(t)
+        if name is None:
+            return _x_ord(v, self.p)
+        return _x_add(self.rs[name].ord_of(-v / u), _x_ord(u, self.p))
 
     def _resolve_ac(self, t: F.Ac) -> F.Term:
-        arg, m = t.arg, t.depth
-        names = _vf_free_vars(arg)
-        if not names:
-            _, v = _affine_in(arg, None)
-            if v == 0:
-                return F.IntLit(0, F.RES(m))
+        m = t.depth
+        name, u, v = self._arg(t)
+        if name is None:
             return F.IntLit(rational_ac(v, self.p, m), F.RES(m))
-        if len(names) > 1:
-            raise OutsideFragment(
-                f"ac({F.term_str(arg)}) mixes valued-field variables")
-        name = names[0]
-        if name not in self.rs:
-            raise OutsideFragment(
-                f"valued-field variable {name} is not resolvable here")
-        u, v = _affine_in(arg, name)
-        if u == 0:
-            raise OutsideFragment(f"degenerate term {F.term_str(arg)}")
-        center = -v / u
-        base = self.rs[name].ac_of(center, m)
+        base = self.rs[name].ac_of(-v / u, m)
         mult = rational_ac(u, self.p, m)
         if mult == 1:
             return base
@@ -429,20 +397,20 @@ class _Rewriter:
     def vg_term(self, t: F.Term):
         """Value-group term -> extended affine form."""
         if isinstance(t, F.Var):
-            return _x_fin(AffineForm.var(t.name))
+            return AffineForm.var(t.name)
         if isinstance(t, F.IntLit):
-            return _x_const(t.value)
+            return AffineForm.const_form(t.value)
         if isinstance(t, F.Neg):
-            return _x_neg(self.vg_term(t.arg))
+            return _x_scale(self.vg_term(t.arg), -1)
         if isinstance(t, F.Ord):
-            return self._resolve_ord(t.arg)
+            return self._resolve_ord(t)
         if isinstance(t, F.BinOp):
             a = self.vg_term(t.left)
             b = self.vg_term(t.right)
             if t.op == "+":
                 return _x_add(a, b)
             if t.op == "-":
-                return _x_add(a, _x_neg(b))
+                return _x_add(a, _x_scale(b, -1))
             if t.op == "*":
                 if isinstance(t.left, F.IntLit):
                     return _x_scale(b, t.left.value)
@@ -497,16 +465,16 @@ class _Rewriter:
     # -- formulas -------------------------------------------------------
 
     def _vg_eq(self, a, b):
-        if a[0] == "fin" and b[0] == "fin":
-            return ("vg", ("eq", a[1] - b[1]))
+        if isinstance(a, AffineForm) and isinstance(b, AffineForm):
+            return ("vg", ("eq", a - b))
         return ("T",) if a == b else ("F",)
 
     def _vg_le(self, a, b):
-        if a == _NINF or b == _PINF:
+        if a == -inf or b == inf:
             return ("T",)
-        if a == _PINF or b == _NINF:
+        if a == inf or b == -inf:
             return ("F",)
-        return ("vg", ("ineq", a[1] - b[1]))
+        return ("vg", ("ineq", a - b))
 
     def mini(self, f: F.Formula):
         if isinstance(f, F.TrueF):
@@ -520,15 +488,12 @@ class _Rewriter:
         if isinstance(f, F.Or):
             return ("or", tuple(self.mini(g) for g in f.parts))
         if isinstance(f, F.Quant):
-            if f.var.var_sort.kind != "res":
-                raise OutsideFragment(
-                    "value-group quantifiers are outside the fragment")
-            if any(isinstance(t, F.Ord) for t in F.iter_terms(f.body)):
+            if f.var.var_sort.kind == "res" and any(
+                    isinstance(t, F.Ord) for t in F.iter_terms(f.body)):
                 raise OutsideFragment(
                     "ord terms under a residue quantifier are outside "
                     "the fragment")
-            return ("res", F.Quant(f.q, f.var, f.lo, f.hi,
-                                   self.res_formula(f.body)))
+            return ("res", self.res_formula(f))
         if isinstance(f, F.Eq):
             s = f.left.sort()
             if s == F.VF:
@@ -544,9 +509,9 @@ class _Rewriter:
         if isinstance(f, F.Cong):
             a = self.vg_term(f.left)
             b = self.vg_term(f.right)
-            if a[0] != "fin" or b[0] != "fin":
+            if not (isinstance(a, AffineForm) and isinstance(b, AffineForm)):
                 return ("F",)
-            return ("vg", ("cong", a[1] - b[1], f.modulus))
+            return ("vg", ("cong", a - b, f.modulus))
         raise OutsideFragment(f"unsupported condition {F.formula_str(f)}")
 
 
@@ -572,12 +537,7 @@ def _mini_cells(m, sigma: dict, frame) -> list:
     if m[0] == "F":
         return []
     if m[0] == "vg":
-        con = m[1]
-        if con[0] == "ineq":
-            return from_constraints(frame, [("ineq", con[1])])
-        if con[0] == "eq":
-            return from_constraints(frame, [("eq", con[1])])
-        return from_constraints(frame, [("cong", con[1], con[2])])
+        return from_constraints(frame, [m[1]])
     if m[0] == "res":
         return [universe(frame)] if sigma[F.formula_str(m[1])] else []
     if m[0] == "and":
@@ -648,15 +608,8 @@ def _scan_var(f: F.Formula, var: str):
     centers: list = []
     depth = 1
     for t in F.iter_terms(f):
-        if isinstance(t, (F.Ord, F.Ac)):
-            arg = t.arg
-            names = _vf_free_vars(arg)
-            if var not in names:
-                continue
-            if len(names) > 1:
-                raise OutsideFragment(
-                    f"{F.term_str(t)} mixes valued-field variables")
-            u, v = _affine_in(arg, var)
+        if isinstance(t, (F.Ord, F.Ac)) and var in _vf_free_vars(t.arg):
+            _, u, v = _arg_of(t)
             if u == 0:
                 continue
             c = -v / u
@@ -753,9 +706,7 @@ def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
 
         for piece in pieces:
             links = _piece_links(centers, i, piece, dists, depth)
-            res = _BallResolver(ci, depth, z_name, xi_name,
-                                {c: (rel, d, zv)
-                                 for c, rel, d, zv in links}, p)
+            res = _BallResolver(ci, depth, z_name, xi_name, links, p)
             rw = _Rewriter({**outer, var: res}, ctx)
             mini = rw.mini(cond)
 
@@ -986,15 +937,12 @@ def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
                 values.append(MotFun.unit(res_cur, vg_cur))
                 continue
             rs = _BallResolver(cell.center, cell.depth, cell.z_name,
-                               cell.xi_name,
-                               {c: (rel, d, zv)
-                                for c, rel, d, zv in cell.links}, ctx.p)
+                               cell.xi_name, cell.links, ctx.p)
             wform = AffineForm.make()
             for m, wv, c in weight:
                 if wv != var:
                     continue
-                x = rs.ord_of(c)
-                wform = wform - x[1].scale(m)
+                wform = wform - rs.ord_of(c).scale(m)
             val = MotFun.from_pfun(
                 PFun(ext_vg, ((universe(ext_vg), (PTerm(R.ONE, wform),)),)),
                 res_vars=ext_res)

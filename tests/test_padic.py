@@ -116,25 +116,20 @@ def test_count_residue_square_zero():
     assert count_points(f3, PContext(2, 1)) == 2
 
 
-def test_count_with_vg_box():
-    f = parse_formula("x^2 = 0 && 0 <= n && n <= 5", defaults={"x": RES(2), "n": VG})
-    ctx = PContext(2, 1)
-    assert count_points(f, ctx, boxes={"n": (-3, 10)}) == 2 * 6
-    assert count_points(f, ctx, boxes={"n": (3, 2)}) == 0        # empty box
-    with pytest.raises(MotintError):
-        count_points(f, ctx)
-
-
 def test_count_cap():
     f = parse_formula("x = x", defaults={"x": RES(4)})
     with pytest.raises(CapExceeded):
         count_points(f, PContext(2, 1), cap=10)
     # the cap applies to the whole box, not to each coordinate
-    g = parse_formula("x = y && 0 <= n", defaults={"x": RES(2), "y": RES(2), "n": VG})
+    g = parse_formula("x = y", defaults={"x": RES(2), "y": RES(2)})
     with pytest.raises(CapExceeded) as ei:
-        count_points(g, PContext(2, 1), boxes={"n": (0, 9)}, cap=100)
-    assert (ei.value.needed, ei.value.cap) == (4 * 4 * 10, 100)
-    assert count_points(g, PContext(2, 1), boxes={"n": (0, 9)}, cap=160) == 40
+        count_points(g, PContext(2, 1), cap=10)
+    assert (ei.value.needed, ei.value.cap) == (4 * 4, 10)
+    assert count_points(g, PContext(2, 1), cap=16) == 4
+    # only residue variables are enumerated
+    h = parse_formula("x^2 = 0 && 0 <= n", defaults={"x": RES(2), "n": VG})
+    with pytest.raises(SortError):
+        count_points(h, PContext(2, 1))
 
 
 def test_unary_minus_and_powers_in_formulas():
@@ -184,6 +179,10 @@ def test_modulus_independence():
 def test_reducible_modulus_rejected():
     with pytest.raises(MotintError):
         PContext(3, 2, modulus=(0, 0, 1))
+    # the modulus must be monic of degree d
+    for modulus in ((1, 1), (1, 0, 2)):
+        with pytest.raises(MotintError):
+            PContext(3, 2, modulus=modulus)
 
 
 def test_context_needs_prime_and_degree():

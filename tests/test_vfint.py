@@ -187,6 +187,17 @@ def test_outside_fragment_rejections():
         decompose_fragment(vf("ord(t - x) >= 0"), "t", Q2)
     with pytest.raises(OutsideFragment):
         decompose_fragment(vf("t = 1"), "t", Q2)
+    # ord/ac arguments rejected by the scan and by the rewriter
+    for text, message in (
+            ("ac_1(t - x) = 1", "mixes valued-field variables"),
+            ("ord(t) >= 0 && ac_1(x - y) = 1", "mixes valued-field variables"),
+            ("ord(x) >= 0", "not resolvable here"),
+            ("ord(0*t + 1) >= 0", "degenerate term"),
+            ("exists n : vg in [0, 1] . ord(t) = n", "value-group quantifiers"),
+            ("exists r : res(1) . ord(t) = 0",
+             "ord terms under a residue quantifier")):
+        with pytest.raises(OutsideFragment, match=message):
+            decompose_fragment(vf(text), "t", Q2)
 
 
 def test_decomposition_json_shape():
