@@ -13,8 +13,11 @@ connectives, and quantifiers over res and vg sorts only.  Quantifying over
 the valued field is rejected.
 
 The concrete grammar is defined by the recursive-descent parser _Parser
-below (entry points parse_formula and parse_term).  The printer emits a
-canonical form on which print . parse is the identity.
+below (entry points parse_formula and parse_term).  It builds the AST
+directly, in one pass, and infers sorts by union-find: each variable and
+integer literal holds a cell until the end of the parse, and each
+operator and comparison unifies the cells of its operands.  The printer
+emits a canonical form on which print . parse is the identity.
 
 Traversal: the tables behind _children and _rebuild are the only code
 that reads the fields of a node in order to visit it.  walk_term,
@@ -237,36 +240,26 @@ class Quant(Formula):
             raise SortError("bounds are only meaningful for value-group quantifiers")
 
 
-def land(*parts: Formula) -> Formula:
+def _flatten(cls, unit: Formula, parts) -> Formula:
+    """The cls-connective of parts, with nested cls nodes spliced in and
+    the unit dropped; the unit itself when nothing is left."""
     flat: list[Formula] = []
     for p in parts:
-        if isinstance(p, And):
+        if isinstance(p, cls):
             flat.extend(p.parts)
-        elif isinstance(p, TrueF):
-            continue
-        else:
+        elif not isinstance(p, type(unit)):
             flat.append(p)
     if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+        return unit
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+def land(*parts: Formula) -> Formula:
+    return _flatten(And, TRUE, parts)
 
 
 def lor(*parts: Formula) -> Formula:
-    flat: list[Formula] = []
-    for p in parts:
-        if isinstance(p, Or):
-            flat.extend(p.parts)
-        elif isinstance(p, FalseF):
-            continue
-        else:
-            flat.append(p)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _flatten(Or, FALSE, parts)
 
 
 def conjuncts(phi: Formula) -> tuple:
@@ -408,8 +401,8 @@ def frame_of(f: Formula) -> Frame:
     return Frame(tuple(vf), tuple(res), tuple(vg))
 
 
-def check_sorts(f: Formula) -> None:
-    """Validate local sort rules of a built formula."""
+def check_sorts(f: Formula | Term) -> None:
+    """Validate the local sort rules of a built formula or term."""
 
     def t_sort(t: Term) -> Sort:
         if isinstance(t, (Var, IntLit)):
@@ -476,7 +469,10 @@ def check_sorts(f: Formula) -> None:
         else:
             raise SortError(f"unknown formula {g!r}")
 
-    walk(f)
+    if isinstance(f, Term):
+        t_sort(f)
+    else:
+        walk(f)
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +721,9 @@ class _Cell:
 
     __slots__ = ("parent", "value")
 
-    def __init__(self):
+    def __init__(self, value: Optional[Sort] = None):
         self.parent: Optional[_Cell] = None
-        self.value: Optional[Sort] = None
+        self.value = value
 
     def find(self) -> "_Cell":
         c = self
@@ -758,25 +754,29 @@ def _set(a: _Cell, s: Sort) -> None:
         raise SortError(f"sort clash: {r.value} vs {s}")
 
 
-class _Node:
-    """Mutable pre-term produced by the parser, resolved after inference."""
-
-    __slots__ = ("kind", "args", "cell")
-
-    def __init__(self, kind: str, *args):
-        self.kind = kind
-        self.args = list(args)
-        self.cell = _Cell()
+def _cell(t: Term) -> _Cell:
+    """The sort cell of a term being parsed: that of its first leaf under
+    + - * ^ and negation, or a cell fixed to the sort of any other node."""
+    while isinstance(t, (BinOp, Neg, Pow)):
+        t = _children(t)[0]
+    if isinstance(t, Var):
+        return t.var_sort
+    if isinstance(t, IntLit):
+        return t.lit_sort
+    return _Cell(t.sort())
 
 
 class _Parser:
+    """Recursive descent straight to Term and Formula nodes.  Until resolve,
+    a Var holds its variable's _Cell as var_sort and an IntLit a fresh
+    _Cell as lit_sort; resolve writes the inferred sorts in place."""
+
     def __init__(self, text: str, defaults: Mapping[str, Sort] | None, default_sort: Sort | None):
         self.lx = _Lexer(text)
         self.defaults = dict(defaults or {})
         self.default_sort = default_sort
         self.env: list[dict[str, _Cell]] = [{}]
         self.free: dict[str, _Cell] = {}
-        self.nodes: list[_Node] = []
 
     # -- variables ---------------------------------------------------------
     def var_cell(self, name: str) -> _Cell:
@@ -787,13 +787,16 @@ class _Parser:
             self.free[name] = _Cell()
         return self.free[name]
 
-    def node(self, kind: str, *args) -> _Node:
-        n = _Node(kind, *args)
-        self.nodes.append(n)
-        return n
-
     # -- terms ---------------------------------------------------------------
-    def primary(self) -> _Node:
+    def argument(self, sort: Sort) -> Term:
+        """A parenthesized function argument of the given sort."""
+        self.lx.take("(")
+        arg = self.term()
+        self.lx.take(")")
+        _set(_cell(arg), sort)
+        return arg
+
+    def primary(self) -> Term:
         t = self.lx.peek()
         if t == "(":
             self.lx.take()
@@ -802,47 +805,27 @@ class _Parser:
             return n
         if t == "-":
             self.lx.take()
-            n = self.node("neg", self.primary_pow())
-            _unify(n.cell, n.args[0].cell)
-            return n
+            return Neg(self.primary_pow())
         if t == "pi":
             self.lx.take()
-            n = self.node("pi")
-            _set(n.cell, VF)
-            return n
+            return Pi()
         if t == "ord":
             self.lx.take()
-            self.lx.take("(")
-            arg = self.term()
-            self.lx.take(")")
-            _set(arg.cell, VF)
-            n = self.node("ord", arg)
-            _set(n.cell, VG)
-            return n
+            return Ord(self.argument(VF))
         m = _AC.match(t)
         if m:
             self.lx.take()
             depth = _int(m.group(1))
-            self.lx.take("(")
-            arg = self.term()
-            self.lx.take(")")
-            _set(arg.cell, VF)
-            n = self.node("ac", depth, arg)
-            _set(n.cell, RES(depth))
-            return n
+            arg = self.argument(VF)
+            RES(depth)     # rejects depth 0 here, before anything after it
+            return Ac(depth, arg)
         m = _PROJ.match(t)
         if m:
             self.lx.take()
             src, dst = _int(m.group(1)), _int(m.group(2))
             if not (1 <= dst <= src):
                 raise ParseError(f"bad projection proj_{src}_{dst}")
-            self.lx.take("(")
-            arg = self.term()
-            self.lx.take(")")
-            _set(arg.cell, RES(src))
-            n = self.node("proj", src, dst, arg)
-            _set(n.cell, RES(dst))
-            return n
+            return Proj(src, dst, self.argument(RES(src)))
         if t.isdigit():
             self.lx.take()
             if self.lx.peek() == "/" and self.lx.peek(1).isdigit():
@@ -850,18 +833,14 @@ class _Parser:
                 den = _int(self.lx.take())
                 if den == 0:
                     raise ParseError("rational literal with zero denominator")
-                n = self.node("rat", Fraction(_int(t), den))
-                _set(n.cell, VF)
-                return n
-            return self.node("int", _int(t))
+                return RatLit(Fraction(_int(t), den))
+            return IntLit(_int(t), _Cell())
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t) and t not in _KEYWORDS:
             self.lx.take()
-            n = self.node("var", t)
-            _unify(n.cell, self.var_cell(t))
-            return n
+            return Var(t, self.var_cell(t))
         raise ParseError(f"unexpected token {t!r} in term")
 
-    def primary_pow(self) -> _Node:
+    def primary_pow(self) -> Term:
         n = self.primary()
         while self.lx.peek() in ("^", "**"):
             self.lx.take()
@@ -871,37 +850,32 @@ class _Parser:
             exp = _int(e)
             if exp < 1:
                 raise ParseError("power exponent must be >= 1")
-            m = self.node("pow", exp, n)
-            _unify(m.cell, n.cell)
-            n = m
+            n = Pow(n, exp)
         return n
 
-    def mul_term(self) -> _Node:
-        n = self.primary_pow()
-        while self.lx.peek() == "*":
-            self.lx.take()
-            rhs = self.primary_pow()
-            m = self.node("*", n, rhs)
-            _unify(n.cell, rhs.cell)
-            _unify(m.cell, n.cell)
-            n = m
-        return n
-
-    def term(self) -> _Node:
-        n = self.mul_term()
-        while self.lx.peek() in ("+", "-"):
+    def chain(self, ops: tuple, operand) -> Term:
+        """operand (op operand)*, left-associated; the operands share a
+        sort, so the first one's cell is taken once, at the first op."""
+        n = operand()
+        cell = None
+        while self.lx.peek() in ops:
             op = self.lx.take()
-            rhs = self.mul_term()
-            m = self.node(op, n, rhs)
-            _unify(n.cell, rhs.cell)
-            _unify(m.cell, n.cell)
-            n = m
+            rhs = operand()
+            cell = cell or _cell(n)
+            _unify(cell, _cell(rhs))
+            n = BinOp(op, n, rhs)
         return n
+
+    def mul_term(self) -> Term:
+        return self.chain(("*",), self.primary_pow)
+
+    def term(self) -> Term:
+        return self.chain(("+", "-"), self.mul_term)
 
     # -- formulas ------------------------------------------------------------
-    def atom_or_group(self) -> object:
+    def atom_or_group(self) -> Formula:
         if self.lx.peek() == "(":
-            save = (self.lx.i, len(self.nodes), len(self.env))
+            pos, depth = self.lx.i, len(self.env)
             try:
                 self.lx.take()
                 f = self.formula()
@@ -911,12 +885,11 @@ class _Parser:
                 return f
             except ParseError:
                 # backtrack: the parens opened a term, not a formula
-                self.lx.i = save[0]
-                del self.nodes[save[1]:]
-                del self.env[save[2]:]
+                self.lx.i = pos
+                del self.env[depth:]
         return self.atom()
 
-    def atom(self) -> object:
+    def atom(self) -> Formula:
         left = self.term()
         op = self.lx.peek()
         if op not in ("=", "!=", "<=", ">=", "<", ">"):
@@ -929,39 +902,51 @@ class _Parser:
                 m = self.lx.take()
                 if not m.isdigit() or _int(m) < 1:
                     raise ParseError(f"positive modulus expected, found {m!r}")
-                _set(left.cell, VG)
-                _set(right.cell, VG)
-                a = ("cong", left, right, _int(m))
+                _set(_cell(left), VG)
+                _set(_cell(right), VG)
+                a = Cong(left, right, _int(m))
             else:
-                _unify(left.cell, right.cell)
-                a = ("eq", left, right)
-            return a if op == "=" else ("not", a)
-        _set(left.cell, VG)
-        _set(right.cell, VG)
-        if op == "<=":
-            return ("le", left, right)
-        if op == ">=":
-            return ("le", right, left)
-        if op == "<":
-            return ("lt", left, right)
-        return ("lt", right, left)
+                _unify(_cell(left), _cell(right))
+                a = Eq(left, right)
+            return a if op == "=" else Not(a)
+        _set(_cell(left), VG)
+        _set(_cell(right), VG)
+        if op in (">=", ">"):
+            left, right = right, left
+        if op in ("<=", ">="):
+            return Le(left, right)
+        # a < b on integers is a <= b - 1, folded when b is a literal
+        if isinstance(right, IntLit):
+            return Le(left, IntLit(right.value - 1, VG))
+        if isinstance(left, IntLit):
+            return Le(IntLit(left.value + 1, VG), right)
+        return Le(BinOp("+", left, IntLit(1, VG)), right)
 
-    def not_formula(self) -> object:
+    def not_formula(self) -> Formula:
         t = self.lx.peek()
         if t == "!":
             self.lx.take()
-            return ("not", self.not_formula())
+            return Not(self.not_formula())
         if t == "true":
             self.lx.take()
-            return ("true",)
+            return TRUE
         if t == "false":
             self.lx.take()
-            return ("false",)
+            return FALSE
         if t in ("exists", "forall"):
             return self.quantifier()
         return self.atom_or_group()
 
-    def quantifier(self) -> object:
+    def bound(self, sign: str) -> Optional[Term]:
+        """A vg quantifier bound, or None for sign + "inf"."""
+        if self.lx.peek() == sign and self.lx.peek(1) == "inf":
+            self.lx.take(), self.lx.take()
+            return None
+        b = self.term()
+        _set(_cell(b), VG)
+        return b
+
+    def quantifier(self) -> Formula:
         q = self.lx.take()
         name = self.lx.take()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in _KEYWORDS:
@@ -987,42 +972,37 @@ class _Parser:
                 raise ParseError("bounds are only meaningful for vg quantifiers")
             self.lx.take()
             self.lx.take("[")
-            if self.lx.peek() == "-" and self.lx.peek(1) == "inf":
-                self.lx.take(), self.lx.take()
-            else:
-                lo = self.term()
-                _set(lo.cell, VG)
+            lo = self.bound("-")
             self.lx.take(",")
-            if self.lx.peek() == "+" and self.lx.peek(1) == "inf":
-                self.lx.take(), self.lx.take()
-            else:
-                hi = self.term()
-                _set(hi.cell, VG)
+            hi = self.bound("+")
             self.lx.take("]")
         self.lx.take(".")
-        cell = _Cell()
-        _set(cell, sort)
-        self.env.append({name: cell})
+        self.env.append({name: _Cell(sort)})
         body = self.formula()
         self.env.pop()
-        return ("quant", q, name, sort, lo, hi, body)
+        return Quant(q, Var(name, sort), lo, hi, body)
 
-    def and_formula(self) -> object:
-        parts = [self.not_formula()]
-        while self.lx.peek() == "&&":
+    def connective(self, tok: str, cls, operand) -> Formula:
+        parts = [operand()]
+        while self.lx.peek() == tok:
             self.lx.take()
-            parts.append(self.not_formula())
-        return parts[0] if len(parts) == 1 else ("and", parts)
+            parts.append(operand())
+        return parts[0] if len(parts) == 1 else cls(tuple(parts))
 
-    def formula(self) -> object:
-        parts = [self.and_formula()]
-        while self.lx.peek() == "||":
-            self.lx.take()
-            parts.append(self.and_formula())
-        return parts[0] if len(parts) == 1 else ("or", parts)
+    def and_formula(self) -> Formula:
+        return self.connective("&&", And, self.not_formula)
+
+    def formula(self) -> Formula:
+        return self.connective("||", Or, self.and_formula)
 
     # -- resolution ----------------------------------------------------------
-    def resolve_sorts(self) -> None:
+    def resolve(self, out: Formula | Term) -> Formula | Term:
+        """Finish a parse: reject trailing input, apply the defaults to open
+        free variables, give vg to open integer literals, and write every
+        sort into its leaf.  The leaves are fresh, so writing in place
+        changes no other tree."""
+        if self.lx.peek() != "$":
+            raise ParseError(f"trailing input: {self.lx.peek()!r}")
         for name, cell in self.free.items():
             r = cell.find()
             if r.value is None:
@@ -1030,76 +1010,31 @@ class _Parser:
                     r.value = self.defaults[name]
                 elif self.default_sort is not None:
                     r.value = self.default_sort
-        for n in self.nodes:
-            r = n.cell.find()
-            if r.value is None and n.kind == "int":
+        # leaves left to right, each with its field and cell (explicit
+        # stack: nested generators are slow on long sums)
+        leaves, stack = [], [out]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, Var):
+                field = "var_sort"
+            elif isinstance(x, IntLit):
+                field = "lit_sort"
+            else:
+                stack.extend(reversed(_children(x)))
+                continue
+            cell = getattr(x, field)
+            if isinstance(cell, _Cell):
+                leaves.append((x, field, cell.find()))
+        for x, field, r in leaves:
+            if r.value is None and field == "lit_sort":
                 r.value = VG
-        for n in self.nodes:
-            if n.cell.find().value is None:
-                what = n.args[0] if n.kind == "var" else n.kind
-                raise SortError(f"cannot infer a sort for {what!r}; "
+        for x, field, r in leaves:
+            if r.value is None:
+                raise SortError(f"cannot infer a sort for {x.name!r}; "
                                 f"annotate via defaults or add context")
-
-    def build_term(self, n: _Node) -> Term:
-        s = n.cell.find().value
-        if n.kind == "var":
-            return Var(n.args[0], s)
-        if n.kind == "int":
-            return IntLit(n.args[0], s)
-        if n.kind == "rat":
-            v: Fraction = n.args[0]
-            return RatLit(v)
-        if n.kind == "pi":
-            return Pi()
-        if n.kind == "neg":
-            return Neg(self.build_term(n.args[0]))
-        if n.kind == "pow":
-            return Pow(self.build_term(n.args[1]), n.args[0])
-        if n.kind in ("+", "-", "*"):
-            return BinOp(n.kind, self.build_term(n.args[0]), self.build_term(n.args[1]))
-        if n.kind == "ord":
-            return Ord(self.build_term(n.args[0]))
-        if n.kind == "ac":
-            return Ac(n.args[0], self.build_term(n.args[1]))
-        if n.kind == "proj":
-            return Proj(n.args[0], n.args[1], self.build_term(n.args[2]))
-        raise ParseError(f"unknown pre-term {n.kind!r}")
-
-    def build_formula(self, f: object) -> Formula:
-        tag = f[0] if isinstance(f, tuple) else None
-        if tag == "true":
-            return TRUE
-        if tag == "false":
-            return FALSE
-        if tag == "eq":
-            return Eq(self.build_term(f[1]), self.build_term(f[2]))
-        if tag == "le":
-            return Le(self.build_term(f[1]), self.build_term(f[2]))
-        if tag == "lt":
-            # a < b on integers is a <= b - 1, folded when b is a literal
-            left, right = self.build_term(f[1]), self.build_term(f[2])
-            if isinstance(right, IntLit):
-                return Le(left, IntLit(right.value - 1, VG))
-            if isinstance(left, IntLit):
-                return Le(IntLit(left.value + 1, VG), right)
-            return Le(BinOp("+", left, IntLit(1, VG)), right)
-        if tag == "cong":
-            return Cong(self.build_term(f[1]), self.build_term(f[2]), f[3])
-        if tag == "not":
-            return Not(self.build_formula(f[1]))
-        if tag == "and":
-            return And(tuple(self.build_formula(p) for p in f[1]))
-        if tag == "or":
-            return Or(tuple(self.build_formula(p) for p in f[1]))
-        if tag == "quant":
-            _, q, name, sort, lo, hi, body = f
-            return Quant(
-                q, Var(name, sort),
-                self.build_term(lo) if lo is not None else None,
-                self.build_term(hi) if hi is not None else None,
-                self.build_formula(body),
-            )
-        raise ParseError(f"unknown pre-formula {f!r}")
+            object.__setattr__(x, field, r.value)
+        check_sorts(out)
+        return out
 
 
 def parse_formula(text: str, defaults: Mapping[str, Sort] | None = None,
@@ -1110,20 +1045,12 @@ def parse_formula(text: str, defaults: Mapping[str, Sort] | None = None,
     open; default_sort applies to any remaining unsorted variable.
     """
     p = _Parser(text, defaults, default_sort)
-    pre = p.formula()
-    if p.lx.peek() != "$":
-        raise ParseError(f"trailing input: {p.lx.peek()!r}")
-    p.resolve_sorts()
-    out = p.build_formula(pre)
-    check_sorts(out)
-    return out
+    return p.resolve(p.formula())
 
 
 def parse_term(text: str, defaults: Mapping[str, Sort] | None = None,
                default_sort: Sort | None = None) -> Term:
+    """Parse a term, with the same sort inference and rules as
+    parse_formula."""
     p = _Parser(text, defaults, default_sort)
-    pre = p.term()
-    if p.lx.peek() != "$":
-        raise ParseError(f"trailing input: {p.lx.peek()!r}")
-    p.resolve_sorts()
-    return p.build_term(pre)
+    return p.resolve(p.term())

@@ -410,6 +410,16 @@ def _poly_str(p: tuple) -> str:
 _TOKEN = re.compile(r"\s*(L|\d+|\*\*|[-+*/^()])")
 
 
+def _int(digits: str) -> int:
+    """The int of a digit string; a literal longer than the interpreter's
+    int-string limit is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too "
+                         "long") from None
+
+
 def parse_ratfunc(text: str, strict: bool = True) -> ARat:
     """Parse an expression in L with +, -, *, /, ^ and parentheses.
 
@@ -450,7 +460,7 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
             v = L
         elif t.isdigit():
             take()
-            v = from_int(int(t))
+            v = from_int(_int(t))
         elif t == "-":
             take()
             return -atom()
@@ -465,7 +475,7 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
             e = take()
             if not e.isdigit():
                 raise ParseError(f"integer exponent expected, found {e!r}")
-            v = _pow_lax(v, sign * int(e))
+            v = _pow_lax(v, sign * _int(e))
         return v
 
     def factor() -> ARat:

@@ -60,11 +60,12 @@ def test_parse_poly(capsys):
 def test_parse_long_literals_exit_1(capsys):
     # a literal past the interpreter's int-string limit, and a coefficient
     # too long to print, are JSON parse errors rather than tracebacks
-    for flag, text in (("--formula", "x = " + "9" * 5000),
-                       ("--poly", "2^20000*x")):
-        status, out, _ = run(capsys, "parse", flag, text, "--json")
-        assert status == 1
-        assert json.loads(out)["error"]["code"] == "ParseError"
+    long = "9" * 5000
+    for argv in (("parse", "--formula", f"x = {long}"),
+                 ("parse", "--poly", "2^20000*x"),
+                 ("parse", "--ratfunc", f"L^{long}"),
+                 ("theta", "--expr", long, "--q", "2")):
+        assert error_of(capsys, *argv)["code"] == "ParseError"
 
 
 def test_parse_poly_honours_cap(capsys):

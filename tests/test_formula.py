@@ -107,6 +107,16 @@ def test_long_literals_are_parse_errors():
             parse_formula(bad)
 
 
+def test_parse_term_applies_the_sort_rules():
+    # the same rules as inside a formula: a value-group product needs a
+    # literal factor, and the value group has no powers
+    with pytest.raises(SortError, match="integer literal factor"):
+        parse_term("ord(x)*ord(y)")
+    with pytest.raises(SortError, match="powers are not value-group terms"):
+        parse_term("n^2", default_sort=VG)
+    assert parse_term("2*ord(x)").sort() == VG
+
+
 def test_parenthesized_formula_vs_term():
     f = parse_formula("(ord(x) >= 0 && z = 1) || x = 0")
     assert isinstance(f, Or)

@@ -177,6 +177,15 @@ def test_parse_ratfunc():
     assert parse_ratfunc("1/(L-2)", strict=False) == lax((1,), (-2, 1))
 
 
+def test_parse_ratfunc_long_literals_are_parse_errors():
+    # longer than the interpreter's int-string limit (4,300 digits)
+    long = "9" * 5000
+    for bad in (long, f"L^{long}", f"L^-{long}"):
+        with pytest.raises(ParseError,
+                           match="integer literal of 5000 digits is too long"):
+            parse_ratfunc(bad)
+
+
 def test_str_and_json_round_trip():
     a = arat((0, 1), (-1, 1))
     assert str(a) == "L/(L - 1)"
