@@ -126,6 +126,24 @@ def _parse_grid(text: str, fallback_p, fallback_d) -> list:
     return [(p, d) for p in sorted(set(ps)) for d in sorted(set(ds))]
 
 
+def _number_str(x) -> str:
+    """The string of an int or Fraction that a report prints.  Past the
+    interpreter's int-to-string digit limit, when it sets one, this raises
+    ``CapExceeded`` with the digits needed and the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        big = max(abs(x.numerator), x.denominator)
+        needed = big.bit_length() * 3010299956 // 10 ** 10   # <= its digits
+        while 10 ** needed <= big:
+            needed += 1
+        if needed > limit:
+            raise CapExceeded(
+                f"a number of {needed} digits is too long to print, over "
+                f"the interpreter's limit of {limit} digits",
+                needed=needed, cap=limit)
+    return str(x)
+
+
 def _fun_str(fun) -> str:
     s = scalar_of(fun)
     return str(s) if s is not None else "<class-valued>"
@@ -191,18 +209,22 @@ def _cmd_sum(args) -> tuple:
             out = sum_fibers(out)
     report = {"vars_in": list(pf.vars), "vars_out": list(out.vars),
               "result": out.to_json()}
-    lines = []
     if not out.vars:
-        value = out.eval_arat({})
-        report["value"] = str(value)
-        lines.append(str(value))
-        if args.q is not None:
-            report["theta"] = {str(args.q): str(R.theta(value, args.q))}
-            lines.append(f"theta_{args.q} = {R.theta(value, args.q)}")
-    else:
-        lines.append(f"summed to a function of {', '.join(out.vars)} "
-                     f"({len(out.pieces)} pieces)")
-    return 0, report, lines
+        return 0, report, _value_lines(report, out.eval_arat({}), args.q)
+    return 0, report, [f"summed to a function of {', '.join(out.vars)} "
+                       f"({len(out.pieces)} pieces)"]
+
+
+def _value_lines(report: dict, value, q) -> list:
+    """Put a value of A and, when q is given, its theta_q into the report;
+    return the text lines."""
+    report["value"] = str(value)
+    lines = [str(value)]
+    if q is not None:
+        theta = _number_str(R.theta(value, q))
+        report["theta"] = {str(q): theta}
+        lines.append(f"theta_{q} = {theta}")
+    return lines
 
 
 def _cmd_count(args) -> tuple:
@@ -246,8 +268,8 @@ def _integrate_common(args, weight) -> tuple:
         if not out.integrable:
             raise NotIntegrable("cannot count a value that is not "
                                 "integrable in some direction")
-        spec = specialize(out.value, ctx, cap=args.cap)
-        report["counted"] = {"q": ctx.q, "value": str(spec)}
+        spec = _number_str(specialize(out.value, ctx, cap=args.cap))
+        report["counted"] = {"q": ctx.q, "value": spec}
         lines.append(f"N at q={ctx.q}: {spec}")
     return 0, report, lines
 
@@ -266,23 +288,17 @@ def _cmd_eval(args) -> tuple:
     missing = [v for v in pf.vars if v not in env]
     if missing:
         raise ParseError(f"point misses variables: {', '.join(missing)}")
-    value = pf.eval_arat(env)
-    report = {"point": {k: env[k] for k in sorted(env)},
-              "value": str(value)}
-    lines = [str(value)]
-    if args.q is not None:
-        report["theta"] = {str(args.q): str(R.theta(value, args.q))}
-        lines.append(f"theta_{args.q} = {R.theta(value, args.q)}")
-    return 0, report, lines
+    report = {"point": {k: env[k] for k in sorted(env)}}
+    return 0, report, _value_lines(report, pf.eval_arat(env), args.q)
 
 
 def _cmd_theta(args) -> tuple:
     if args.q is None:
         raise ParseError("theta needs --q")
     a = R.parse_ratfunc(args.expr)
-    value = R.theta(a, args.q)
-    report = {"expr": str(a), "q": args.q, "value": str(value)}
-    return 0, report, [str(value)]
+    value = _number_str(R.theta(a, args.q))
+    report = {"expr": str(a), "q": args.q, "value": value}
+    return 0, report, [value]
 
 
 def _cmd_zeta_motivic(args) -> tuple:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from . import formula as F
 from . import ring_a as R
-from .cells import intersect, subtract, universe
+from .cells import intersect, subtract
 from .errors import FrameMismatch, MotintError, SortError
 from .padic import GRElem, PContext, eval_formula
 from .presburger import PFun, PTerm, sum_fibers
@@ -84,21 +84,6 @@ class MotFun:
         return MotFun(tuple(res_vars), pf.vars,
                       (CTerm(F.TRUE, pf, unit_class()),))
 
-    @staticmethod
-    def from_class(rc: ResClass, res_vars=(), vg_vars=()) -> "MotFun":
-        return MotFun(tuple(res_vars), tuple(vg_vars),
-                      (CTerm(F.TRUE, PFun.constant(tuple(vg_vars), R.ONE),
-                             rc),))
-
-    @staticmethod
-    def indicator(res_vars, vg_vars, guard: F.Formula = F.TRUE,
-                  cells=None) -> "MotFun":
-        vg_vars = tuple(vg_vars)
-        cells = tuple(cells) if cells is not None else (universe(vg_vars),)
-        return MotFun(tuple(res_vars), vg_vars,
-                      (CTerm(guard, PFun.indicator(vg_vars, cells),
-                             unit_class()),))
-
     # -- semiring -----------------------------------------------------
 
     def _check(self, other: "MotFun") -> None:
@@ -125,14 +110,6 @@ class MotFun:
     def scale(self, c: R.ARat) -> "MotFun":
         return MotFun(self.res_vars, self.vg_vars,
                       tuple(CTerm(t.guard, t.pf.scale(c), t.rc)
-                            for t in self.terms))
-
-    # -- frame maps ---------------------------------------------------
-
-    def extend_vg(self, new_vg) -> "MotFun":
-        new_vg = tuple(new_vg)
-        return MotFun(self.res_vars, new_vg,
-                      tuple(CTerm(t.guard, t.pf.extend(new_vg), t.rc)
                             for t in self.terms))
 
     def to_json(self):

@@ -281,10 +281,6 @@ class Frame:
     res: tuple             # pairs (name, depth)
     vg: tuple
 
-    @property
-    def shape(self) -> tuple:
-        return (len(self.vf), tuple(d for _, d in self.res), len(self.vg))
-
 
 # Per node type: its direct subterms and subformulas in field order (a
 # quantifier has (lo, hi, body), with None for a missing bound), and the
@@ -1044,13 +1040,21 @@ def parse_formula(text: str, defaults: Mapping[str, Sort] | None = None,
     defaults maps variable names to sorts used when inference leaves them
     open; default_sort applies to any remaining unsorted variable.
     """
-    p = _Parser(text, defaults, default_sort)
-    return p.resolve(p.formula())
+    return _parse(text, defaults, default_sort, _Parser.formula)
 
 
 def parse_term(text: str, defaults: Mapping[str, Sort] | None = None,
                default_sort: Sort | None = None) -> Term:
     """Parse a term, with the same sort inference and rules as
     parse_formula."""
+    return _parse(text, defaults, default_sort, _Parser.term)
+
+
+def _parse(text: str, defaults, default_sort, start) -> Formula | Term:
+    """Parse from the rule ``start`` and resolve sorts; both recurse once
+    per level of nesting, so input that overflows the stack is a ParseError."""
     p = _Parser(text, defaults, default_sort)
-    return p.resolve(p.term())
+    try:
+        return p.resolve(start(p))
+    except RecursionError:
+        raise ParseError("the input nests too deeply to parse") from None

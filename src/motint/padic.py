@@ -272,14 +272,6 @@ class GRElem:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def reduce_to(self, m: int) -> "GRElem":
-        """Project to GR(p^m, degree) for m <= level."""
-        r = self.ring
-        if m > r.level:
-            raise SortError(f"cannot project level {r.level} up to {m}")
-        tgt = GaloisRing(r.p, m, r.degree, r.modulus)
-        return tgt.make(self.coeffs)
-
     def ord_capped(self) -> int:
         """min p-adic order of the coordinates, capped at the level.
 

@@ -147,11 +147,6 @@ class PFun:
         return PFun(tuple(vars),
                     ((universe(vars), (PTerm(coef, AffineForm.const_form(0)),)),))
 
-    @staticmethod
-    def indicator(vars, cells, term: PTerm | None = None) -> "PFun":
-        term = term or PTerm(R.ONE, AffineForm.const_form(0))
-        return PFun(tuple(vars), tuple((c, (term,)) for c in cells))
-
     def is_zero_fun(self) -> bool:
         return not self.pieces
 
@@ -203,25 +198,6 @@ class PFun:
         for cell, terms in self.pieces:
             for c in reorder_cell(cell, new_vars):
                 pieces.append((c, terms))
-        return PFun(new_vars, tuple(pieces))
-
-    def extend(self, new_vars) -> "PFun":
-        """Embed into a larger variable tuple; new_vars must contain the
-        current variables as a subsequence."""
-        new_vars = tuple(new_vars)
-        it = iter(new_vars)
-        for v in self.vars:
-            for w in it:
-                if w == v:
-                    break
-            else:
-                raise FrameMismatch(
-                    f"{self.vars} is not a subsequence of {new_vars}")
-        pieces = []
-        for cell, terms in self.pieces:
-            slots = dict(zip(cell.vars, cell.tower))
-            tower = tuple(slots.get(v, VarCell(None, None)) for v in new_vars)
-            pieces.append((PCell(new_vars, tower), terms))
         return PFun(new_vars, tuple(pieces))
 
     def to_json(self):

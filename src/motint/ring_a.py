@@ -499,7 +499,11 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
             v = v + w if op == "+" else v - w
         return v
 
-    out = expr()
+    try:
+        out = expr()
+    except RecursionError:      # parentheses and negations recurse
+        raise ParseError("the ring expression nests too deeply to "
+                         "parse") from None
     if peek() != "$":
         raise ParseError(f"trailing input in ring expression: {peek()!r}")
     if strict:

@@ -766,18 +766,18 @@ def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
 
 
 def decompose_fragment(cond: F.Formula, var: str, ctx: PContext, *,
-                       base_res=(), base_vg=()) -> CellDecomposition:
+                       base_vg=()) -> CellDecomposition:
     """Decompose the solution set of a fragment condition in one
     valued-field variable into disjoint cells with unit values.
 
     The cells are built around the centers of the condition's ord and ac
     terms in ``var`` (the origin when there are none), at the largest
     angular depth among its ac terms.  Order bounds may mention the base
-    value-group parameters.
+    value-group parameters; the base has no residue parameters.
     """
     F.check_sorts(cond)
     centers, depth = _scan_var(cond, var)
-    return _decompose(cond, var, ctx, base_res, base_vg, {}, centers, depth)
+    return _decompose(cond, var, ctx, (), base_vg, {}, centers, depth)
 
 
 # ---------------------------------------------------------------------------

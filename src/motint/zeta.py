@@ -5,10 +5,10 @@ X_i = {x : ord H(x) = i} have motivic volumes mu(X_i); the series
 Z(T) = sum mu(X_i) T^i is rational for the families supported here, with
 denominator a product of factors 1 - L^a T^b.  This module computes:
 
+* ``series_from_parameter`` -- the closed rational form of a value over
+  one value-group parameter, such as an ``integrate_iterated`` result;
 * ``zmot_monomial`` -- the closed-form series for monomial H, through the
   cell-decomposition integrator run with the shell level as a parameter;
-* ``zmot_from_cells`` -- the closed form from a user-supplied parametrized
-  cell family, for conditions the automatic fragment does not reach;
 * ``zprime_count`` -- exact Haar volumes of X_i over the unramified
   degree-d extension of Q_p, by counting residue classes (ord H(x) = i
   only depends on x modulo the (i+1)-st power of the maximal ideal);
@@ -39,12 +39,12 @@ from .errors import (CapExceeded, FrameMismatch, MotintError,
 from .padic import (DEFAULT_CAP, PContext, rational_mod, rational_ord,
                     res_term, vp_int)
 from .presburger import PFun, PTerm, eulerian, progression
-from .vfint import integrate_cell_family, integrate_iterated
+from .vfint import integrate_iterated
 
 __all__ = [
     "Poly", "parse_poly", "RatSeries", "CoeffList",
-    "series_from_parameter", "zmot_monomial", "zmot_from_cells",
-    "zprime_count", "verify_meuser",
+    "series_from_parameter", "zmot_monomial", "zprime_count",
+    "verify_meuser",
 ]
 
 
@@ -189,12 +189,8 @@ def _term_pairs(t: F.Term, cap: int) -> tuple:
     if isinstance(t, F.Neg):
         return tuple((-c, m) for c, m in _term_pairs(t.arg, cap))
     if isinstance(t, F.Pow):
-        base = out = _term_pairs(t.base, cap)
-        for bit in bin(t.exp)[3:]:         # square and multiply
-            out = _product(out, out, cap)
-            if bit == "1":
-                out = _product(out, base, cap)
-        return out
+        return P.power(_term_pairs(t.base, cap), t.exp,
+                       lambda a, b: _product(a, b, cap), ((1, ()),))
     if isinstance(t, F.BinOp):
         a, b = _term_pairs(t.left, cap), _term_pairs(t.right, cap)
         if t.op == "*":
@@ -425,13 +421,14 @@ def _infinite_piece(term: PTerm, start: int, m: int, rc, contribs,
     contribs.append((num, rc, {(a, m): deg + 1}))
 
 
-def series_from_parameter(fun: MotFun, param: str = "i") -> RatSeries:
-    """Closed rational form of sum over i >= 0 of fun(i) * T^i for a
-    value parametrized by one value-group variable."""
-    if fun.res_vars or fun.vg_vars != (param,):
+def series_from_parameter(fun: MotFun) -> RatSeries:
+    """Closed rational form of sum over i >= 0 of fun(i) * T^i for a value
+    over one value-group variable i of any name and no residue parameter."""
+    if fun.res_vars or len(fun.vg_vars) != 1:
         raise FrameMismatch(
-            f"expected a value over the single parameter {param!r}, got "
-            f"({fun.res_vars}, {fun.vg_vars})")
+            "expected a value over one value-group variable and no residue "
+            f"parameter, got ({fun.res_vars}, {fun.vg_vars})")
+    param, = fun.vg_vars
     contribs: list = []
     for ct in fun.terms:
         if ct.guard != F.TRUE:
@@ -544,34 +541,7 @@ def zmot_monomial(h, p: int | None = None) -> RatSeries:
     # every residue characteristic; any context works as scaffolding
     out = integrate_iterated(F.land(*parts), names, PContext(2, 1),
                              base_vg=("i",))
-    return series_from_parameter(out.value, "i")
-
-
-def zmot_from_cells(stages, param: str = "i", log=None) -> RatSeries:
-    """Closed-form series from user-supplied parametrized cell families.
-
-    ``stages`` lists one decomposition per valued-field variable,
-    outermost first: the first stage is based on the single value-group
-    parameter, and each later stage's base frame extends the previous
-    stage's by its shell and angular variables.  Values are integrated
-    innermost-first; the result must be geometric in the parameter.
-    """
-    stages = list(stages)
-    if not stages:
-        return RatSeries((), ())
-    first = stages[0]
-    if first.base_res != () or first.base_vg != (param,):
-        raise FrameMismatch(
-            f"the outermost stage must be based on ({param!r},) alone, got "
-            f"({first.base_res}, {first.base_vg})")
-    inner = None
-    for dec in reversed(stages):
-        if inner is not None:
-            vals = [v * inner if cell.kind == "ball" else v
-                    for cell, v in zip(dec.cells, dec.values)]
-            dec = dec.with_values(vals)
-        inner = integrate_cell_family(dec, log=log).value
-    return series_from_parameter(inner, param)
+    return series_from_parameter(out.value)
 
 
 # ---------------------------------------------------------------------------

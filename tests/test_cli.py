@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, flags, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -67,6 +68,45 @@ def test_parse_long_literals_exit_1(capsys):
                  ("theta", "--expr", long, "--q", "2")):
         assert error_of(capsys, *argv)["code"] == "ParseError"
 
+
+
+def test_deep_input_exit_1(capsys):
+    # input that overflows the interpreter's stack while parsing is a JSON
+    # parse error rather than a RecursionError traceback
+    chain = " + ".join(["x"] * 2000)
+    for argv in (("parse", "--formula", f"ord({chain}) >= 0"),
+                 ("parse", "--ratfunc", "(" * 2000 + "L" + ")" * 2000),
+                 ("zeta-count", "--H", " + ".join(["x^1"] * 2000),
+                  "--p", "2", "--imax", "1")):
+        error = error_of(capsys, *argv)
+        assert error["code"] == "ParseError"
+        assert "nests too deeply" in error["message"]
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default int-to-string limit, 4,300 digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_number_too_long_to_print_exit_1(capsys, tmp_path, digit_limit):
+    # 2^20000 has 6,021 digits and 2^15000 has 4,516; a report that would
+    # print one is a CapExceeded error naming the digits and the limit
+    box = _box_file(tmp_path, {"numer": [0] * 20000 + [1], "denom": [1]})
+    for argv, needed in (
+            (("theta", "--expr", "L^20000", "--q", "2"), 6021),
+            (("sum", "--file", box, "--q", "2"), 6022),     # 3 * 2^20000
+            (("eval", "--file", box, "--point", "n=1", "--q", "2"), 6021),
+            (("vol", "--cond", "ord(t) >= -15000", "--order", "t",
+              "--p", "2", "--count"), 4516)):
+        error = error_of(capsys, *argv)
+        assert (error["code"], error["needed"], error["cap"]) == \
+            ("CapExceeded", needed, digit_limit), argv
+    status, out, _ = run(capsys, "theta", "--expr", "L^14000", "--q", "2")
+    assert status == 0 and out.strip() == str(2 ** 14000)
 
 def test_parse_poly_honours_cap(capsys):
     status, out, _ = run(capsys, "parse", "--poly", "(x + y + z + w)^40",

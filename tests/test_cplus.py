@@ -74,6 +74,53 @@ def res_phi(text, **sorts):
     return parse_formula(text, defaults={k: RES(v) for k, v in sorts.items()})
 
 
+def from_class(rc, res_vars=(), vg_vars=()) -> MotFun:
+    return MotFun(tuple(res_vars), tuple(vg_vars),
+                  (CTerm(F.TRUE, PFun.constant(tuple(vg_vars), R.ONE),
+                         rc),))
+
+
+def pf_indicator(vars, cells, term: PTerm | None = None) -> PFun:
+    term = term or PTerm(R.ONE, AffineForm.const_form(0))
+    return PFun(tuple(vars), tuple((c, (term,)) for c in cells))
+
+
+def indicator(res_vars, vg_vars, guard: F.Formula = F.TRUE,
+              cells=None) -> MotFun:
+    vg_vars = tuple(vg_vars)
+    cells = tuple(cells) if cells is not None else (universe(vg_vars),)
+    return MotFun(tuple(res_vars), vg_vars,
+                  (CTerm(guard, pf_indicator(vg_vars, cells),
+                         unit_class()),))
+
+
+def extend(pf: PFun, new_vars) -> PFun:
+    """Embed into a larger variable tuple; new_vars must contain the
+    current variables as a subsequence."""
+    new_vars = tuple(new_vars)
+    it = iter(new_vars)
+    for v in pf.vars:
+        for w in it:
+            if w == v:
+                break
+        else:
+            raise FrameMismatch(
+                f"{pf.vars} is not a subsequence of {new_vars}")
+    pieces = []
+    for cell, terms in pf.pieces:
+        slots = dict(zip(cell.vars, cell.tower))
+        tower = tuple(slots.get(v, VarCell(None, None)) for v in new_vars)
+        pieces.append((PCell(new_vars, tower), terms))
+    return PFun(new_vars, tuple(pieces))
+
+
+def extend_vg(fun: MotFun, new_vg) -> MotFun:
+    new_vg = tuple(new_vg)
+    return MotFun(fun.res_vars, new_vg,
+                  tuple(CTerm(t.guard, extend(t.pf, new_vg), t.rc)
+                        for t in fun.terms))
+
+
 def test_unit_and_zero():
     a = MotFun.from_pfun(geom_pf("z"))
     u = MotFun.unit(vg_vars=("z",))
@@ -85,18 +132,18 @@ def test_unit_and_zero():
 
 
 def test_indicator_product_intersects():
-    band1 = MotFun.indicator((), ("z",), cells=(
+    band1 = indicator((), ("z",), cells=(
         PCell(("z",), (VarCell(af(const=0), None),)),))
-    band2 = MotFun.indicator((), ("z",), cells=(
+    band2 = indicator((), ("z",), cells=(
         PCell(("z",), (VarCell(None, af(const=5)),)),))
-    both = MotFun.indicator((), ("z",), cells=(
+    both = indicator((), ("z",), cells=(
         PCell(("z",), (VarCell(af(const=0), af(const=5)),)),))
     assert is_equal(band1 * band2, both) == "equal"
 
 
 def test_guard_product():
-    ya = MotFun.indicator((("e", 1),), (), guard=res_phi("e = 0", e=1))
-    yb = MotFun.indicator((("e", 1),), (), guard=res_phi("e != 0", e=1))
+    ya = indicator((("e", 1),), (), guard=res_phi("e = 0", e=1))
+    yb = indicator((("e", 1),), (), guard=res_phi("e != 0", e=1))
     assert (ya * yb).terms == ()
     assert is_equal(ya * ya, ya) == "equal"
 
@@ -105,20 +152,20 @@ def test_tensor_balance():
     # a coefficient L-1 on the Presburger side equals a torus factor on
     # the class side
     left = MotFun.unit().scale(R.L - R.ONE)
-    right = MotFun.from_class(torus())
+    right = from_class(torus())
     assert is_equal(left, right) == "equal"
     left2 = MotFun.unit().scale((R.L - R.ONE) * R.L)
-    right2 = MotFun.from_class(torus() * l_class(1))
+    right2 = from_class(torus() * l_class(1))
     assert is_equal(left2, right2) == "equal"
     # depth 2 units count L(L-1)
-    deep = MotFun.from_class(
+    deep = from_class(
         from_formula((("x", 2),), res_phi("proj_2_1(x) != 0", x=2)))
     flat = MotFun.unit().scale((R.L - R.ONE) * R.L)
     assert is_equal(deep, flat) == "equal"
 
 
 def test_specialize_basics():
-    full = MotFun.from_class(from_formula((("x", 1),), F.TRUE))
+    full = from_class(from_formula((("x", 1),), F.TRUE))
     assert specialize(full, PContext(2, 1), {}) == 2
     assert specialize(full, PContext(3, 2), {}) == 9
 
@@ -126,14 +173,14 @@ def test_specialize_basics():
                                         (PTerm(R.ONE, af({"z": -1})),)),)))
     assert specialize(a, PContext(3, 1), {"z": 3}) == Fraction(1, 27)
 
-    singleton = MotFun.from_class(
+    singleton = from_class(
         from_formula((("x", 1),), res_phi("x = 1", x=1)))
     for ctx in GRID:
         assert specialize(singleton, ctx, {}) == 1
 
 
 def test_specialize_guard():
-    a = MotFun.indicator((("e", 1),), (), guard=res_phi("e = 0", e=1))
+    a = indicator((("e", 1),), (), guard=res_phi("e = 0", e=1))
     ctx = PContext(3, 1)
     assert specialize(a, ctx, {"e": 0}) == 1
     assert specialize(a, ctx, {"e": 1}) == 0
@@ -144,14 +191,14 @@ def test_specialize_guard():
 def test_specialize_checks_the_sort_of_each_value():
     # the indicator of n = 1 reads n only as an int
     cell = PCell(("n",), (VarCell(af(const=1), af(const=1)),))
-    a = MotFun.indicator((), ("n",), cells=(cell,))
+    a = indicator((), ("n",), cells=(cell,))
     ctx = PContext(3, 1)
     assert specialize(a, ctx, {"n": 1}) == 1
     for bad in (1.5, "1", True, Fraction(1), None):
         with pytest.raises(SortError, match="n is .*expected a value-group"):
             specialize(a, ctx, {"n": bad})
     # a residue parameter reads a GRElem of its ring or an int
-    e = MotFun.indicator((("e", 1),), (), guard=res_phi("e = 2", e=1))
+    e = indicator((("e", 1),), (), guard=res_phi("e = 2", e=1))
     ring = ctx.residue_ring(1)
     assert specialize(e, ctx, {"e": 2}) == 1
     assert specialize(e, ctx, {"e": 5}) == 1
@@ -178,7 +225,7 @@ def test_mu_residue_coordinate():
     out = mu_vg_res(a, vg_out=(), res_out=("eta",))
     assert is_equal(out, MotFun.from_pfun(PFun.constant((), R.L))) == "equal"
     # a guard on the coordinate turns into the class it cuts out
-    b = MotFun.indicator((("eta", 1),), (), guard=res_phi("eta != 0", eta=1))
+    b = indicator((("eta", 1),), (), guard=res_phi("eta != 0", eta=1))
     out2 = mu_vg_res(b, vg_out=(), res_out=("eta",))
     assert is_equal(out2,
                     MotFun.unit().scale(R.L - R.ONE)) == "equal"
@@ -194,7 +241,7 @@ def test_mu_divergent():
 
 def test_mu_linked_guard_rejected():
     guard = res_phi("e = f", e=1, f=1)
-    a = MotFun.indicator((("e", 1), ("f", 1)), (), guard=guard)
+    a = indicator((("e", 1), ("f", 1)), (), guard=guard)
     with pytest.raises(MotintError):
         mu_vg_res(a, vg_out=(), res_out=("f",))
     # integrating both is fine
@@ -249,7 +296,7 @@ def test_projection_formula():
         phi = MotFun((), ("x", "z"),
                      (CTerm(F.TRUE, _random_pfun(rng, ("x", "z")),
                             _random_class(rng)),))
-        lhs = mu_vg_res(psi.extend_vg(("x", "z")) * phi,
+        lhs = mu_vg_res(extend_vg(psi, ("x", "z")) * phi,
                         vg_out=("z",), res_out=())
         rhs = normal_form(psi * mu_vg_res(phi, vg_out=("z",), res_out=()))
         assert lhs == rhs
@@ -351,8 +398,8 @@ def test_lift_round_trip():
 
 def test_equal_or_refute():
     rng = random.Random(2)
-    a = MotFun.from_class(from_formula((("x", 1),), res_phi("x^2 = 1", x=1)))
-    b = MotFun.from_class(from_formula((("x", 1),), res_phi("x = 1", x=1)))
+    a = from_class(from_formula((("x", 1),), res_phi("x^2 = 1", x=1)))
+    b = from_class(from_formula((("x", 1),), res_phi("x = 1", x=1)))
     verdict, witness = equal_or_refute(a, b, GRID, rng)
     assert verdict == "differ"
     ctx, env = witness
@@ -372,7 +419,7 @@ def test_frame_errors():
     with pytest.raises(FrameMismatch):
         mu_vg_res(a, vg_out=(), res_out=("nope",))
     with pytest.raises(FrameMismatch):
-        MotFun.indicator((), (), guard=res_phi("e = 0", e=1))
+        indicator((), (), guard=res_phi("e = 0", e=1))
 
 
 def test_two_vg_variables_suffix_rule():
@@ -403,8 +450,8 @@ def test_class_split_cache_is_transparent():
             ("y = x + 1 && (exists y : res(1) . y * y = x)",
              {"x": 1, "y": 1}),
         ]]
-    pf = PFun.indicator(("n",), (ray_cell("n", 1),)).scale(R.L_pow(-1))
-    funcs = [MotFun.from_pfun(pf) * MotFun.from_class(rc, (), ("n",))
+    pf = pf_indicator(("n",), (ray_cell("n", 1),)).scale(R.L_pow(-1))
+    funcs = [MotFun.from_pfun(pf) * from_class(rc, (), ("n",))
              for rc in classes]
 
     def run(clear_each: bool):

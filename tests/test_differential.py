@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from motint import formula as F
-from motint.errors import NotIntegrable, OutsideFragment
-from motint.padic import (PadicElem, PContext, count_points, eval_formula,
-                          res_term)
+from motint.errors import NotIntegrable, OutsideFragment, SortError
+from motint.padic import (GaloisRing, PadicElem, PContext, count_points,
+                          eval_formula, res_term)
 from motint.vfint import cell_contains, decompose_fragment
 
 CONTEXTS = {(p, d): PContext(p, d) for p in (2, 3) for d in (1, 2)}
@@ -36,6 +36,15 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 # residue formulas against a GRElem brute force
 
 
+def reduce_to(x, m: int):
+    """Project to GR(p^m, degree) for m <= level."""
+    r = x.ring
+    if m > r.level:
+        raise SortError(f"cannot project level {r.level} up to {m}")
+    tgt = GaloisRing(r.p, m, r.degree, r.modulus)
+    return tgt.make(x.coeffs)
+
+
 def brute_term(t, env, ctx):
     if isinstance(t, F.Var):
         return env[t.name]
@@ -46,7 +55,7 @@ def brute_term(t, env, ctx):
     if isinstance(t, F.Pow):
         return brute_term(t.base, env, ctx) ** t.exp
     if isinstance(t, F.Proj):
-        return brute_term(t.arg, env, ctx).reduce_to(t.dst)
+        return reduce_to(brute_term(t.arg, env, ctx), t.dst)
     a, b = brute_term(t.left, env, ctx), brute_term(t.right, env, ctx)
     return a + b if t.op == "+" else a - b if t.op == "-" else a * b
 

@@ -11,15 +11,19 @@ from motint.formula import (
 )
 
 
+def shape(frame) -> tuple:
+    return (len(frame.vf), tuple(d for _, d in frame.res), len(frame.vg))
+
+
 def test_parse_sorts_from_context():
     f = parse_formula("ord(x) >= 0 || x = 0")
     fr = frame_of(f)
-    assert fr.shape == (1, (), 0)
+    assert shape(fr) == (1, (), 0)
     assert fr.vf == ("x",)
 
     g = parse_formula("ac_2(x) = xi && ord(x) = z")
     fr = frame_of(g)
-    assert fr.shape == (1, (2,), 1)
+    assert shape(fr) == (1, (2,), 1)
     assert fr.res == (("xi", 2),)
     assert fr.vg == ("z",)
 
@@ -49,7 +53,7 @@ def test_parse_defaults():
     f = parse_formula("x^2 = 0", default_sort=RES(2))
     assert f == Eq(Pow(Var("x", RES(2)), 2), IntLit(0, RES(2)))
     g = parse_formula("x = y", defaults={"x": RES(1), "y": RES(1)})
-    assert frame_of(g).shape == (0, (1, 1), 0)
+    assert shape(frame_of(g)) == (0, (1, 1), 0)
     with pytest.raises(SortError):
         parse_formula("x = y")          # nothing pins the sorts down
 
@@ -67,7 +71,7 @@ def test_parse_quantifiers():
     f = parse_formula("exists xi : res(1) . ac_1(x) = xi")
     assert isinstance(f, Quant) and f.q == "exists"
     assert f.var == Var("xi", RES(1))
-    assert frame_of(f).shape == (1, (), 0)   # xi is bound
+    assert shape(frame_of(f)) == (1, (), 0)   # xi is bound
 
     g = parse_formula("exists z : vg in [0, i] . ord(x) = z")
     assert g.lo == IntLit(0, VG) and g.hi == Var("i", VG)
@@ -238,3 +242,33 @@ def test_proj_validation():
         parse_formula("proj_1_2(xi) = 0")
     f = parse_formula("proj_2_1(xi) = 1")
     assert frame_of(f).res == (("xi", 2),)
+
+
+DEEP = 2000
+
+
+@pytest.mark.parametrize("inner", [
+    " + ".join(["x"] * DEEP),
+    "(" * DEEP + "x" + ")" * DEEP,
+    "-" * DEEP + "x",
+], ids=["chain", "parentheses", "negation"])
+def test_deep_nesting_is_a_parse_error(inner):
+    # parsing and sort checking recurse once per level; an input that
+    # overflows the interpreter's stack is a ParseError, not a traceback
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_formula(f"ord({inner}) >= 0")
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_term(inner, default_sort=VF)
+
+
+def test_deep_formula_nesting_is_a_parse_error():
+    for deep in ("!" * DEEP + "x = 0", "(" * DEEP + "x = 0" + ")" * DEEP):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_formula(deep)
+
+
+def test_long_chain_still_parses():
+    chain = " + ".join(["x"] * 900)
+    f = parse_formula(f"ord({chain}) >= 0")
+    assert formula_str(f).count("x") == 900
+    assert term_str(parse_term(chain, default_sort=VF)).count("x") == 900

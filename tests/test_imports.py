@@ -1,11 +1,12 @@
 """Stdlib ast checks over the package and the tests: every imported name
 is used, no package module reaches into another one's private
 (underscore) names, every ``lru_cache`` of the package wraps a
-module-level function, every public name of the package has a caller
-outside the tests, and every name the benchmark's tracing shim pins
-exists."""
+module-level function, every public name and public method of the
+package has a caller outside the tests, and every name the benchmark's
+tracing shim pins exists."""
 
 import ast
+from collections import Counter
 import importlib
 from pathlib import Path
 
@@ -145,14 +146,8 @@ def test_caches_wrap_module_level_functions():
 
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-# public names that no caller reaches yet, each with its reason
-SURFACE_ALLOWED = {
-    # its tests compare it with integrate_iterated; it goes once
-    # integrate_iterated builds the same families (ROADMAP item 5)
-    "zmot_from_cells",
-}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def identifiers(node, strings: bool = False) -> set:
@@ -198,17 +193,88 @@ def test_uncalled_public_names_are_detected():
 
 def test_public_names_have_callers_outside_the_tests():
     package = {path.relative_to(ROOT): path.read_text() for path in PACKAGE}
-    defined = {node.name for source in package.values()
-               for node in ast.parse(source).body
-               if isinstance(node, DEFINITIONS)}
-    assert SURFACE_ALLOWED <= defined, "allowed names that are gone"
-    outside = SURFACE_ALLOWED | identifiers(ast.parse(ACCEPTANCE.read_text()))
-    for path in BENCH:
-        # the tracing shim names its targets by string
-        outside |= identifiers(ast.parse(path.read_text()), strings=True)
     found = [f"{path}: {name}"
-             for path, name in uncalled_public_names(package, outside)]
+             for path, name in uncalled_public_names(package, outside_reads())]
     assert not found, "public names that only tests call:\n" + "\n".join(found)
+
+
+def outside_reads() -> set:
+    """Names read by the acceptance tests and by the benchmark, whose
+    tracing shim names its targets by string."""
+    outside = identifiers(ast.parse(ACCEPTANCE.read_text()))
+    for path in BENCH:
+        outside |= identifiers(ast.parse(path.read_text()), strings=True)
+    return outside
+
+
+# public methods that no caller reaches, each with its reason
+METHODS_ALLOWED = {
+    # the ring-level value check of a closed form (ROADMAP item 7)
+    "RatSeries.expand",
+    # the accessor the cells module doctest shows
+    "AffineForm.const",
+}
+METHODS_EXEMPT = {"to_json", "from_json"}
+
+
+def attribute_reads(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
+
+
+def public_methods(package: dict) -> list:
+    """(file, class, method def) for each public method or property of a
+    public top-level class of the package sources ({file: source})."""
+    return [(path, cls.name, node)
+            for path, source in package.items()
+            for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, FUNCTIONS) and not node.name.startswith("_")
+            and node.name not in METHODS_EXEMPT]
+
+
+def uncalled_public_methods(package: dict, outside: set) -> list:
+    """(file, "Class.method") for each public method or property of a
+    public class of the package sources that no code of the package reads
+    as an attribute outside its own body and that ``outside`` does not
+    hold.  Dunders, ``to_json`` and ``from_json`` are exempt.
+
+    Like the rule on top-level names this matches names, not objects: a
+    method hides behind any attribute read of the same name, whatever it
+    is read from.  So ``PFun.extend`` hid behind ``list.extend`` while the
+    package had it.
+    """
+    reads = sum((attribute_reads(ast.parse(source))
+                 for source in package.values()), Counter())
+    return [(path, f"{cls}.{node.name}")
+            for path, cls, node in public_methods(package)
+            if node.name not in outside
+            and reads[node.name] <= attribute_reads(node)[node.name]]
+
+
+def test_uncalled_public_methods_are_detected():
+    package = {"a.py": ("class C:\n"
+                        "    def f(self):\n        return self.f()\n"
+                        "    def g(self):\n        pass\n"
+                        "    @property\n    def h(self):\n        pass\n"
+                        "    def k(self):\n        pass\n"
+                        "    def to_json(self):\n        pass\n"
+                        "    def __len__(self):\n        return 0\n"
+                        "class _D:\n    def m(self):\n        pass\n"),
+               "b.py": "def use(c):\n    return c.g(), c.h\n"}
+    assert uncalled_public_methods(package, {"k"}) == [("a.py", "C.f")]
+
+
+def test_public_methods_have_callers_outside_the_tests():
+    package = {path.relative_to(ROOT): path.read_text() for path in PACKAGE}
+    defined = {f"{cls}.{node.name}" for _, cls, node in public_methods(package)}
+    assert METHODS_ALLOWED <= defined, "allowed methods that are gone"
+    found = [f"{path}: {name}"
+             for path, name in uncalled_public_methods(package, outside_reads())
+             if name not in METHODS_ALLOWED]
+    assert not found, \
+        "public methods that only tests call:\n" + "\n".join(found)
 
 
 def shim_targets() -> list:

@@ -19,6 +19,7 @@ from motint.errors import FrameMismatch, NotIntegrable
 from motint.presburger import PFun, PTerm, sum_fibers
 from motint.ring_a import ONE, ZERO, theta
 from test_acceptance import full_sum
+from test_cplus import extend
 from test_differential import SETTINGS
 
 
@@ -220,13 +221,13 @@ def test_json_round_trip():
 
 def test_extend_and_multiply():
     f = one_var_fun("i", PTerm(ONE, af({"i": -1})))
-    g = f.extend(("p", "i"))
+    g = extend(f, ("p", "i"))
     assert g.vars == ("p", "i")
     assert g.eval_arat({"p": 99, "i": 2}) == R.L_pow(-2)
-    h = f.extend(("i", "k"))
+    h = extend(f, ("i", "k"))
     assert h.eval_arat({"i": 2, "k": -5}) == R.L_pow(-2)
     with pytest.raises(FrameMismatch):
-        f.extend(("j", "k"))
+        extend(f, ("j", "k"))
 
 
 def test_overlapping_pieces_add_up(tmp_path, capsys):

@@ -186,6 +186,17 @@ def test_parse_ratfunc_long_literals_are_parse_errors():
             parse_ratfunc(bad)
 
 
+
+def test_parse_ratfunc_deep_nesting_is_a_parse_error():
+    # parentheses and negations recurse once per level; no depth limit,
+    # only the interpreter's stack
+    for deep in ("(" * 2000 + "L" + ")" * 2000, "-" * 2000 + "L"):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_ratfunc(deep)
+    # a chain of sums is a loop, so it parses at any length
+    assert parse_ratfunc(" + ".join(["L"] * 2000)) == from_int(2000) * L
+    assert parse_ratfunc("(" * 100 + "L" + ")" * 100) == L
+
 def test_str_and_json_round_trip():
     a = arat((0, 1), (-1, 1))
     assert str(a) == "L/(L - 1)"

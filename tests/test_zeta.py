@@ -10,14 +10,14 @@ from motint import formula as F
 from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell, universe
 from motint.cplus import MotFun, is_equal, normal_form, specialize
-from motint.errors import (CapExceeded, MotintError, NonGeometricFamily,
-                           ParseError, UnsupportedH)
+from motint.errors import (CapExceeded, FrameMismatch, MotintError,
+                           NonGeometricFamily, ParseError, UnsupportedH)
 from motint.padic import PContext, rational_ord
 from motint.presburger import PFun, PTerm
-from motint.vfint import decompose_fragment, integrate_iterated
+from motint.vfint import integrate_iterated
 from motint.zeta import (CoeffList, Poly, RatSeries, parse_poly,
                          series_from_parameter, verify_meuser,
-                         zmot_from_cells, zmot_monomial, zprime_count)
+                         zmot_monomial, zprime_count)
 from test_differential import SETTINGS
 
 
@@ -189,37 +189,15 @@ def test_zmot_rejects_sums_and_zero():
 
 
 # ---------------------------------------------------------------------------
-# cell families
-
-
-def test_cells_reproduce_monomials():
-    ctx = PContext(2, 1)
-    for text in ("x", "x^2"):
-        h = parse_poly(text)
-        _, ((_, k),) = h.as_monomial()
-        cond = F.parse_formula(f"ord(x) >= 0 && {k}*ord(x) = i",
-                               {"x": F.VF, "i": F.VG})
-        dec = decompose_fragment(cond, "x", ctx, base_vg=("i",))
-        assert zmot_from_cells([dec]) == zmot_monomial(h)
-
-
-def test_cells_two_stage_product():
-    ctx = PContext(2, 1)
-    condx = F.parse_formula("ord(x) >= 0", {"x": F.VF, "i": F.VG})
-    decx = decompose_fragment(condx, "x", ctx, base_vg=("i",))
-    condy = F.parse_formula("ord(y) >= 0 && z_x + ord(y) = i",
-                            {"y": F.VF, "i": F.VG, "z_x": F.VG})
-    decy = decompose_fragment(condy, "y", ctx,
-                              base_res=(("xi_x", 1),), base_vg=("i", "z_x"))
-    assert zmot_from_cells([decx, decy]) == zmot_monomial("x*y")
+# series of parametrized integrals
 
 
 def test_cells_shrunk_domain():
     ctx = PContext(3, 1)
     cond = F.parse_formula("ord(x) >= 1 && ord(x) = i",
                            {"x": F.VF, "i": F.VG})
-    rs = zmot_from_cells([decompose_fragment(cond, "x", ctx,
-                                             base_vg=("i",))])
+    rs = series_from_parameter(
+        integrate_iterated(cond, ("x",), ctx, base_vg=("i",)).value)
     assert rs.denominator == ((-1, 1),)
     assert [i for i, _ in rs.numerator] == [1]
     got = rs.expand(4)
@@ -228,55 +206,64 @@ def test_cells_shrunk_domain():
         assert is_equal(got[i], point(U * R.L_pow(-i))) == "equal"
 
 
-def test_cells_empty_family():
-    rs = zmot_from_cells([])
-    assert rs.is_zero()
-    assert rs.expand(3) == [MotFun.zero((), ())] * 4
-    assert rs.expand_counts(PContext(2, 1), 3) == [Fraction(0)] * 4
-
-
-def test_cells_base_frame_checked():
-    ctx = PContext(2, 1)
-    cond = F.parse_formula("ord(x) >= 0 && ord(x) = i",
-                           {"x": F.VF, "i": F.VG})
-    dec = decompose_fragment(cond, "x", ctx, base_vg=("i", "j"))
-    from motint.errors import FrameMismatch
-    with pytest.raises(FrameMismatch):
-        zmot_from_cells([dec])
-
-
 # ---------------------------------------------------------------------------
 # series extraction edge cases
 
 
-def _param_fun(lo, hi, coeff_i, const, mod=1, res=0):
-    cell = PCell(("i",), (VarCell(
+def _param_fun(lo, hi, coeff_i, const, mod=1, res=0, var="i"):
+    cell = PCell((var,), (VarCell(
         None if lo is None else AffineForm.const_form(lo),
         None if hi is None else AffineForm.const_form(hi), mod, res),))
-    lpow = AffineForm.make({"i": Fraction(coeff_i)}, Fraction(const))
-    pf = PFun(("i",), ((cell, (PTerm(R.ONE, lpow),)),))
+    lpow = AffineForm.make({var: Fraction(coeff_i)}, Fraction(const))
+    pf = PFun((var,), ((cell, (PTerm(R.ONE, lpow),)),))
     return MotFun.from_pfun(pf)
+
+
+def test_series_reads_its_variable_from_the_frame():
+    by_i = series_from_parameter(_param_fun(0, None, -1, 0, mod=3, res=1))
+    by_n = series_from_parameter(_param_fun(0, None, -1, 0, mod=3, res=1,
+                                            var="n"))
+    assert by_n == by_i
+    assert by_n.numerator
+    ctx = PContext(3, 1)
+    cond_i = F.parse_formula("ord(x) >= 1 && ord(x) = i",
+                             {"x": F.VF, "i": F.VG})
+    cond_n = F.parse_formula("ord(x) >= 1 && ord(x) = n",
+                             {"x": F.VF, "n": F.VG})
+    assert series_from_parameter(
+        integrate_iterated(cond_n, ("x",), ctx, base_vg=("n",)).value) == \
+        series_from_parameter(
+            integrate_iterated(cond_i, ("x",), ctx, base_vg=("i",)).value)
+    two = PFun(("i", "j"), ((universe(("i", "j")),
+                              (PTerm(R.ONE, AffineForm.make()),)),))
+    with pytest.raises(FrameMismatch, match="one value-group variable"):
+        series_from_parameter(MotFun.from_pfun(two))
+    pf = PFun(("i",), ((universe(("i",)), (PTerm(R.ONE, AffineForm.make()),)),))
+    with pytest.raises(FrameMismatch, match="no residue parameter"):
+        series_from_parameter(MotFun.from_pfun(pf, (("xi", 1),)))
+    with pytest.raises(FrameMismatch):
+        series_from_parameter(MotFun.unit())
 
 
 def test_series_growing_exponent_rejected():
     with pytest.raises(NonGeometricFamily):
-        series_from_parameter(_param_fun(0, None, 1, 0), "i")
+        series_from_parameter(_param_fun(0, None, 1, 0))
     with pytest.raises(NonGeometricFamily):
-        series_from_parameter(_param_fun(0, None, 0, 0), "i")
+        series_from_parameter(_param_fun(0, None, 0, 0))
 
 
 def test_series_fractional_exponent_rejected():
     # L^(i/2) on an even-only class is fine; on all integers it is not
     ok = series_from_parameter(_param_fun(0, None, Fraction(-1, 2), 0,
-                                          mod=2, res=0), "i")
+                                          mod=2, res=0))
     assert ok.denominator == ((-1, 2),)
     with pytest.raises(NonGeometricFamily):
-        series_from_parameter(_param_fun(0, 4, Fraction(1, 2), 0), "i")
+        series_from_parameter(_param_fun(0, 4, Fraction(1, 2), 0))
 
 
 def test_series_congruence_class():
     # mass L^{-i} on i = 1 mod 3 only
-    rs = series_from_parameter(_param_fun(0, None, -1, 0, mod=3, res=1), "i")
+    rs = series_from_parameter(_param_fun(0, None, -1, 0, mod=3, res=1))
     got = rs.expand_counts(PContext(2, 1), 7)
     for i in range(8):
         assert got[i] == (Fraction(1, 2 ** i) if i % 3 == 1 else 0), i
@@ -284,7 +271,7 @@ def test_series_congruence_class():
 
 def test_series_negative_range_clipped():
     # pieces below i = 0 contribute nothing to the series
-    rs = series_from_parameter(_param_fun(-5, None, -1, 0), "i")
+    rs = series_from_parameter(_param_fun(-5, None, -1, 0))
     got = rs.expand_counts(PContext(2, 1), 3)
     assert got == [Fraction(1, 2 ** i) for i in range(4)]
 
@@ -346,7 +333,7 @@ def param_families(draw):
 @SETTINGS
 @given(param_families())
 def test_series_matches_termwise_sums(pf):
-    rs = series_from_parameter(MotFun.from_pfun(pf), "i")
+    rs = series_from_parameter(MotFun.from_pfun(pf))
     for q in (2, 3):
         want = [pf.eval_theta(q, {"i": i}) for i in range(9)]
         assert rs.expand_counts(PContext(q, 1), 8) == want, q
