@@ -126,24 +126,6 @@ def _parse_grid(text: str, fallback_p, fallback_d) -> list:
     return [(p, d) for p in sorted(set(ps)) for d in sorted(set(ds))]
 
 
-def _number_str(x) -> str:
-    """The string of an int or Fraction that a report prints.  Past the
-    interpreter's int-to-string digit limit, when it sets one, this raises
-    ``CapExceeded`` with the digits needed and the limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        big = max(abs(x.numerator), x.denominator)
-        needed = big.bit_length() * 3010299956 // 10 ** 10   # <= its digits
-        while 10 ** needed <= big:
-            needed += 1
-        if needed > limit:
-            raise CapExceeded(
-                f"a number of {needed} digits is too long to print, over "
-                f"the interpreter's limit of {limit} digits",
-                needed=needed, cap=limit)
-    return str(x)
-
-
 def _fun_str(fun) -> str:
     s = scalar_of(fun)
     return str(s) if s is not None else "<class-valued>"
@@ -221,7 +203,7 @@ def _value_lines(report: dict, value, q) -> list:
     report["value"] = str(value)
     lines = [str(value)]
     if q is not None:
-        theta = _number_str(R.theta(value, q))
+        theta = R.number_str(R.theta(value, q))
         report["theta"] = {str(q): theta}
         lines.append(f"theta_{q} = {theta}")
     return lines
@@ -268,7 +250,7 @@ def _integrate_common(args, weight) -> tuple:
         if not out.integrable:
             raise NotIntegrable("cannot count a value that is not "
                                 "integrable in some direction")
-        spec = _number_str(specialize(out.value, ctx, cap=args.cap))
+        spec = R.number_str(specialize(out.value, ctx, cap=args.cap))
         report["counted"] = {"q": ctx.q, "value": spec}
         lines.append(f"N at q={ctx.q}: {spec}")
     return 0, report, lines
@@ -296,7 +278,7 @@ def _cmd_theta(args) -> tuple:
     if args.q is None:
         raise ParseError("theta needs --q")
     a = R.parse_ratfunc(args.expr)
-    value = _number_str(R.theta(a, args.q))
+    value = R.number_str(R.theta(a, args.q))
     report = {"expr": str(a), "q": args.q, "value": value}
     return 0, report, [value]
 

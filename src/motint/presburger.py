@@ -85,9 +85,11 @@ class PTerm:
         if num % den:
             raise MotintError(
                 f"non-integer factor product {Fraction(num, den)} at {env}")
-        return self.coef * R.L_pow(e) * R.from_int(num // den)
+        return self.coef * R.L_pow(e, num // den)
 
-    def eval_theta(self, q, env: dict) -> Fraction:
+    def _theta_pair(self, q, env: dict) -> tuple:
+        """theta_q of the term at env as an unreduced integer pair
+        (numerator, positive denominator)."""
         e = self._exponent(env)
         val = R.theta(self.coef, q)
         num, den = self._factor_product(env)
@@ -96,8 +98,7 @@ class PTerm:
         a, b = (q, 1) if type(q) is int else (q.numerator, q.denominator)
         if e < 0:
             a, b, e = b, a, -e
-        return Fraction(val.numerator * num * a ** e,
-                        val.denominator * den * b ** e)
+        return val.numerator * num * a ** e, val.denominator * den * b ** e
 
     def to_json(self):
         return {"coef": self.coef.to_json(), "lpow": self.lpow.to_json(),
@@ -177,20 +178,22 @@ class PFun:
                           for cell, terms in self.pieces))
 
     def eval_arat(self, env: dict) -> ARat:
-        total = R.ZERO
-        for cell, terms in self.pieces:
-            if cell.contains(env):
-                for t in terms:
-                    total = total + t.eval_arat(env)
-        return total
+        return R.fsum(t.eval_arat(env) for cell, terms in self.pieces
+                      if cell.contains(env) for t in terms)
 
     def eval_theta(self, q, env: dict) -> Fraction:
-        total = Fraction(0)
+        """One Fraction from the integer numerators and denominators of
+        the terms."""
+        num, den = 0, 1
         for cell, terms in self.pieces:
             if cell.contains(env):
                 for t in terms:
-                    total += t.eval_theta(q, env)
-        return total
+                    n, d = t._theta_pair(q, env)
+                    if d == den:
+                        num += n
+                    else:
+                        num, den = num * d + n * den, den * d
+        return Fraction(num, den)
 
     def reorder(self, new_vars) -> "PFun":
         new_vars = tuple(new_vars)
@@ -240,10 +243,7 @@ def _geom_power_sum(e: int, t: int) -> ARat:
     """sum_{k>=0} k^t L^(e*k) as a ring element; needs e < 0."""
     if e >= 0:
         raise NotIntegrable(f"geometric direction must decay, got exponent {e}")
-    num = R.ZERO
-    for j, a in enumerate(eulerian(t)):
-        if a:
-            num = num + R.from_int(a) * R.L_pow(e * j)
+    num = R.fsum(R.L_pow(e * j, a) for j, a in enumerate(eulerian(t)))
     den = (R.ONE - R.L_pow(e)) ** (t + 1)
     return num / den
 

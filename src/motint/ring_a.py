@@ -1,5 +1,5 @@
-"""The coefficient ring: Laurent polynomials in a symbol L with the
-inverses of (1 - L^-i) adjoined, held in canonical fractional form.
+"""The coefficient ring A = Z[L, L^-1, (1 - L^-i)^-1], held in canonical
+fractional form.
 
 An element is a reduced fraction numer/denom of integer polynomials in L.
 Membership in the ring is equivalent to the denominator having unit content
@@ -8,16 +8,29 @@ and irreducible factors drawn from {L, cyclotomic polynomials}: indeed
 denominator reachable from the generators factors that way, and conversely
 every such fraction is reachable.
 
-Fractions are reduced on integer polynomials, using that structure.  Each
-denominator is split once (and the split cached) as L^k * prod
-cyclotomic_j(L)^e * rest, by exact trial division in Z[x] by the monic
-cyclotomic polynomials.  Reduction strips the shared power of L and
-divides the numerator by each cyclotomic_j at most e times; only a
-non-constant rest, i.e. a value outside the ring, needs a general gcd,
-which is a primitive pseudo-remainder sequence in Z[x].  Membership is
-read off the same split: the canonical denominator lies in the ring iff
-its rest is 1.  A product with a monomial c*L^e skips all of this: only
-the power of L and the integer contents can cancel.
+Besides the dense tuples, every value carries the split of its
+denominator, L^k * c * prod Phi_j(L)^e_j with c > 0 its integer content
+and Phi_j the j-th cyclotomic polynomial.  The value lies in A iff c = 1.
+The split is found by exact trial division in Z[x] (`_factor`) only for
+a denominator that arrives dense: once for a value built from dense
+coefficients (`arat`, `lax`, `ARat.from_json`, `parse_ratfunc`), and for
+the numerator that `/` and a negative power turn into a denominator.
+Every `+`, `-`, `*`, `**` and `fsum` carries the split into its result:
+
+- a sum is taken over the lcm of the splits.  A factor of the lcm can
+  divide the new numerator only when at least two operands hold it to
+  its full power, so only those Phi_j are tried, and L only up to that
+  power; Phi_1 and Phi_2 are tested exactly by f(1) = 0 and f(-1) = 0,
+  the others screened by their value at an integer point first.  `fsum`
+  does this once for any number of terms;
+- a product cancels each numerator against the other operand's split.
+
+The one fallback is a value outside A whose denominator has a factor
+other than L and the cyclotomics, such as L - 2 (intermediate values of
+`parse_ratfunc` and `lax`).  It has no split, and arithmetic that meets
+one reduces the dense fraction, dividing out a general gcd (a primitive
+pseudo-remainder sequence).  The canonical form is unique, so both routes
+give the same tuples.
 
 Examples (doctest style, values frozen from hand computation):
 
@@ -25,6 +38,8 @@ Examples (doctest style, values frozen from hand computation):
     >>> inv = arat((0, 1), (-1, 1))       # 1/(1 - L^-1) = L/(L - 1)
     >>> str(inv - one)
     '1/(L - 1)'
+    >>> (inv - one).split                 # L^0 * 1 * Phi_1^1
+    (0, 1, ((1, 1),))
     >>> theta(inv - one, 2)
     Fraction(1, 1)
 """
@@ -32,13 +47,18 @@ Examples (doctest style, values frozen from hand computation):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd, isqrt, lcm as int_lcm
 
-from .errors import NotInA, ParseError, QOutOfRange
+from .errors import CapExceeded, NotInA, ParseError, QOutOfRange
 from . import polynomials as P
+
+# The largest degree a power in a ring expression may reach (see
+# parse_ratfunc); powers the library takes itself are not limited.
+MAX_DEGREE = 50_000
 
 
 @lru_cache(maxsize=None)
@@ -69,49 +89,106 @@ def _cyclotomic_value(j: int, b: int) -> int:
     return out
 
 
-def _divide_out(f: tuple, at_b: int, b: int, j: int, limit: int) -> tuple:
+def _screen_point(f: tuple) -> tuple:
+    """(b, f(b)) at the first integer b >= 2 where f does not vanish."""
+    b, at_b = 2, P.evaluate(f, 2)
+    while at_b == 0:
+        b += 1
+        at_b = P.evaluate(f, b)
+    return b, at_b
+
+
+def _divide_out(f: tuple, j: int, limit: int, screen) -> tuple:
     """Divide f by Phi_j(L) as often as it goes, at most limit times.
 
-    at_b is f(b) for an integer b >= 2; a division is tried only when
-    Phi_j(b) divides it.  Phi_j is monic, so the division stays in Z[x].
-    Returns the quotient, its value at b and the number of divisions."""
-    value = _cyclotomic_value(j, b)
+    Phi_1 = L - 1 and Phi_2 = L + 1 divide f exactly when f(1) = 0 and
+    f(-1) = 0.  For j >= 3 a division is tried only when Phi_j(b) divides
+    f(b), for screen = (b, f(b)) from _screen_point; Phi_j is monic, so
+    the division stays in Z[x].  Returns the quotient, the screen of the
+    quotient (None stays None) and the number of divisions."""
     e = 0
+    if j <= 2:
+        r = 1 if j == 1 else -1
+        while e < limit and sum(f[::2]) + r * sum(f[1::2]) == 0:
+            f, e = _div_linear(f, r), e + 1
+        if e and screen is not None:
+            b, at_b = screen
+            screen = b, at_b // (b - r) ** e
+        return f, screen, e
+    b, at_b = screen
+    value = _cyclotomic_value(j, b)
     while e < limit and at_b % value == 0:
         quo, rem = P.divmod_exact(f, P.cyclotomic(j))
         if rem:
             break
         f, at_b, e = quo, at_b // value, e + 1
-    return f, at_b, e
+    return f, (b, at_b), e
+
+
+def _div_linear(f: tuple, r: int) -> tuple:
+    """f / (L - r) for f(r) = 0, by synthetic division."""
+    quo = [0] * (len(f) - 1)
+    acc = 0
+    for i in range(len(f) - 1, 0, -1):
+        acc = acc * r + f[i]
+        quo[i - 1] = acc
+    return tuple(quo)
+
+
+def _divide_cyclos(f: tuple, cyclos: tuple) -> tuple:
+    """Divide f by Phi_j at most e times for each (j, e) of cyclos.
+
+    Returns the quotient and the ((j, times), ...) taken out."""
+    taken = []
+    screen = None
+    for j, e in cyclos:
+        if j > 2 and screen is None:
+            screen = _screen_point(f)
+        f, screen, n = _divide_out(f, j, e, screen)
+        if n:
+            taken.append((j, n))
+    return f, tuple(taken)
 
 
 @lru_cache(maxsize=1024)
 def _factor(den: tuple) -> tuple:
     """Split a nonzero integer polynomial as L^k * prod Phi_j(L)^e * rest.
 
-    Returns (((j, e), ...), rest) with rest free of L and of every
+    Returns (k, ((j, e), ...), rest) with rest free of L and of every
     cyclotomic factor; rest carries the integer content and the sign.
-    den lies in the ring's denominators iff rest is a unit.  The trial
-    divisions are screened at the first integer b >= 2 where den is
-    nonzero (Phi_j dividing rest implies Phi_j(b) dividing rest(b)), so
-    Phi_j is built only for the candidates that pass.  The cache is
-    bounded, as its keys are the unreduced denominators of sums and
-    products.
+    den lies in the ring's denominators iff rest is a unit.  Only dense
+    input comes here: a value made by arithmetic carries its split.
     """
     k = 0
     while den[k] == 0:
         k += 1
-    rest = den[k:]
-    b, at_b = 2, P.evaluate(rest, 2)
-    while at_b == 0:
-        b += 1
-        at_b = P.evaluate(rest, b)
-    found = []
-    for j, phi in _cyclotomic_indices(P.degree(rest)):
-        rest, at_b, e = _divide_out(rest, at_b, b, j, P.degree(rest) // phi)
-        if e:
-            found.append((j, e))
-    return tuple(found), rest
+    n = len(den) - 1 - k
+    rest, found = _divide_cyclos(
+        den[k:], tuple((j, n // phi) for j, phi in _cyclotomic_indices(n)))
+    return k, found, rest
+
+
+@lru_cache(maxsize=1024)
+def _cyclo_product(cyclos: tuple) -> tuple:
+    """prod Phi_j(L)^e over the (j, e) of cyclos, dense."""
+    out = (1,)
+    for j, e in cyclos:
+        out = P.mul(out, P.poly_pow(P.cyclotomic(j), e))
+    return out
+
+
+def _less(cyclos: tuple, taken: tuple) -> tuple:
+    """The exponents of cyclos less those of taken, zeros dropped."""
+    if not taken:
+        return cyclos
+    less = dict(taken)
+    return tuple((j, e - less.get(j, 0)) for j, e in cyclos
+                 if e > less.get(j, 0))
+
+
+# the split of a denominator with a factor other than L and the
+# cyclotomics: c = 0 marks it, and arithmetic on it takes the dense path
+_OUTSIDE = (0, 0, ())
 
 
 @dataclass(frozen=True)
@@ -123,45 +200,41 @@ class ARat:
     coefficient.  Rational constants such as 1/2 are representable (they
     occur transiently in summation closed forms) but lie outside the ring;
     use in_a to check membership.
+
+    split is (k, c, ((j, e), ...)) with denom = L^k * c * prod Phi_j^e,
+    j ascending, or (0, 0, ()) when denom has another factor.  It takes no
+    part in equality; a value made as ARat(numer, denom) gets it on first
+    use.
     """
 
     numer: tuple
     denom: tuple
+    split: tuple | None = field(default=None, compare=False, repr=False)
 
     def __add__(self, other: "ARat") -> "ARat":
-        n = P.add(P.mul(self.numer, other.denom), P.mul(other.numer, self.denom))
-        return _reduce(n, P.mul(self.denom, other.denom))
+        return _add(self, other)
 
     def __sub__(self, other: "ARat") -> "ARat":
-        n = P.sub(P.mul(self.numer, other.denom), P.mul(other.numer, self.denom))
-        return _reduce(n, P.mul(self.denom, other.denom))
+        return _add(self, -other)
 
     def __mul__(self, other: "ARat") -> "ARat":
-        if _is_monomial(other):
-            return _times_monomial(self, other)
-        if _is_monomial(self):
-            return _times_monomial(other, self)
-        return _reduce(P.mul(self.numer, other.numer), P.mul(self.denom, other.denom))
+        return _mul(self, other)
 
     def __neg__(self) -> "ARat":
-        return ARat(P.neg(self.numer), self.denom)
+        return ARat(P.neg(self.numer), self.denom, self.split)
 
     def __truediv__(self, other: "ARat") -> "ARat":
         """Exact division; the result must stay in the ring."""
         if P.is_zero(other.numer):
             raise ZeroDivisionError("division by zero in the coefficient ring")
-        out = _reduce(P.mul(self.numer, other.denom), P.mul(self.denom, other.numer))
-        _require_in_a(out)
-        return out
+        return _require_in_a(_mul(self, _inverse(other)))
 
     def __pow__(self, k: int) -> "ARat":
         if k >= 0:
-            return _reduce(P.poly_pow(self.numer, k), P.poly_pow(self.denom, k))
+            return _power(self, k)
         if P.is_zero(self.numer):
             raise ZeroDivisionError("0 has no negative power")
-        out = _reduce(P.poly_pow(self.denom, -k), P.poly_pow(self.numer, -k))
-        _require_in_a(out)
-        return out
+        return _require_in_a(_power(_inverse(self), -k))
 
     def is_zero(self) -> bool:
         return P.is_zero(self.numer)
@@ -185,6 +258,20 @@ class ARat:
         """Read {"numer": [...], "denom": [...]}; the value must lie in the
         ring."""
         return arat(*fraction_from_json(obj))
+
+
+def _split(a: ARat) -> tuple:
+    s = a.split
+    if s is None:
+        s = _split_of(a.denom)
+        object.__setattr__(a, "split", s)
+    return s
+
+
+def _split_of(den: tuple) -> tuple:
+    """The split of a canonical denominator, from _factor."""
+    k, cyclos, rest = _factor(den)
+    return (k, rest[0], cyclos) if len(rest) == 1 else _OUTSIDE
 
 
 def fraction_from_json(obj) -> tuple:
@@ -212,7 +299,7 @@ def _int_coeffs(cs) -> tuple:
 
 def _reduce(num, den) -> ARat:
     """Bring an integer-coefficient fraction to canonical form without a
-    membership check.
+    membership check, and split its denominator.
 
     The shared power of L goes first; then num is divided by each
     cyclotomic factor of den at most as often as it occurs there; only a
@@ -222,26 +309,22 @@ def _reduce(num, den) -> ARat:
     if P.is_zero(den):
         raise ZeroDivisionError("zero denominator")
     if P.is_zero(num):
-        return ARat((), (1,))
+        return ZERO
     k = 0
     while num[k] == 0 and den[k] == 0:
         k += 1
     if k:
         num, den = num[k:], den[k:]
-    cyclos, rest = _factor(den)
-    if cyclos:
-        at2 = P.evaluate(num, 2)
-        common: tuple = (1,)
-        for j, e in cyclos:
-            num, at2, n = _divide_out(num, at2, 2, j, e)
-            if n:
-                common = P.mul(common, P.poly_pow(P.cyclotomic(j), n))
-        if len(common) > 1:
-            den = P.div_exact(den, common)
+    k, cyclos, rest = _factor(den)
+    num, taken = _divide_cyclos(num, cyclos)
+    if taken:
+        den = P.div_exact(den, _cyclo_product(taken))
+        cyclos = _less(cyclos, taken)
     if len(rest) > 1:
         g = P.gcd_primitive(num, rest)
         if len(g) > 1:
             num, den = P.div_exact(num, g), P.div_exact(den, g)
+            rest = P.div_exact(rest, g)
     cn, pn = P.primitive(num)
     cd, pd = P.primitive(den)
     g = int_gcd(cn, cd)
@@ -251,50 +334,155 @@ def _reduce(num, den) -> ARat:
         cn //= g
         cd //= g
     return ARat(pn if cn == 1 else tuple(c * cn for c in pn),
-                pd if cd == 1 else tuple(c * cd for c in pd))
+                pd if cd == 1 else tuple(c * cd for c in pd),
+                (k, cd, cyclos) if len(rest) == 1 else _OUTSIDE)
 
 
-def _is_monomial(a: ARat) -> bool:
-    """Is a nonzero c*L^e: one nonzero coefficient in numer and in denom?"""
-    n, d = a.numer, a.denom
-    return n.count(0) == len(n) - 1 and d.count(0) == len(d) - 1
-
-
-def _times_monomial(a: ARat, m: ARat) -> ARat:
-    """a * m for a monomial m = (c/b)*L^e, in canonical form without
-    _reduce.  As a is canonical, only the power of L and the integer
-    contents can cancel: shift by L^e, strip the shared power of L, and
-    divide by gcd(content(numer), b) * gcd(c, content(denom))."""
-    n, d = a.numer, a.denom
-    if not n:
+def _add(a: ARat, b: ARat) -> ARat:
+    if not a.numer:
+        return b
+    if not b.numer:
         return a
-    c, b = m.numer[-1], m.denom[-1]
-    e = len(m.numer) - len(m.denom)
-    if e > 0:
-        k = 0
-        while k < e and d[k] == 0:
-            k += 1
-        n, d = (0,) * (e - k) + n, d[k:]
-    elif e < 0:
-        k = 0
-        while k < -e and n[k] == 0:
-            k += 1
-        n, d = n[k:], (0,) * (-e - k) + d
-    gn, gd = int_gcd(b, *n), int_gcd(c, *d)
-    c, b = c // gd, b // gn
-    if gn != 1 or c != 1:
-        n = tuple(x // gn * c for x in n)
-    if gd != 1 or b != 1:
-        d = tuple(x // gd * b for x in d)
-    return ARat(n, d)
+    if _split(a)[1] and _split(b)[1]:
+        return _sum_split((a, b))
+    return _reduce(P.add(P.mul(a.numer, b.denom), P.mul(b.numer, a.denom)),
+                   P.mul(a.denom, b.denom))
+
+
+def fsum(values) -> ARat:
+    """The sum of values: one lcm of the denominators, one numerator and
+    one reduction, whatever the number of terms, when every value has a
+    split; otherwise the values are added one at a time."""
+    terms = [a for a in values if a.numer]
+    if len(terms) < 2:
+        return terms[0] if terms else ZERO
+    if all(_split(a)[1] for a in terms):
+        return _sum_split(terms)
+    total = terms[0]
+    for a in terms[1:]:
+        total = _add(total, a)
+    return total
+
+
+def _sum_split(terms) -> ARat:
+    """The sum of two or more nonzero values that all have a split."""
+    k, c, big = 0, 1, terms[0]
+    top: dict = {}                # j -> [largest exponent, operands with it]
+    for a in terms:
+        ka, ca, ea = a.split
+        k = max(k, ka)
+        if c % ca:
+            c = int_lcm(c, ca)
+        if len(a.denom) > len(big.denom):
+            big = a
+        for j, e in ea:
+            t = top.get(j)
+            if t is None or e > t[0]:
+                top[j] = [e, 1]
+            elif e == t[0]:
+                t[1] += 1
+    cyclos = tuple((j, top[j][0]) for j in sorted(top))
+    # the lcm without its power of L, from the largest denominator
+    kb, cb, eb = big.split
+    core = _times(big.denom[kb:], _cyclo_product(_less(cyclos, eb)))
+    if c != cb:
+        core = tuple(x * (c // cb) for x in core)
+    acc: list = []
+    for a in terms:
+        ka = a.split[0]
+        den = a.denom[ka:]
+        part = a.numer if den == core else _times(a.numer, P.div_exact(core, den))
+        off = k - ka
+        if len(acc) < off + len(part):
+            acc += [0] * (off + len(part) - len(acc))
+        for i, x in enumerate(part, off):
+            acc[i] += x
+    num = P.trim(acc)
+    if not num:
+        return ZERO
+    # a factor can divide num only where two operands reach its full power
+    ties = tuple((j, e) for j, e in cyclos if top[j][1] > 1)
+    return ARat(*_cancel(num, (0,) * k + core, (k, c, cyclos), ties))
+
+
+def _mul(a: ARat, b: ARat) -> ARat:
+    if not a.numer or not b.numer:
+        return ZERO
+    sa, sb = _split(a), _split(b)
+    if not (sa[1] and sb[1]):
+        return _reduce(P.mul(a.numer, b.numer), P.mul(a.denom, b.denom))
+    n1, d2, (k2, c2, e2) = _cancel(a.numer, b.denom, sb, sb[2])
+    n2, d1, (k1, c1, e1) = _cancel(b.numer, a.denom, sa, sa[2])
+    if e1 and e2:
+        exps = dict(e1)
+        for j, e in e2:
+            exps[j] = exps.get(j, 0) + e
+        e1 = tuple(sorted(exps.items()))
+    return ARat(_times(n1, n2), _times(d1, d2), (k1 + k2, c1 * c2, e1 or e2))
+
+
+def _times(p: tuple, q: tuple) -> tuple:
+    """p * q for nonzero trimmed tuples; a factor c*L^k is a shift and a
+    scan."""
+    if len(p) < len(q):
+        p, q = q, p
+    if any(q[:-1]):
+        return P.mul(p, q)
+    c = q[-1]
+    return (0,) * (len(q) - 1) + (p if c == 1 else tuple(c * x for x in p))
+
+
+def _cancel(num: tuple, den: tuple, split: tuple, tries: tuple) -> tuple:
+    """Divide num, and den with its split, by the factors they share: the
+    power of L and the integer content the split shows, and the Phi_j of
+    tries, each (j, e) at most e times.  Returns num, den and split."""
+    if split == _UNIT:
+        return num, den, split
+    k, c, cyclos = split
+    if len(num) > 1:          # a constant shares no L nor Phi_j
+        z = 0
+        while z < k and num[z] == 0:
+            z += 1
+        if z:
+            num, den, k = num[z:], den[z:], k - z
+        if tries:
+            num, taken = _divide_cyclos(num, tries)
+            if taken:
+                den = P.div_exact(den, _cyclo_product(taken))
+                cyclos = _less(cyclos, taken)
+    if c > 1:
+        g = int_gcd(c, *num)
+        if g > 1:
+            num = tuple(x // g for x in num)
+            den = tuple(x // g for x in den)
+            c //= g
+    return num, den, (k, c, cyclos)
+
+
+def _power(a: ARat, k: int) -> ARat:
+    """a^k for k >= 0; powers of a canonical fraction are canonical."""
+    if k == 0:
+        return ONE
+    if k == 1:
+        return a
+    s = _split(a)
+    return ARat(P.poly_pow(a.numer, k), P.poly_pow(a.denom, k),
+                (s[0] * k, s[1] ** k, tuple((j, e * k) for j, e in s[2]))
+                if s[1] else _OUTSIDE)
+
+
+def _inverse(a: ARat) -> ARat:
+    """1/a for a nonzero a; its denominator is split afresh."""
+    n, d = a.numer, a.denom
+    if n[-1] < 0:
+        n, d = P.neg(n), P.neg(d)
+    return ARat(d, n, _split_of(n))
 
 
 def in_a(a: ARat) -> bool:
     """Membership in the coefficient ring: the canonical denominator has
     content 1 and is L^k times cyclotomic factors."""
-    if P.is_zero(a.numer):
-        return True
-    return _factor(a.denom)[1] == (1,)
+    return _split(a)[1] == 1
 
 
 def _require_in_a(a: ARat) -> ARat:
@@ -305,9 +493,7 @@ def _require_in_a(a: ARat) -> ARat:
 
 def arat(numer, denom=(1,)) -> ARat:
     """Public constructor: canonicalize and certify ring membership."""
-    out = _reduce(_int_coeffs(numer), _int_coeffs(denom))
-    _require_in_a(out)
-    return out
+    return _require_in_a(_reduce(_int_coeffs(numer), _int_coeffs(denom)))
 
 
 def lax(numer, denom=(1,)) -> ARat:
@@ -316,25 +502,30 @@ def lax(numer, denom=(1,)) -> ARat:
     return _reduce(_int_coeffs(numer), _int_coeffs(denom))
 
 
-ZERO = ARat((), (1,))
-ONE = ARat((1,), (1,))
-L = ARat((0, 1), (1,))
+_UNIT = (0, 1, ())
+ZERO = ARat((), (1,), _UNIT)
+ONE = ARat((1,), (1,), _UNIT)
+L = ARat((0, 1), (1,), _UNIT)
 
 
 def from_int(k: int) -> ARat:
-    return ARat(P.trim([int(k)]), (1,))
+    return ARat(P.trim([int(k)]), (1,), _UNIT)
 
 
 def from_rational(q: Fraction) -> ARat:
     q = Fraction(q)
-    return lax((q.numerator,), (q.denominator,))
+    if not q:
+        return ZERO
+    return ARat((q.numerator,), (q.denominator,), (0, q.denominator, ()))
 
 
-def L_pow(k: int) -> ARat:
-    """L^k for any integer k, canonical."""
+def L_pow(k: int, c: int = 1) -> ARat:
+    """c * L^k for any integer k and int c, canonical."""
+    if not c:
+        return ZERO
     if k >= 0:
-        return ARat(tuple([0] * k + [1]), (1,))
-    return ARat((1,), tuple([0] * (-k) + [1]))
+        return ARat((0,) * k + (c,), (1,), _UNIT)
+    return ARat((c,), (0,) * -k + (1,), (-k, 1, ()))
 
 
 def _homogeneous(p: tuple, x: int, y: int) -> int:
@@ -386,8 +577,28 @@ def is_nonneg(a: ARat) -> bool:
     return True
 
 
+def number_str(x) -> str:
+    """The string of an int or Fraction.  Past the interpreter's
+    int-to-string digit limit, when it sets one, this raises
+    ``CapExceeded`` with the digits needed and the limit."""
+    try:
+        return str(x)
+    except ValueError:          # only past the digit limit
+        pass
+    limit = sys.get_int_max_str_digits()
+    big = max(abs(x.numerator), x.denominator)
+    needed = big.bit_length() * 3010299956 // 10 ** 10   # <= its digits
+    while 10 ** needed <= big:
+        needed += 1
+    raise CapExceeded(
+        f"a number of {needed} digits is too long to print, over "
+        f"the interpreter's limit of {limit} digits",
+        needed=needed, cap=limit)
+
+
 def _poly_str(p: tuple) -> str:
-    """Human form of an integer polynomial in L, highest power first."""
+    """Human form of an integer polynomial in L, highest power first; its
+    coefficients are printed by number_str."""
     if P.is_zero(p):
         return "0"
     parts = []
@@ -396,10 +607,10 @@ def _poly_str(p: tuple) -> str:
         if c == 0:
             continue
         if i == 0:
-            term = str(abs(c))
+            term = number_str(abs(c))
         else:
             var = "L" if i == 1 else f"L^{i}"
-            term = var if abs(c) == 1 else f"{abs(c)}*{var}"
+            term = var if abs(c) == 1 else f"{number_str(abs(c))}*{var}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
@@ -425,6 +636,8 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
 
     Evaluation is exact; with strict=True the final value must lie in the
     ring.  Intermediate values may leave it (e.g. "1/(L-2)*(L-2)" is fine).
+    A power whose degree would pass MAX_DEGREE is ``CapExceeded``, raised
+    before the power is taken.
     """
     tokens: list[str] = []
     pos = 0
@@ -475,7 +688,14 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
             e = take()
             if not e.isdigit():
                 raise ParseError(f"integer exponent expected, found {e!r}")
-            v = _pow_lax(v, sign * _int(e))
+            k = _int(e)
+            degree = k * (max(len(v.numer), len(v.denom)) - 1)
+            if degree > MAX_DEGREE:
+                raise CapExceeded(
+                    f"a power of degree {degree} in a ring expression, over "
+                    f"the limit of {MAX_DEGREE}", needed=degree,
+                    cap=MAX_DEGREE)
+            v = _pow_lax(v, sign * k)
         return v
 
     def factor() -> ARat:
@@ -488,7 +708,7 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
             else:
                 if P.is_zero(w.numer):
                     raise ParseError("division by zero in ring expression")
-                v = lax(P.mul(v.numer, w.denom), P.mul(v.denom, w.numer))
+                v = _mul(v, _inverse(w))
         return v
 
     def expr() -> ARat:
@@ -513,7 +733,7 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
 
 def _pow_lax(v: ARat, k: int) -> ARat:
     if k >= 0:
-        return lax(P.poly_pow(v.numer, k), P.poly_pow(v.denom, k))
+        return _power(v, k)
     if P.is_zero(v.numer):
         raise ParseError("0 has no negative power in ring expression")
-    return lax(P.poly_pow(v.denom, -k), P.poly_pow(v.numer, -k))
+    return _power(_inverse(v), -k)

@@ -108,6 +108,20 @@ def test_number_too_long_to_print_exit_1(capsys, tmp_path, digit_limit):
     status, out, _ = run(capsys, "theta", "--expr", "L^14000", "--q", "2")
     assert status == 0 and out.strip() == str(2 ** 14000)
 
+
+def test_ring_expression_too_long_to_print_exit_1(capsys, digit_limit):
+    # a ring coefficient goes through the same digit check as a number,
+    # and a ring power past the degree limit fails before it is taken
+    for argv, needed, cap in (
+            (("parse", "--ratfunc", "2^20000"), 6021, digit_limit),
+            (("theta", "--expr", "3^10000", "--q", "2"), 4772, digit_limit),
+            (("theta", "--expr", "L^99999999", "--q", "2"), 99999999,
+             R.MAX_DEGREE)):
+        error = error_of(capsys, *argv)
+        assert (error["code"], error["needed"], error["cap"]) == \
+            ("CapExceeded", needed, cap), argv
+
+
 def test_parse_poly_honours_cap(capsys):
     status, out, _ = run(capsys, "parse", "--poly", "(x + y + z + w)^40",
                          "--cap", "10000", "--json")

@@ -196,7 +196,7 @@ def test_sum_matches_truncated_series():
             acc = Fraction(0)
             for i in range(lo, lo + 220):
                 if (i - res) % mod == 0:
-                    acc += term.eval_theta(q, {"i": i})
+                    acc += f.eval_theta(q, {"i": i})
             got = theta(total, q)
             assert abs(got - acc) < Fraction(1, 10 ** 12), f"trial {trial}"
 

@@ -1,16 +1,19 @@
 import random
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from motint import polynomials as P
-from motint.errors import NotInA, ParseError, QOutOfRange
+from motint import ring_a as R
+from motint.errors import CapExceeded, NotInA, ParseError, QOutOfRange
 from motint.ring_a import (
-    ARat, L, L_pow, ONE, ZERO, _is_monomial, _reduce, arat,
-    fraction_from_json, from_int, from_rational, in_a, is_nonneg, lax,
-    parse_ratfunc, theta,
+    ARat, L, L_pow, MAX_DEGREE, ONE, ZERO, _reduce, _split_of, arat,
+    fraction_from_json, from_int, from_rational, fsum, in_a, is_nonneg,
+    lax, parse_ratfunc, theta,
 )
 from test_differential import SETTINGS
 
@@ -187,6 +190,19 @@ def test_parse_ratfunc_long_literals_are_parse_errors():
 
 
 
+def test_parse_ratfunc_caps_the_degree_of_a_power():
+    # checked before the power is taken, so a huge exponent fails at once
+    for text, degree in (("L^99999999", 99999999), ("L^-99999999", 99999999),
+                         ("(L^2 + 1)^30000", 60000),
+                         (f"1/L^{MAX_DEGREE + 1}", MAX_DEGREE + 1)):
+        with pytest.raises(CapExceeded) as info:
+            parse_ratfunc(text)
+        assert (info.value.needed, info.value.cap) == (degree, MAX_DEGREE)
+    assert parse_ratfunc(f"L^{MAX_DEGREE}") == L_pow(MAX_DEGREE)
+    # a constant has degree 0, whatever its size
+    assert parse_ratfunc("2^20000") == from_int(2 ** 20000)
+
+
 def test_parse_ratfunc_deep_nesting_is_a_parse_error():
     # parentheses and negations recurse once per level; no depth limit,
     # only the interpreter's stack
@@ -249,10 +265,138 @@ def test_membership_of_every_small_cyclotomic():
 
 
 # ---------------------------------------------------------------------------
-# products with a monomial c*L^e skip _reduce; they must match it
+# the split of the denominator, carried through arithmetic
+
+def test_values_carry_their_split():
+    a = arat((0, 1), (-1, 1)) - ONE                  # 1/(L - 1)
+    assert a.split == (0, 1, ((1, 1),))
+    assert (a * L_pow(-2)).split == (2, 1, ((1, 1),))
+    assert (a ** 3).split == (0, 1, ((1, 3),))
+    assert lax((1,), (0, 6)).split == (1, 6, ())      # 1/(6L)
+    assert lax((1,), (-2, 1)).split == (0, 0, ())     # 1/(L - 2): no split
+    # the split takes no part in equality, and is found on first use
+    b = ARat((1,), (-1, 1))
+    assert b.split is None and b == a and in_a(b)
+    assert b.split == a.split
+
+
+def test_monomial_constructors_carry_their_split():
+    for m in (ONE, -ONE, L, L_pow(-4), L_pow(3), L_pow(2, -6), from_int(-5),
+              from_rational(Fraction(-3, 4)), lax((0, 0, 2), (3,))):
+        assert m.split[2] == () and m.split == _split_of(m.denom), m
+        assert (m.numer, m.denom) == (lax(m.numer, m.denom).numer,
+                                      lax(m.numer, m.denom).denom)
+    assert L_pow(5, 0) == from_rational(Fraction(0)) == ZERO
+
 
 COEFFS = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
 
+
+def dense_sum(a: ARat, b: ARat) -> ARat:
+    return _reduce(P.add(P.mul(a.numer, b.denom), P.mul(b.numer, a.denom)),
+                   P.mul(a.denom, b.denom))
+
+
+def dense_product(a: ARat, b: ARat) -> ARat:
+    return _reduce(P.mul(a.numer, b.numer), P.mul(a.denom, b.denom))
+
+
+def no_factoring(values):
+    """While every value has a split, arithmetic must not split a
+    denominator again: _factor raises."""
+    if all(v.split[1] for v in values):
+        return mock.patch.object(R, "_factor",
+                                 side_effect=AssertionError("re-factored"))
+    return nullcontext()
+
+
+def _cyclo_poly(draw) -> tuple:
+    """c * L^k * prod of up to three Phi_j, j <= 12."""
+    out = (0,) * draw(st.integers(0, 3)) + (draw(st.integers(1, 4)),)
+    for j in draw(st.lists(st.integers(1, 12), max_size=3)):
+        out = P.mul(out, P.cyclotomic(j))
+    return out
+
+
+@st.composite
+def split_values(draw):
+    """A value whose denominator splits as L^k * c * prod Phi_j^e, j <= 12;
+    the numerator is random or itself such a product, so that inverses and
+    cancellations stay split too."""
+    if draw(st.booleans()):
+        num = P.trim(draw(COEFFS)) or (1,)
+    else:
+        num = _cyclo_poly(draw)
+    if draw(st.booleans()):
+        num = P.neg(num)
+    return lax(num, _cyclo_poly(draw))
+
+
+@st.composite
+def ring_values(draw):
+    """Mostly split values; now and then one outside A, with L - 2 in the
+    denominator."""
+    a = draw(split_values())
+    if draw(st.integers(0, 5)) == 0:
+        return lax(a.numer, P.mul(a.denom, (-2, 1)))
+    return a
+
+
+def _same(got: ARat, want: ARat) -> None:
+    assert (got.numer, got.denom) == (want.numer, want.denom)
+    assert got.split == _split_of(got.denom)
+
+
+@SETTINGS
+@given(ring_values(), ring_values())
+def test_arithmetic_matches_the_dense_reduction(a, b):
+    want = dense_sum(a, b), dense_sum(a, -b), dense_product(a, b)
+    with no_factoring((a, b)):
+        got = a + b, a - b, a * b
+    for g, w in zip(got, want):
+        _same(g, w)
+
+
+@SETTINGS
+@given(split_values(), split_values())
+def test_sums_and_products_that_cancel(a, c):
+    # b = c - a and d = c / a make a + b and a * d cancel down to c
+    b = dense_sum(c, -a)
+    d = _reduce(P.mul(c.numer, a.denom), P.mul(c.denom, a.numer))
+    with no_factoring((a, b, c, d)):
+        got = a + b, a * d, fsum([a, b, -c]), fsum([b, a, a, -a])
+    _same(got[0], c)
+    _same(got[3], c)
+    if d.split[1]:
+        _same(got[1], c)
+    assert got[2] == ZERO
+
+
+@SETTINGS
+@given(st.lists(ring_values(), max_size=6))
+def test_fsum_matches_a_left_fold(values):
+    want = ZERO
+    for v in values:
+        want = dense_sum(want, v)
+    with no_factoring(values):
+        got = fsum(values)
+    _same(got, want)
+
+
+@SETTINGS
+@given(split_values(), split_values(), st.integers(0, 3))
+def test_theta_is_a_homomorphism_on_split_values(a, b, k):
+    for q in (2, 3, Fraction(7, 2)):
+        ta, tb = theta(a, q), theta(b, q)
+        assert theta(a + b, q) == ta + tb
+        assert theta(a - b, q) == ta - tb
+        assert theta(a * b, q) == ta * tb
+        assert theta(a ** k, q) == ta ** k
+        assert theta(fsum([a, b, a]), q) == 2 * ta + tb
+
+
+# ---------------------------------------------------------------------------
+# products with a monomial c*L^e: the split product must match _reduce
 
 @st.composite
 def fractions_in_l(draw):
@@ -270,14 +414,6 @@ def monomials(draw):
     if e >= 0:
         return lax((0,) * e + (c,), (b,))
     return lax((c,), (0,) * -e + (b,))
-
-
-def test_monomial_constructors_take_the_fast_product():
-    for m in (ONE, -ONE, L, L_pow(-4), L_pow(3), from_int(-5),
-              from_rational(Fraction(-3, 4)), lax((0, 0, 2), (3,))):
-        assert _is_monomial(m), m
-    for a in (ZERO, L - ONE, arat((1,), (-1, 1)), arat((0, 1, 1))):
-        assert not _is_monomial(a), a
 
 
 @SETTINGS
