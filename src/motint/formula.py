@@ -19,13 +19,17 @@ integer literal holds a cell until the end of the parse, and each
 operator and comparison unifies the cells of its operands.  The printer
 emits a canonical form on which print . parse is the identity.
 
-Traversal: the tables behind _children and _rebuild are the only code
-that reads the fields of a node in order to visit it.  walk_term,
-iter_terms and map_term visit every node and ignore binders.  free_vars,
-map_formula and substitute respect binders: free_vars skips variables
-bound above them, map_formula leaves a quantifier that binds the named
-variable as it is, and substitute renames a bound variable that would
-capture.
+Traversal: _children and _rebuild are the only code that reads the fields
+of a node to visit it, and terms are visited only by loops with an
+explicit stack, so a term of any length is read without recursion: walk,
+the pre-order walk over every node, and fold, the post-order fold, in
+which a table maps each node type to a handler that builds a node's value
+from its children's, and a chain of + and - or of * reaches its handler
+as one node.  check_sorts, formula_str (term_str), free_vars and
+map_formula are tables over fold, and so are the term compilers of padic,
+vfint and zeta.  walk ignores binders.  free_vars skips variables bound
+above them, map_formula leaves a quantifier that binds the named variable
+as it is, and substitute renames a bound variable that would capture.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain as _join
 from operator import is_
 from typing import Iterator, Mapping, Optional
 
-from .errors import ParseError, SortError
+from .errors import MotintError, ParseError, SortError
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +74,14 @@ def RES(n: int) -> Sort:
 @dataclass(frozen=True)
 class Term:
     def sort(self) -> Sort:
-        raise NotImplementedError
+        """+ - * ^ and negation take the sort of their first leaf, found
+        by one loop down the left spine; other nodes have their own."""
+        t = self
+        while type(t) in (BinOp, Neg, Pow):
+            t = _CHILDREN[type(t)](t)[0]
+        if t is self:
+            raise NotImplementedError
+        return t.sort()
 
 
 @dataclass(frozen=True)
@@ -113,25 +125,16 @@ class BinOp(Term):
     left: Term
     right: Term
 
-    def sort(self) -> Sort:
-        return self.left.sort()
-
 
 @dataclass(frozen=True)
 class Neg(Term):
     arg: Term
-
-    def sort(self) -> Sort:
-        return self.arg.sort()
 
 
 @dataclass(frozen=True)
 class Pow(Term):
     base: Term
     exp: int               # exp >= 1
-
-    def sort(self) -> Sort:
-        return self.base.sort()
 
 
 @dataclass(frozen=True)
@@ -314,161 +317,194 @@ def _rebuild(x, kids):
     return _REBUILD[type(x)](x, kids)
 
 
-def walk_term(t: Term) -> Iterator[Term]:
-    """Depth-first, left-to-right over a term and all its subterms."""
-    yield t
-    for c in _children(t):
-        yield from walk_term(c)
+def _chain(t: BinOp) -> tuple:
+    """(spine, args) of the chain topped by t: t and the BinOps down its
+    left spine whose operator is of t's kind, * or + and -, from the
+    lowest up, and the operands they join, left to right; spine[k] joins
+    args[:k + 2]."""
+    kind = "*" if t.op == "*" else "+-"
+    spine = [t]
+    while type(t.left) is BinOp and t.left.op in kind:
+        t = t.left
+        spine.append(t)
+    spine.reverse()
+    return spine, [t.left] + [s.right for s in spine]
 
 
-def iter_terms(f: Formula) -> Iterator[Term]:
-    """Depth-first, left-to-right over all terms and subterms of a
-    formula, bound variables included."""
-    for c in _children(f):
-        if isinstance(c, Term):
-            yield from walk_term(c)
-        elif c is not None:
-            yield from iter_terms(c)
+def walk(x) -> Iterator:
+    """Pre-order, left to right, over a term or formula and every node
+    below it, the inner BinOps of chains and bound variables included."""
+    todo = [x]
+    while todo:
+        u = todo.pop()
+        if u is not None:
+            yield u
+            kids = _CHILDREN.get(type(u))
+            if kids is not None:
+                todo.extend(reversed(kids(u)))
+
+
+def fold(x, table: Mapping, enter=None):
+    """Post-order fold of a term or formula: table[type(u)](u, vals) is the
+    value of node u from its children's values (None for a missing
+    quantifier bound); a type the table lacks is a SortError.  A chain is
+    one node: table[BinOp](u, vals, spine, args) gets its top BinOp u, its
+    operands args with their values vals, and its spine, the BinOps that
+    join them.  A value enter(u) that is not None is u's, and u's children
+    are not visited; enter is not asked about inner BinOps.  Errors come
+    as pairwise evaluation from the left raises them: when operand j of a
+    chain raises a MotintError, the handler first runs on the operands
+    before j, and an error it raises wins."""
+    # the frame being filled: a node, its handler, the children to visit
+    # from position i on, the values got and its chain; stack holds the rest
+    node = h = chain = None
+    kids, i, got = (x,), 0, []
+    stack: list = []
+    handler, children = table.get, _CHILDREN.get
+    try:
+        while True:
+            if i < len(kids):
+                u = kids[i]
+                i += 1
+                if u is None:
+                    got.append(None)
+                    continue
+                if enter is not None:
+                    v = enter(u)
+                    if v is not None:
+                        got.append(v)
+                        continue
+                cls = type(u)
+                hu = handler(cls)
+                if hu is None:
+                    raise SortError(f"no rule for a {cls.__name__} node here")
+                if cls is BinOp:
+                    uchain = _chain(u)
+                    ukids = uchain[1]
+                else:
+                    ukids = children(cls)
+                    if ukids is None:
+                        got.append(hu(u, ()))
+                        continue
+                    uchain, ukids = None, ukids(u)
+                stack.append((node, h, kids, i, got, chain))
+                node, h, kids, i, got, chain = u, hu, ukids, 0, [], uchain
+                continue
+            if not stack:
+                return got[0]
+            v = h(node, got) if chain is None else h(node, got, *chain)
+            node, h, kids, i, got, chain = stack.pop()
+            got.append(v)
+    except MotintError as exc:
+        err = exc
+        for node, h, _, _, got, chain in [*stack, (node, h, kids, i, got, chain)][::-1]:
+            if chain is not None and len(got) > 1:
+                spine, args = chain
+                try:
+                    h(spine[len(got) - 2], got, spine[:len(got) - 1], args[:len(got)])
+                except MotintError as e:
+                    err = e
+        raise err
+
+
+def _remap(u, vals, *chain):
+    """u, or u rebuilt from its children's values if one is new."""
+    if not chain:
+        return u if all(map(is_, vals, _children(u))) else _rebuild(u, vals)
+    spine, args = chain
+    if all(map(is_, vals, args)):
+        return u
+    out = vals[0]
+    for s, v in zip(spine, vals[1:]):
+        out = BinOp(s.op, out, v)
+    return out
+
+
+_REMAP = dict.fromkeys((*_CHILDREN, Var, IntLit, RatLit, Pi, TrueF, FalseF), _remap)
+
+
+# the free variable occurrences of each node, in order
+_FREE = {
+    **dict.fromkeys(_REMAP, lambda u, vals, *chain: tuple(_join(*vals))),
+    **dict.fromkeys((IntLit, RatLit, Pi, TrueF, FalseF), lambda u, vals: ()),
+    **dict.fromkeys((Neg, Pow, Ord, Ac, Proj, Not), lambda u, vals: vals[0]),
+    Var: lambda u, vals: (u,),
+    Quant: lambda u, vals: (*(vals[0] or ()), *(vals[1] or ()), *(
+        v for v in vals[2] if v.name != u.var.name)),
+}
 
 
 def free_vars(x) -> list:
     """Free variables of a term or formula in first-appearance order, as
     Var (name and sort)."""
-    out: list[Var] = []
-    seen: set[tuple] = set()
-
-    def walk(y, bnd: frozenset):
-        if isinstance(y, Var):
-            key = (y.name, y.var_sort)
-            if y.name not in bnd and key not in seen:
-                seen.add(key)
-                out.append(y)
-        elif isinstance(y, Quant):
-            for b in (y.lo, y.hi):
-                if b is not None:
-                    walk(b, bnd)
-            walk(y.body, bnd | {y.var.name})
-        else:
-            for c in _children(y):
-                walk(c, bnd)
-
-    walk(x, frozenset())
-    return out
-
-
-def map_term(t: Term, fn) -> Term:
-    """Top-down rewrite: fn(u) returns a replacement for u, or None to
-    rebuild u from its rewritten children.  Unchanged nodes are returned
-    as they are."""
-    u = fn(t)
-    if u is not None:
-        return u
-    kids = _children(t)
-    if not kids:
-        return t
-    new = [map_term(c, fn) for c in kids]
-    return t if all(map(is_, new, kids)) else _rebuild(t, new)
+    return list(dict.fromkeys(fold(x, _FREE)))
 
 
 def map_formula(f: Formula, fn, name: str | None = None) -> Formula:
-    """Apply map_term(., fn) to every term of f (or to f, if a term),
-    quantifier bounds included.  A quantifier that binds `name` is left
-    as it is."""
-    if isinstance(f, Term):
-        return map_term(f, fn)
-    if isinstance(f, Quant) and f.var.name == name:
-        return f
-    kids = _children(f)
-    if not kids:
-        return f
-    new = [c if c is None else map_formula(c, fn, name) for c in kids]
-    return f if all(map(is_, new, kids)) else _rebuild(f, new)
+    """Top-down rewrite of every term of f (or of f, if a term), quantifier
+    bounds included: fn(u) is a replacement for the term u, or None to
+    rebuild u from its rewritten children (fn is not asked about inner
+    BinOps).  A quantifier that binds `name`, and a node that does not
+    change, are left as they are."""
+    def enter(u):
+        if isinstance(u, Term):
+            return fn(u)
+        return u if isinstance(u, Quant) and u.var.name == name else None
+    return fold(f, _REMAP, enter)
 
 
 def frame_of(f: Formula) -> Frame:
-    vf, res, vg = [], [], []
-    for v in free_vars(f):
-        if v.var_sort == VF:
-            vf.append(v.name)
-        elif v.var_sort.kind == "res":
-            res.append((v.name, v.var_sort.depth))
-        else:
-            vg.append(v.name)
-    return Frame(tuple(vf), tuple(res), tuple(vg))
+    fv = free_vars(f)
+    return Frame(tuple(v.name for v in fv if v.var_sort == VF),
+                 tuple((v.name, v.var_sort.depth) for v in fv if v.var_sort.kind == "res"),
+                 tuple(v.name for v in fv if v.var_sort == VG))
+
+
+def _need(ok: bool, msg: str) -> None:
+    if not ok:
+        raise SortError(msg)
+
+
+def _check_chain(u, vals, spine, args):
+    s = vals[0]
+    for i in range(1, len(vals)):
+        op = spine[i - 1].op
+        if vals[i] != s:
+            raise SortError(f"operands of {op} have sorts {s} and {vals[i]}")
+        # the left factor of a product is a literal only at the first one
+        _need(op != "*" or s != VG or isinstance(args[i], IntLit)
+              or (i == 1 and isinstance(args[0], IntLit)),
+              "value-group product needs an integer literal factor")
+    return s
+
+
+# the sort of each term and None for a formula, each rule checked in order
+_SORTS = {
+    **dict.fromkeys((Var, IntLit, RatLit, Pi), lambda u, v: u.sort()),
+    **dict.fromkeys((TrueF, FalseF, Not, And, Or), lambda u, v: None),
+    Neg: lambda u, v: v[0],
+    Pow: lambda u, v: (_need(v[0] != VG, "powers are not value-group terms")
+                       or _need(u.exp >= 1, "power exponent must be >= 1") or v[0]),
+    BinOp: _check_chain,
+    Ord: lambda u, v: _need(v[0] == VF, "ord applies to valued-field terms") or VG,
+    Ac: lambda u, v: (_need(v[0] == VF, "ac applies to valued-field terms")
+                      or RES(u.depth)),
+    Proj: lambda u, v: (_need(v[0] == RES(u.src), f"proj_{u.src}_{u.dst} applied to {v[0]}")
+                        or _need(1 <= u.dst <= u.src, f"bad projection proj_{u.src}_{u.dst}")
+                        or RES(u.dst)),
+    Eq: lambda u, v: _need(v[0] == v[1], f"equality across sorts {v[0]} and {v[1]}"),
+    Le: lambda u, v: _need(v[0] == v[1] == VG, "order and congruence atoms live "
+                           "on the value group"),
+    Cong: lambda u, v: (_SORTS[Le](u, v)
+                        or _need(u.modulus >= 1, "congruence modulus must be >= 1")),
+    Quant: lambda u, v: _need(all(b in (None, VG) for b in v[:2]),
+                              "quantifier bounds live on the value group"),
+}
 
 
 def check_sorts(f: Formula | Term) -> None:
     """Validate the local sort rules of a built formula or term."""
-
-    def t_sort(t: Term) -> Sort:
-        if isinstance(t, (Var, IntLit)):
-            return t.sort()
-        if isinstance(t, RatLit):
-            return VF
-        if isinstance(t, Pi):
-            return VF
-        if isinstance(t, Neg):
-            s = t_sort(t.arg)
-            return s
-        if isinstance(t, Pow):
-            s = t_sort(t.base)
-            if s == VG:
-                raise SortError("powers are not value-group terms")
-            if t.exp < 1:
-                raise SortError("power exponent must be >= 1")
-            return s
-        if isinstance(t, BinOp):
-            ls, rs = t_sort(t.left), t_sort(t.right)
-            if ls != rs:
-                raise SortError(f"operands of {t.op} have sorts {ls} and {rs}")
-            if t.op == "*" and ls == VG:
-                if not isinstance(t.left, IntLit) and not isinstance(t.right, IntLit):
-                    raise SortError("value-group product needs an integer literal factor")
-            return ls
-        if isinstance(t, Ord):
-            if t_sort(t.arg) != VF:
-                raise SortError("ord applies to valued-field terms")
-            return VG
-        if isinstance(t, Ac):
-            if t_sort(t.arg) != VF:
-                raise SortError("ac applies to valued-field terms")
-            return RES(t.depth)
-        if isinstance(t, Proj):
-            if t_sort(t.arg) != RES(t.src):
-                raise SortError(f"proj_{t.src}_{t.dst} applied to {t_sort(t.arg)}")
-            if not (1 <= t.dst <= t.src):
-                raise SortError(f"bad projection proj_{t.src}_{t.dst}")
-            return RES(t.dst)
-        raise SortError(f"unknown term {t!r}")
-
-    def walk(g: Formula):
-        if isinstance(g, (TrueF, FalseF)):
-            return
-        if isinstance(g, Eq):
-            if t_sort(g.left) != t_sort(g.right):
-                raise SortError(f"equality across sorts {t_sort(g.left)} and {t_sort(g.right)}")
-        elif isinstance(g, (Le, Cong)):
-            if t_sort(g.left) != VG or t_sort(g.right) != VG:
-                raise SortError("order and congruence atoms live on the value group")
-            if isinstance(g, Cong) and g.modulus < 1:
-                raise SortError("congruence modulus must be >= 1")
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, Quant):
-            for b in (g.lo, g.hi):
-                if b is not None and t_sort(b) != VG:
-                    raise SortError("quantifier bounds live on the value group")
-            walk(g.body)
-        else:
-            raise SortError(f"unknown formula {g!r}")
-
-    if isinstance(f, Term):
-        t_sort(f)
-    else:
-        walk(f)
+    fold(f, _SORTS)
 
 
 # ---------------------------------------------------------------------------
@@ -485,156 +521,109 @@ def _fresh(name: str, taken: set) -> str:
 def substitute(f: Formula, repl: Mapping[str, Term]) -> Formula:
     """Capture-avoiding substitution of free variables by terms, in a
     formula or a term."""
-    if not repl:
-        return f
-    if isinstance(f, Quant):
-        inner = {k: v for k, v in repl.items() if k != f.var.name}
-        clash = {u.name for t in inner.values() for u in walk_term(t)
-                 if isinstance(u, Var)}
-        var = f.var
-        body = f.body
+    def enter(u):
+        if isinstance(u, Var):
+            return repl.get(u.name)
+        if not isinstance(u, Quant):
+            return None
+        inner = {k: v for k, v in repl.items() if k != u.var.name}
+        clash = {x.name for t in inner.values() for x in walk(t) if isinstance(x, Var)}
+        var, body = u.var, u.body
         if var.name in clash:
             taken = clash | {v.name for v in free_vars(body)} | set(inner)
             var = Var(_fresh(var.name, taken), var.var_sort)
-            body = substitute(body, {f.var.name: var})
-        lo, hi = (b if b is None else substitute(b, inner) for b in (f.lo, f.hi))
-        return Quant(f.q, var, lo, hi, substitute(body, inner))
-    if isinstance(f, (Not, And, Or)):
-        return _rebuild(f, [substitute(g, repl) for g in _children(f)])
-    return map_formula(f, lambda u: repl.get(u.name) if isinstance(u, Var) else None)
+            body = substitute(body, {u.var.name: var})
+        lo, hi = (b if b is None else substitute(b, inner) for b in (u.lo, u.hi))
+        return Quant(u.q, var, lo, hi, substitute(body, inner))
+    return fold(f, _REMAP, enter) if repl else f
 
 
 # ---------------------------------------------------------------------------
 # printer
 
-_TERM_ATOM = 3
-_TERM_MUL = 2
-_TERM_ADD = 1
+_ATOM, _MUL, _ADD = 3, 2, 1          # binding levels of terms
+_AND, _OR = 2, 1                     # of formulas; a quantifier's is 0
 
 
-def term_str(t: Term, prec: int = 0) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, IntLit):
-        s = str(t.value)
-        return s if t.value >= 0 or prec < _TERM_MUL else f"({s})"
-    if isinstance(t, RatLit):
-        v = t.value
-        if v.denominator == 1:
-            s = str(v.numerator)
-        else:
-            s = f"{v.numerator}/{v.denominator}"
-        return s if v >= 0 or prec < _TERM_MUL else f"({s})"
-    if isinstance(t, Pi):
-        return "pi"
-    if isinstance(t, Ord):
-        return f"ord({term_str(t.arg)})"
-    if isinstance(t, Ac):
-        return f"ac_{t.depth}({term_str(t.arg)})"
-    if isinstance(t, Proj):
-        return f"proj_{t.src}_{t.dst}({term_str(t.arg)})"
-    if isinstance(t, Neg):
-        s = f"-{term_str(t.arg, _TERM_ATOM)}"
-        return s if prec < _TERM_MUL else f"({s})"
-    if isinstance(t, Pow):
-        s = f"{term_str(t.base, _TERM_ATOM)}^{t.exp}"
-        return s
-    if isinstance(t, BinOp):
-        if t.op == "*":
-            s = f"{term_str(t.left, _TERM_MUL)}*{term_str(t.right, _TERM_MUL + 1)}"
-            return s if prec <= _TERM_MUL else f"({s})"
-        s = f"{term_str(t.left, _TERM_ADD)} {t.op} {term_str(t.right, _TERM_ADD + 1)}"
-        return s if prec <= _TERM_ADD else f"({s})"
-    raise SortError(f"unknown term {t!r}")
+def _tight(v: tuple, prec: int) -> str:
+    """A printed operand (text, binding level), in parentheses when it
+    binds less tightly than its place needs."""
+    s, level = v
+    return s if level >= prec else f"({s})"
 
 
-_F_OR = 1
-_F_AND = 2
-_F_NOT = 3
+def _print_chain(u, vals, spine, args) -> tuple:
+    if u.op == "*":
+        rest = [_tight(v, _MUL + 1) for v in vals[1:]]
+        return "*".join([_tight(vals[0], _MUL)] + rest), _MUL
+    rest = [f" {s.op} {_tight(v, _ADD + 1)}" for s, v in zip(spine, vals[1:])]
+    return "".join([_tight(vals[0], _ADD)] + rest), _ADD
 
 
-def formula_str(f: Formula, prec: int = 0) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Eq):
-        return f"{term_str(f.left)} = {term_str(f.right)}"
-    if isinstance(f, Le):
-        return f"{term_str(f.left)} <= {term_str(f.right)}"
-    if isinstance(f, Cong):
-        return f"{term_str(f.left)} = {term_str(f.right)} mod {f.modulus}"
-    if isinstance(f, Not):
-        if isinstance(f.body, Eq):
-            return f"{term_str(f.body.left)} != {term_str(f.body.right)}"
-        if isinstance(f.body, Cong):
-            b = f.body
-            return f"{term_str(b.left)} != {term_str(b.right)} mod {b.modulus}"
-        return f"!({formula_str(f.body, 0)})"
-    if isinstance(f, And):
-        s = " && ".join(formula_str(p, _F_AND + 1) for p in f.parts)
-        return s if prec <= _F_AND else f"({s})"
-    if isinstance(f, Or):
-        s = " || ".join(formula_str(p, _F_OR + 1) for p in f.parts)
-        return s if prec <= _F_OR else f"({s})"
-    if isinstance(f, Quant):
-        rng = ""
-        if f.lo is not None or f.hi is not None:
-            lo = term_str(f.lo) if f.lo is not None else "-inf"
-            hi = term_str(f.hi) if f.hi is not None else "+inf"
-            rng = f" in [{lo}, {hi}]"
-        s = f"{f.q} {f.var.name} : {f.var.var_sort}{rng} . {formula_str(f.body, 0)}"
-        return s if prec == 0 else f"({s})"
-    raise SortError(f"unknown formula {f!r}")
+# (text, binding level) of each node; a negative number binds as a sum, and
+# a negated equality or congruence prints as a != b
+_PRINT = {
+    Var: lambda u, v: (u.name, _ATOM),
+    **dict.fromkeys((IntLit, RatLit), lambda u, v: (
+        str(u.value), _ATOM if u.value >= 0 else _ADD)),
+    Pi: lambda u, v: ("pi", _ATOM),
+    Ord: lambda u, v: (f"ord({v[0][0]})", _ATOM),
+    Ac: lambda u, v: (f"ac_{u.depth}({v[0][0]})", _ATOM),
+    Proj: lambda u, v: (f"proj_{u.src}_{u.dst}({v[0][0]})", _ATOM),
+    Neg: lambda u, v: (f"-{_tight(v[0], _ATOM)}", _ADD),
+    Pow: lambda u, v: (f"{_tight(v[0], _ATOM)}^{u.exp}", _ATOM),
+    BinOp: _print_chain,
+    TrueF: lambda u, v: ("true", _ATOM),
+    FalseF: lambda u, v: ("false", _ATOM),
+    Eq: lambda u, v: (f"{v[0][0]} = {v[1][0]}", _ATOM),
+    Le: lambda u, v: (f"{v[0][0]} <= {v[1][0]}", _ATOM),
+    Cong: lambda u, v: (f"{v[0][0]} = {v[1][0]} mod {u.modulus}", _ATOM),
+    Not: lambda u, v: (v[0][0].replace(" = ", " != ", 1) if type(u.body) in (Eq, Cong)
+                       else f"!({v[0][0]})", _ATOM),
+    And: lambda u, v: (" && ".join(_tight(p, _AND + 1) for p in v), _AND),
+    Or: lambda u, v: (" || ".join(_tight(p, _OR + 1) for p in v), _OR),
+    Quant: lambda u, v: (f"{u.q} {u.var.name} : {u.var.var_sort}" + (
+        "" if v[0] is v[1] is None else
+        f" in [{v[0][0] if v[0] else '-inf'}, {v[1][0] if v[1] else '+inf'}]")
+        + f" . {v[2][0]}", 0),
+}
+
+
+def formula_str(f: Formula | Term) -> str:
+    """The canonical text of a formula or a term."""
+    return fold(f, _PRINT)[0]
+
+
+term_str = formula_str
 
 
 # ---------------------------------------------------------------------------
 # simplification (boolean layer only; terms are left alone)
 
-def _key(f: Formula) -> str:
-    return formula_str(f)
-
-
 def simplify(f: Formula) -> Formula:
     if isinstance(f, Not):
         b = simplify(f.body)
-        if isinstance(b, TrueF):
-            return FALSE
-        if isinstance(b, FalseF):
-            return TRUE
-        if isinstance(b, Not):
-            return b.body
-        return Not(b)
+        if isinstance(b, (TrueF, FalseF)):
+            return TRUE if isinstance(b, FalseF) else FALSE
+        return b.body if isinstance(b, Not) else Not(b)
     if isinstance(f, (And, Or)):
-        is_and = isinstance(f, And)
-        parts: list[Formula] = []
-        for p in f.parts:
-            p = simplify(p)
-            if isinstance(p, And) and is_and:
-                parts.extend(p.parts)
-            elif isinstance(p, Or) and not is_and:
-                parts.extend(p.parts)
-            else:
-                parts.append(p)
-        absorb = FalseF if is_and else TrueF
-        unit = TrueF if is_and else FalseF
-        if any(isinstance(p, absorb) for p in parts):
-            return FALSE if is_and else TRUE
-        parts = [p for p in parts if not isinstance(p, unit)]
+        # flattened, without units and repeats, sorted by text; the
+        # absorbing value if a part is, or two parts are complementary
+        absorb, unit = (FALSE, TRUE) if isinstance(f, And) else (TRUE, FALSE)
         seen: dict[str, Formula] = {}
-        for p in parts:
-            seen.setdefault(_key(p), p)
-        parts = sorted(seen.values(), key=_key)
-        keys = set(seen)
-        for p in parts:
-            comp = p.body if isinstance(p, Not) else Not(p)
-            if _key(comp) in keys:
-                return FALSE if is_and else TRUE
-        if not parts:
-            return TRUE if is_and else FALSE
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts)) if is_and else Or(tuple(parts))
+        for p in map(simplify, f.parts):
+            for q in (p.parts if type(p) is type(f) else (p,)):
+                if isinstance(q, type(absorb)):
+                    return absorb
+                if not isinstance(q, type(unit)):
+                    seen.setdefault(formula_str(q), q)
+        if any(formula_str(p.body if isinstance(p, Not) else Not(p)) in seen
+               for p in seen.values()):
+            return absorb
+        parts = [seen[k] for k in sorted(seen)]
+        if len(parts) < 2:
+            return parts[0] if parts else unit
+        return type(f)(tuple(parts))
     if isinstance(f, Eq) and f.left == f.right:
         return TRUE
     if isinstance(f, Eq) and isinstance(f.left, IntLit) and isinstance(f.right, IntLit):
@@ -751,15 +740,14 @@ def _set(a: _Cell, s: Sort) -> None:
 
 
 def _cell(t: Term) -> _Cell:
-    """The sort cell of a term being parsed: that of its first leaf under
-    + - * ^ and negation, or a cell fixed to the sort of any other node."""
-    while isinstance(t, (BinOp, Neg, Pow)):
-        t = _children(t)[0]
-    if isinstance(t, Var):
-        return t.var_sort
-    if isinstance(t, IntLit):
-        return t.lit_sort
-    return _Cell(t.sort())
+    """The sort cell of a term being parsed: until resolve, the sort of a
+    variable or integer literal is its cell; any other sort gets a fixed
+    cell."""
+    s = t.sort()
+    return s if isinstance(s, _Cell) else _Cell(s)
+
+
+_LEAF_SORT = {Var: "var_sort", IntLit: "lit_sort"}   # where a leaf keeps its cell
 
 
 class _Parser:
@@ -1006,21 +994,11 @@ class _Parser:
                     r.value = self.defaults[name]
                 elif self.default_sort is not None:
                     r.value = self.default_sort
-        # leaves left to right, each with its field and cell (explicit
-        # stack: nested generators are slow on long sums)
-        leaves, stack = [], [out]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, Var):
-                field = "var_sort"
-            elif isinstance(x, IntLit):
-                field = "lit_sort"
-            else:
-                stack.extend(reversed(_children(x)))
-                continue
-            cell = getattr(x, field)
-            if isinstance(cell, _Cell):
-                leaves.append((x, field, cell.find()))
+        leaves = []
+        for x in walk(out):
+            field = _LEAF_SORT.get(type(x))
+            if field is not None and isinstance(getattr(x, field), _Cell):
+                leaves.append((x, field, getattr(x, field).find()))
         for x, field, r in leaves:
             if r.value is None and field == "lit_sort":
                 r.value = VG
@@ -1051,8 +1029,10 @@ def parse_term(text: str, defaults: Mapping[str, Sort] | None = None,
 
 
 def _parse(text: str, defaults, default_sort, start) -> Formula | Term:
-    """Parse from the rule ``start`` and resolve sorts; both recurse once
-    per level of nesting, so input that overflows the stack is a ParseError."""
+    """Parse from the rule ``start`` and resolve sorts.  The parser recurses
+    once per level of nesting (parentheses, negation, connectives,
+    quantifiers), so input that overflows the stack is a ParseError; a
+    chain of + - or * is read in a loop and has no limit."""
     p = _Parser(text, defaults, default_sort)
     try:
         return p.resolve(start(p))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 from math import gcd, inf, isqrt, lcm, prod
 
@@ -107,7 +107,7 @@ def zw_mul(a: tuple, b: tuple, f: tuple) -> tuple:
 
 def _res_mul(f: tuple, m: int):
     """The product of coefficient tuples in Z[w]/(m, f), unrolled for
-    degree 2.  No caller multiplies in degree 1: ``res_term`` multiplies
+    degree 2.  No caller multiplies in degree 1: ``compile_term`` multiplies
     the single coordinates itself, and ``_is_irreducible_mod_p`` returns
     first."""
     if len(f) == 3:
@@ -474,22 +474,21 @@ class PContext:
 # compiled formula evaluation
 #
 # compile_formula turns a formula into a closure (env, cap) -> bool and
-# each term into a closure env -> value, dispatching on node type and sort
-# once, at compile time.  Values by sort: res(n) terms give coefficient
-# tuples reduced mod p^n, vg terms ints or +inf, vf terms PadicElems.  In
-# env, free residue variables hold GRElems, value-group variables ints
-# (not bools) or +inf, and valued-field variables PadicElems, ints or
-# Fractions; any other value raises SortError naming the variable.  The
-# residue variables named in ``local`` (bound ones, the free ones of
-# count_points, the angular coordinate of a cell) hold coefficient tuples
-# at env[local[name]].
-#
-# Whatever depends on the residue degree d = ctx.d is decided at compile
-# time too: the residue operations are unrolled for d = 1 (one int in a
-# 1-tuple, powers by pow(x, e, m)) and d = 2 (two ints, the product of
-# _res_mul), and d >= 3 takes one generic path over the tuples.
-# eval_formula remembers the last (formula, context, closure) it ran, so a
-# loop over the points of one formula skips even the store lookup.
+# compile_term a term into a closure env -> value: one formula.fold whose
+# handlers, from _COMPILE keyed on node type and sort kind, make every
+# dispatch once, at compile time.  A chain gets one closure over all its
+# operands.  Values by sort: a res(n) node, n its own sort's depth, gives
+# coefficient tuples mod p^n, vg terms ints or +inf, vf terms PadicElems.
+# In env, free residue variables hold GRElems, value-group variables ints
+# (not bools) or +inf, valued-field variables PadicElems, ints or
+# Fractions, and any other value raises SortError naming the variable.
+# The residue variables named in ``local`` (bound ones, the free ones of
+# count_points, the angular coordinate of a cell) hold reduced coefficient
+# tuples at env[local[name]] (a name, or a position when env is a tuple).
+# Residue operations are unrolled for d = 1 (one int in a 1-tuple) and
+# d = 2, and d >= 3 takes one generic path over the tuples.  eval_formula
+# remembers the last (formula, context, closure) it ran, so a loop over
+# the points of one formula skips even the store lookup.
 
 
 def _unbound(name: str) -> MotintError:
@@ -500,207 +499,197 @@ def _const(value):
     return lambda env: value
 
 
-def res_term(t: F.Term, n: int, ctx: PContext, local: dict):
-    """Closure env -> coefficient tuple mod p^n of a res(n) term.  A
-    variable named in ``local`` is read as the coefficient tuple reduced
-    mod p^n at env[local[name]] (a name, or a position when env is a
-    tuple), the others as GRElems of GR(p^n, d) at env[name].  The
-    closures of +, -, negation, * and ^ are chosen here for d = ctx.d:
-    unrolled for d = 1 and d = 2, generic for d >= 3."""
-    m, d = ctx.p ** n, ctx.d
-    if isinstance(t, F.Var):
-        name = t.name
-        if name in local:
-            key = local[name]
-            return lambda env: env[key]
-        ring = seen = ctx.residue_ring(n)      # seen: the last ring equal to it
+def _res_var(u, m, vals, ctx, local):
+    name = u.name
+    if name in local:
+        key = local[name]
+        return lambda env: env[key]
+    ring = seen = ctx.residue_ring(u.var_sort.depth)   # seen: the last ring equal to it
 
-        def var(env):
-            nonlocal seen
-            try:
-                v = env[name]
-                r = v.ring
-            except KeyError:
-                raise _unbound(name) from None
-            except AttributeError:
-                raise SortError(f"{name} is {v!r}, expected an element "
-                                f"of {ring}") from None
-            if r is not seen:
-                if r != ring:
-                    raise SortError(f"{name} is in {r}, expected {ring}")
-                seen = r
-            return v.coeffs
-        return var
-    if isinstance(t, F.IntLit):
-        return _const(ctx.residue_ring(n).from_int(t.value).coeffs)
-    if isinstance(t, F.Neg):
-        a = res_term(t.arg, n, ctx, local)
-        if d == 1:
-            return lambda env: (-a(env)[0] % m,)
-        if d == 2:
-            def neg2(env):
-                x0, x1 = a(env)
-                return (-x0 % m, -x1 % m)
-            return neg2
-        return lambda env: tuple(-c % m for c in a(env))
-    if isinstance(t, F.Pow):
-        a, e = res_term(t.base, n, ctx, local), t.exp
-        if d == 1:
-            return lambda env: (pow(a(env)[0], e, m),)
-        mul, one = _res_mul(ctx.modulus, m), (1,) + (0,) * (d - 1)
-        return lambda env: power(a(env), e, mul, one)
-    if isinstance(t, F.BinOp):
-        a = res_term(t.left, n, ctx, local)
-        b = res_term(t.right, n, ctx, local)
-        if t.op == "*":
-            if d == 1:
-                return lambda env: (a(env)[0] * b(env)[0] % m,)
-            mul = _res_mul(ctx.modulus, m)
-            return lambda env: mul(a(env), b(env))
-        if t.op == "+":
-            if d == 1:
-                return lambda env: ((a(env)[0] + b(env)[0]) % m,)
-            if d == 2:
-                def add2(env):
-                    x0, x1 = a(env)
-                    y0, y1 = b(env)
-                    return ((x0 + y0) % m, (x1 + y1) % m)
-                return add2
-            return lambda env: tuple((x + y) % m for x, y in zip(a(env), b(env)))
-        if d == 1:
+    def var(env):
+        nonlocal seen
+        try:
+            v = env[name]
+            r = v.ring
+        except KeyError:
+            raise _unbound(name) from None
+        except AttributeError:
+            raise SortError(f"{name} is {v!r}, expected an element "
+                            f"of {ring}") from None
+        if r is not seen:
+            if r != ring:
+                raise SortError(f"{name} is in {r}, expected {ring}")
+            seen = r
+        return v.coeffs
+    return var
+
+
+def _res_pow(u, m, vals, ctx, local):
+    a, e = vals[0], u.exp
+    if ctx.d == 1:
+        return lambda env: (pow(a(env)[0], e, m),)
+    mul, one = _res_mul(ctx.modulus, m), (1,) + (0,) * (ctx.d - 1)
+    return lambda env: power(a(env), e, mul, one)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _chain_closure(vals: list, spine: list, step: dict):
+    """One closure for a chain; step[op](x, y) joins x so far and operand y."""
+    a, b = vals[0], vals[1]
+    if len(vals) == 2:
+        op = step[spine[0].op]
+        return lambda env: op(a(env), b(env))
+    rest = [(step[s.op], f) for s, f in zip(spine, vals[1:])]
+
+    def chain(env):
+        x = a(env)
+        for op, f in rest:
+            x = op(x, f(env))
+        return x
+    return chain
+
+
+def _res_chain(u, m, vals, ctx, local, spine, args):
+    a, b = vals[0], vals[1]
+    if ctx.d > 1:
+        step = ({"+": lambda x, y: ((x[0] + y[0]) % m, (x[1] + y[1]) % m),
+                 "-": lambda x, y: ((x[0] - y[0]) % m, (x[1] - y[1]) % m)}
+                if ctx.d == 2 else
+                {"+": lambda x, y: tuple((i + j) % m for i, j in zip(x, y)),
+                 "-": lambda x, y: tuple((i - j) % m for i, j in zip(x, y))})
+        return _chain_closure(vals, spine, {**step, "*": _res_mul(ctx.modulus, m)})
+    if len(vals) == 2:                   # the cheapest closures, for d = 1
+        if u.op == "+":
+            return lambda env: ((a(env)[0] + b(env)[0]) % m,)
+        if u.op == "-":
             return lambda env: ((a(env)[0] - b(env)[0]) % m,)
-        if d == 2:
-            def sub2(env):
-                x0, x1 = a(env)
-                y0, y1 = b(env)
-                return ((x0 - y0) % m, (x1 - y1) % m)
-            return sub2
-        return lambda env: tuple((x - y) % m for x, y in zip(a(env), b(env)))
-    if isinstance(t, F.Ac):
-        x, depth = _vf_term(t.arg, ctx), t.depth
-        return lambda env: x(env).ac_coeffs(depth)
-    if isinstance(t, F.Proj):
-        if t.dst > t.src:
-            raise SortError(f"cannot project level {t.src} up to {t.dst}")
-        a = res_term(t.arg, t.src, ctx, local)
-        return lambda env: tuple(c % m for c in a(env))
-    raise MotintError(f"cannot evaluate term {t!r}")
+        return lambda env: (a(env)[0] * b(env)[0] % m,)
+    rest = [(_OPS[s.op], f) for s, f in zip(spine, vals[1:])]
+
+    def chain1(env):
+        x = a(env)[0]
+        for op, f in rest:
+            x = op(x, f(env)[0]) % m
+        return (x,)
+    return chain1
 
 
-def _vg_term(t: F.Term, ctx: PContext):
-    """Closure of a value-group term.  +inf absorbs sums and products by
-    positive integers; negating it, multiplying it by k <= 0 or
-    subtracting it is an error."""
-    if isinstance(t, F.Var):
-        name = t.name
+def _res_proj(u, m, vals, ctx, local):
+    if u.dst > u.src:
+        raise SortError(f"cannot project level {u.src} up to {u.dst}")
+    a = vals[0]
+    return lambda env: tuple(c % m for c in a(env))
 
-        def var(env):
-            try:
-                v = env[name]
-            except KeyError:
-                raise _unbound(name) from None
-            if type(v) is int or v == inf:
-                return v
-            raise SortError(f"{name} is {v!r}, expected a value-group "
-                            f"element (an int or +inf)")
-        return var
-    if isinstance(t, F.IntLit):
-        return _const(t.value)
-    if isinstance(t, F.Ord):
-        x = _vf_term(t.arg, ctx)
-        return lambda env: x(env).ord()
-    if isinstance(t, F.Neg):
-        a = _vg_term(t.arg, ctx)
 
-        def neg(env):
-            v = a(env)
-            if v == inf:
-                raise MotintError("cannot negate an infinite order")
-            return -v
-        return neg
-    if isinstance(t, F.BinOp):
-        a = _vg_term(t.left, ctx)
-        b = _vg_term(t.right, ctx)
-        if t.op == "+":
-            return lambda env: a(env) + b(env)
-        if t.op == "-":
-            def sub(env):
-                x, y = a(env), b(env)
-                if y == inf:
-                    raise MotintError("cannot subtract an infinite order")
-                return x - y
-            return sub
-        if isinstance(t.left, F.IntLit):
-            k, x = t.left.value, b
-        elif isinstance(t.right, F.IntLit):
-            k, x = t.right.value, a
-        else:
-            raise SortError("value-group product needs an integer literal factor")
-        if k > 0:
-            return lambda env: k * x(env)
+def _vg_var(u, m, vals, ctx, local):
+    name = u.name
 
-        def scale(env):
-            v = x(env)
-            if v == inf:
+    def var(env):
+        try:
+            v = env[name]
+        except KeyError:
+            raise _unbound(name) from None
+        if type(v) is int or v == inf:
+            return v
+        raise SortError(f"{name} is {v!r}, expected a value-group "
+                        f"element (an int or +inf)")
+    return var
+
+
+def _finite(v, what: str):
+    if v == inf:
+        raise MotintError(f"cannot {what} an infinite order")
+    return v
+
+
+def _vg_chain(u, m, vals, ctx, local, spine, args):
+    """+inf absorbs sums and products by positive integers; subtracting
+    it, or multiplying it by k <= 0, is an error.  A product's literal
+    factors are one of the first two operands and all later ones."""
+    if u.op != "*":
+        return _chain_closure(vals, spine, {
+            "+": operator.add, "-": lambda x, y: x - _finite(y, "subtract")})
+    lit = [isinstance(a, F.IntLit) for a in args]
+    if not (lit[0] or lit[1]) or not all(lit[2:]):
+        raise SortError("value-group product needs an integer literal factor")
+    x = vals[1] if lit[0] else vals[0]
+    ks = [args[0 if lit[0] else 1].value] + [a.value for a in args[2:]]
+    if all(k > 0 for k in ks):
+        k = prod(ks)
+        return lambda env: k * x(env)
+
+    def scale(env):
+        v = x(env)
+        for k in ks:
+            if v == inf and k <= 0:
                 raise MotintError(f"cannot multiply an infinite order by {k}")
-            return k * v
-        return scale
-    raise SortError(f"{t!r} is not a value-group term")
+            v = k * v
+        return v
+    return scale
 
 
-def _vf_term(t: F.Term, ctx: PContext):
-    """Closure of a valued-field term."""
-    if isinstance(t, F.Var):
-        name = t.name
+def _vf_var(u, m, vals, ctx, local):
+    name = u.name
 
-        def var(env):
-            try:
-                v = env[name]
-            except KeyError:
-                raise _unbound(name) from None
-            if isinstance(v, PadicElem):
-                return v
-            if type(v) is int or isinstance(v, Fraction):
-                return ctx.vf(v)
-            raise SortError(f"{name} is {v!r}, expected a valued-field "
-                            f"element (a PadicElem, an int or a Fraction)")
-        return var
-    if isinstance(t, (F.IntLit, F.RatLit)):
-        return _const(ctx.vf(t.value))
-    if isinstance(t, F.Pi):
-        return _const(ctx.vf(ctx.p))
-    if isinstance(t, F.Neg):
-        a = _vf_term(t.arg, ctx)
-        return lambda env: -a(env)
-    if isinstance(t, F.Pow):
-        a, e = _vf_term(t.base, ctx), t.exp
-        return lambda env: a(env) ** e
-    if isinstance(t, F.BinOp):
-        a = _vf_term(t.left, ctx)
-        b = _vf_term(t.right, ctx)
-        if t.op == "+":
-            return lambda env: a(env) + b(env)
-        if t.op == "-":
-            return lambda env: a(env) - b(env)
-        return lambda env: a(env) * b(env)
-    raise MotintError(f"cannot evaluate term {t!r}")
+    def var(env):
+        try:
+            v = env[name]
+        except KeyError:
+            raise _unbound(name) from None
+        if isinstance(v, PadicElem):
+            return v
+        if type(v) is int or isinstance(v, Fraction):
+            return ctx.vf(v)
+        raise SortError(f"{name} is {v!r}, expected a valued-field "
+                        f"element (a PadicElem, an int or a Fraction)")
+    return var
 
 
-def _term(t: F.Term, ctx: PContext, local: dict):
-    s = t.sort()
-    if s.kind == "res":
-        return res_term(t, s.depth, ctx, local)
-    if s == F.VG:
-        return _vg_term(t, ctx)
-    return _vf_term(t, ctx)
+# (node type, sort kind) -> handler(u, m, vals, ctx, local[, spine, args])
+# returning the closure of node u; m is p^depth for a residue node
+_COMPILE = {
+    (F.Var, "res"): _res_var,
+    (F.IntLit, "res"): lambda u, m, vals, ctx, local: _const(
+        ctx.residue_ring(u.lit_sort.depth).from_int(u.value).coeffs),
+    (F.Neg, "res"): lambda u, m, vals, ctx, local: (
+        (lambda env, a=vals[0]: (-a(env)[0] % m,)) if ctx.d == 1 else
+        (lambda env, a=vals[0]: tuple(-c % m for c in a(env)))),
+    (F.Pow, "res"): _res_pow,
+    (F.BinOp, "res"): _res_chain,
+    (F.Ac, "res"): lambda u, m, vals, ctx, local: (
+        lambda env, x=vals[0], depth=u.depth: x(env).ac_coeffs(depth)),
+    (F.Proj, "res"): _res_proj,
+    (F.Var, "vg"): _vg_var,
+    (F.IntLit, "vg"): lambda u, m, vals, ctx, local: _const(u.value),
+    (F.Ord, "vg"): lambda u, m, vals, ctx, local: (lambda env, x=vals[0]: x(env).ord()),
+    (F.Neg, "vg"): lambda u, m, vals, ctx, local: (
+        lambda env, a=vals[0]: -_finite(a(env), "negate")),
+    (F.BinOp, "vg"): _vg_chain,
+    (F.Var, "vf"): _vf_var,
+    **dict.fromkeys(((F.IntLit, "vf"), (F.RatLit, "vf"), (F.Pi, "vf")),
+                    lambda u, m, vals, ctx, local: _const(
+                        ctx.vf(ctx.p if isinstance(u, F.Pi) else u.value))),
+    (F.Neg, "vf"): lambda u, m, vals, ctx, local: (lambda env, a=vals[0]: -a(env)),
+    (F.Pow, "vf"): lambda u, m, vals, ctx, local: (
+        lambda env, a=vals[0], e=u.exp: a(env) ** e),
+    (F.BinOp, "vf"): lambda u, m, vals, ctx, local, spine, args: _chain_closure(
+        vals, spine, _OPS),
+}
+_NODE_TYPES = {cls for cls, _ in _COMPILE}
 
 
-def _and(a, b):
-    return lambda env, cap: a(env, cap) and b(env, cap)
-
-
-def _or(a, b):
-    return lambda env, cap: a(env, cap) or b(env, cap)
+def compile_term(t: F.Term, ctx: PContext, local: dict):
+    """Closure env -> value of a term; see the comment above."""
+    def node(u, vals, *chain):
+        s = u.sort()
+        build = _COMPILE.get((type(u), s.kind))
+        if build is None:
+            raise SortError(f"cannot evaluate {u!r} as a {s} term")
+        m = ctx.p ** s.depth if s.kind == "res" else None
+        return build(u, m, vals, ctx, local, *chain)
+    return F.fold(t, dict.fromkeys(_NODE_TYPES, node))
 
 
 def compile_formula(f: F.Formula, ctx: PContext, local: dict | None = None):
@@ -712,7 +701,7 @@ def compile_formula(f: F.Formula, ctx: PContext, local: dict | None = None):
     if isinstance(f, F.FalseF):
         return lambda env, cap: False
     if isinstance(f, (F.Eq, F.Le, F.Cong)):
-        a, b = _term(f.left, ctx, local), _term(f.right, ctx, local)
+        a, b = compile_term(f.left, ctx, local), compile_term(f.right, ctx, local)
         if isinstance(f, F.Le):
             return lambda env, cap: a(env) <= b(env)
         if isinstance(f, F.Cong):
@@ -730,10 +719,18 @@ def compile_formula(f: F.Formula, ctx: PContext, local: dict | None = None):
         return lambda env, cap: not body(env, cap)
     if isinstance(f, (F.And, F.Or)):
         parts = [compile_formula(g, ctx, local) for g in f.parts]
-        if not parts:
-            empty = isinstance(f, F.And)
-            return lambda env, cap: empty
-        return reduce(_and if isinstance(f, F.And) else _or, parts)
+        hit = isinstance(f, F.Or)           # the part value that decides
+        if len(parts) == 2:                 # the cheapest closures
+            a, b = parts
+            return ((lambda env, cap: a(env, cap) or b(env, cap)) if hit else
+                    (lambda env, cap: a(env, cap) and b(env, cap)))
+
+        def junction(env, cap):
+            for part in parts:
+                if part(env, cap) == hit:
+                    return hit
+            return not hit
+        return junction
     if isinstance(f, F.Quant):
         return _quant(f, ctx, local)
     raise MotintError(f"cannot evaluate formula {f!r}")
@@ -755,7 +752,7 @@ def _quant(f: F.Quant, ctx: PContext, local: dict):
                 f"value-group quantifier over {name} needs explicit bounds")
         return missing
     else:
-        lo, hi = _vg_term(f.lo, ctx), _vg_term(f.hi, ctx)
+        lo, hi = compile_term(f.lo, ctx, local), compile_term(f.hi, ctx, local)
         body = compile_formula(
             f.body, ctx, {k: v for k, v in local.items() if k != name})
 

@@ -181,59 +181,57 @@ class IntegrationResult:
 # affine analysis of valued-field terms
 
 
-def _vf_free_vars(t: F.Term) -> list:
-    return list(dict.fromkeys(u.name for u in F.walk_term(t)
-                              if isinstance(u, F.Var) and u.var_sort == F.VF))
+def _affine_chain(t, vals, spine, args):
+    u, v = vals[0]
+    for s, (ru, rv) in zip(spine, vals[1:]):
+        if s.op == "+":
+            u, v = u + ru, v + rv
+        elif s.op == "-":
+            u, v = u - ru, v - rv
+        elif u == 0:
+            u, v = v * ru, v * rv
+        elif ru == 0:
+            u, v = u * rv, v * rv
+        else:
+            _outside(f"term {F.term_str(s)} is not affine in the variable")
+    return u, v
+
+
+def _outside(msg: str):
+    raise OutsideFragment(msg)
+
+
+# (u, v) of each valued-field node but a variable (see _affine_in)
+_AFFINE = {
+    **dict.fromkeys((F.IntLit, F.RatLit), lambda x, v: (Fraction(0), Fraction(x.value))),
+    F.Pi: lambda x, v: _outside("the uniformizer depends on the context; "
+                                "write an explicit rational constant instead"),
+    F.Neg: lambda x, v: (-v[0][0], -v[0][1]),
+    F.Pow: lambda x, v: ((Fraction(0), v[0][1] ** x.exp) if v[0][0] == 0 else
+                         _outside(f"term {F.term_str(x)} is not affine in the variable")),
+    F.BinOp: _affine_chain,
+}
 
 
 def _affine_in(t: F.Term, var: str | None):
     """Read a valued-field term as u*var + v; (u, v) exact rationals."""
-    if isinstance(t, F.Var):
-        if t.var_sort != F.VF:
-            raise OutsideFragment(
-                f"expected a valued-field term, got {F.term_str(t)}")
-        if var is not None and t.name == var:
+    def leaf(x):                # a variable, or a node of another sort
+        if isinstance(x, F.Var):
+            if x.var_sort != F.VF:
+                _outside(f"expected a valued-field term, got {F.term_str(x)}")
+            if var is None or x.name != var:
+                _outside(f"valued-field variable {x.name} is not resolvable here")
             return (Fraction(1), Fraction(0))
-        raise OutsideFragment(
-            f"valued-field variable {t.name} is not resolvable here")
-    if isinstance(t, F.RatLit):
-        return (Fraction(0), Fraction(t.value))
-    if isinstance(t, F.IntLit):
-        return (Fraction(0), Fraction(t.value))
-    if isinstance(t, F.Pi):
-        raise OutsideFragment(
-            "the uniformizer depends on the context; write an explicit "
-            "rational constant instead")
-    if isinstance(t, F.Neg):
-        u, v = _affine_in(t.arg, var)
-        return (-u, -v)
-    if isinstance(t, F.BinOp):
-        lu, lv = _affine_in(t.left, var)
-        ru, rv = _affine_in(t.right, var)
-        if t.op == "+":
-            return (lu + ru, lv + rv)
-        if t.op == "-":
-            return (lu - ru, lv - rv)
-        if t.op == "*":
-            if lu == 0:
-                return (lv * ru, lv * rv)
-            if ru == 0:
-                return (lu * rv, lv * rv)
-            raise OutsideFragment(
-                f"term {F.term_str(t)} is not affine in the variable")
-    if isinstance(t, F.Pow):
-        u, v = _affine_in(t.base, var)
-        if u == 0:
-            return (Fraction(0), v ** t.exp)
-        raise OutsideFragment(
-            f"term {F.term_str(t)} is not affine in the variable")
-    raise OutsideFragment(f"unsupported valued-field term {F.term_str(t)}")
+        if type(x) in (F.Ord, F.Ac, F.Proj):
+            _outside(f"unsupported valued-field term {F.term_str(x)}")
+    return F.fold(t, _AFFINE, enter=leaf)
 
 
 def _arg_of(t: F.Term):
     """Read the argument of an Ord or Ac term as u*name + v, with name
     None for a constant; (name, u, v) with u, v exact rationals."""
-    names = _vf_free_vars(t.arg)
+    names = list(dict.fromkeys(u.name for u in F.walk(t.arg)
+                               if isinstance(u, F.Var) and u.var_sort == F.VF))
     if len(names) > 1:
         raise OutsideFragment(f"{F.term_str(t)} mixes valued-field variables")
     name = names[0] if names else None
@@ -357,6 +355,31 @@ class _PointResolver:
 #   ("and", parts) | ("or", parts) | ("not", part)
 
 
+def _vg_chain(t, vals, spine, args):
+    out = vals[0]
+    for i, (s, b) in enumerate(zip(spine, vals[1:]), 1):
+        if s.op == "+":
+            out = _x_add(out, b)
+        elif s.op == "-":
+            out = _x_add(out, _x_scale(b, -1))
+        elif i == 1 and isinstance(args[0], F.IntLit):
+            out = _x_scale(b, args[0].value)
+        elif isinstance(args[i], F.IntLit):
+            out = _x_scale(out, args[i].value)
+        else:
+            _outside(f"non-affine value-group product {F.term_str(s)}")
+    return out
+
+
+# extended affine form of each value-group node but ord (see _vg_leaf)
+_VG_FORM = {
+    F.Var: lambda t, vals: AffineForm.var(t.name),
+    F.IntLit: lambda t, vals: AffineForm.const_form(t.value),
+    F.Neg: lambda t, vals: _x_scale(vals[0], -1),
+    F.BinOp: _vg_chain,
+}
+
+
 class _Rewriter:
     def __init__(self, resolvers: dict, ctx: PContext):
         self.rs = resolvers
@@ -396,30 +419,14 @@ class _Rewriter:
 
     def vg_term(self, t: F.Term):
         """Value-group term -> extended affine form."""
-        if isinstance(t, F.Var):
-            return AffineForm.var(t.name)
-        if isinstance(t, F.IntLit):
-            return AffineForm.const_form(t.value)
-        if isinstance(t, F.Neg):
-            return _x_scale(self.vg_term(t.arg), -1)
+        return F.fold(t, _VG_FORM, enter=self._vg_leaf)
+
+    def _vg_leaf(self, t: F.Term):
+        """An ord term resolved on the cell, or None for a node _VG_FORM reads."""
         if isinstance(t, F.Ord):
             return self._resolve_ord(t)
-        if isinstance(t, F.BinOp):
-            a = self.vg_term(t.left)
-            b = self.vg_term(t.right)
-            if t.op == "+":
-                return _x_add(a, b)
-            if t.op == "-":
-                return _x_add(a, _x_scale(b, -1))
-            if t.op == "*":
-                if isinstance(t.left, F.IntLit):
-                    return _x_scale(b, t.left.value)
-                if isinstance(t.right, F.IntLit):
-                    return _x_scale(a, t.right.value)
-                raise OutsideFragment(
-                    f"non-affine value-group product {F.term_str(t)}")
-        raise OutsideFragment(
-            f"unsupported value-group term {F.term_str(t)}")
+        if type(t) not in _VG_FORM:
+            _outside(f"unsupported value-group term {F.term_str(t)}")
 
     def _res_leaf(self, t: F.Term):
         if isinstance(t, F.Ac):
@@ -437,7 +444,7 @@ class _Rewriter:
     def res_eq(self, f: F.Eq) -> F.Formula:
         """A residue equality with its literals reduced at p; two literals
         fold to true or false here, since F.simplify cannot know p."""
-        a, b = (F.map_term(t, self._res_leaf) for t in (f.left, f.right))
+        a, b = (F.map_formula(t, self._res_leaf) for t in (f.left, f.right))
         if isinstance(a, F.IntLit) and isinstance(b, F.IntLit):
             return F.TRUE if a.value == b.value else F.FALSE
         return F.Eq(a, b)
@@ -489,7 +496,7 @@ class _Rewriter:
             return ("or", tuple(self.mini(g) for g in f.parts))
         if isinstance(f, F.Quant):
             if f.var.var_sort.kind == "res" and any(
-                    isinstance(t, F.Ord) for t in F.iter_terms(f.body)):
+                    isinstance(t, F.Ord) for t in F.walk(f.body)):
                 raise OutsideFragment(
                     "ord terms under a residue quantifier are outside "
                     "the fragment")
@@ -607,8 +614,10 @@ def _scan_var(f: F.Formula, var: str):
     """Collect the centers and the angular depth a variable needs."""
     centers: list = []
     depth = 1
-    for t in F.iter_terms(f):
-        if isinstance(t, (F.Ord, F.Ac)) and var in _vf_free_vars(t.arg):
+    for t in F.walk(f):
+        if isinstance(t, (F.Ord, F.Ac)) and any(
+                isinstance(u, F.Var) and u.name == var and u.var_sort == F.VF
+                for u in F.walk(t.arg)):
             _, u, v = _arg_of(t)
             if u == 0:
                 continue

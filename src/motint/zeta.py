@@ -19,7 +19,7 @@ denominator a product of factors 1 - L^a T^b.  This module computes:
 H is a valued-field term of the formula language (``x^2*y^3 - 2*x + 7``,
 ``(x + y)^2``) built from variables, rational constants, +, -, * and
 powers; see ``parse_poly``.  Modulo p^l it is the matching res(l) term,
-compiled by ``padic.res_term``.
+compiled by ``padic.compile_term``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 from . import formula as F
 from . import polynomials as P
@@ -36,8 +36,8 @@ from .cells import AffineForm, universe
 from .cplus import CTerm, MotFun, normal_form, specialize, unit_class
 from .errors import (CapExceeded, FrameMismatch, MotintError,
                      NonGeometricFamily, ParseError, SortError, UnsupportedH)
-from .padic import (DEFAULT_CAP, PContext, rational_mod, rational_ord,
-                    res_term, vp_int)
+from .padic import (DEFAULT_CAP, PContext, compile_term, rational_mod,
+                    rational_ord, vp_int)
 from .presburger import PFun, PTerm, eulerian, progression
 from .vfint import integrate_iterated
 
@@ -115,7 +115,7 @@ class Poly:
         """Compile H for evaluation modulo p^level.
 
         H becomes a res(level) term, with each coefficient reduced once,
-        compiled by ``padic.res_term``.  The result maps a tuple of
+        compiled by ``padic.compile_term``.  The result maps a tuple of
         per-variable coordinate tuples reduced mod p^level, in the order of
         ``order`` (by default ``variables()``; it must contain them all),
         to the coordinate tuple of H mod p^level; it is the integer form of
@@ -135,8 +135,8 @@ class Poly:
                 factors.insert(0, F.IntLit(c, sort))
             term = reduce(lambda a, b: F.BinOp("*", a, b), factors)
             total = term if total is None else F.BinOp("+", total, term)
-        return res_term(F.IntLit(0, sort) if total is None else total,
-                        level, ctx, {name: i for i, name in enumerate(order)})
+        return compile_term(F.IntLit(0, sort) if total is None else total,
+                            ctx, {name: i for i, name in enumerate(order)})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -182,21 +182,28 @@ def parse_poly(text: str, cap: int | None = None) -> Poly:
 
 def _term_pairs(t: F.Term, cap: int) -> tuple:
     """(coefficient, monomial) pairs that sum to t; products are merged."""
-    if isinstance(t, F.Var):
-        return ((1, ((t.name, 1),)),)
-    if isinstance(t, (F.IntLit, F.RatLit)):
-        return ((t.value, ()),)
-    if isinstance(t, F.Neg):
-        return tuple((-c, m) for c, m in _term_pairs(t.arg, cap))
-    if isinstance(t, F.Pow):
-        return P.power(_term_pairs(t.base, cap), t.exp,
-                       lambda a, b: _product(a, b, cap), ((1, ()),))
-    if isinstance(t, F.BinOp):
-        a, b = _term_pairs(t.left, cap), _term_pairs(t.right, cap)
-        if t.op == "*":
-            return _product(a, b, cap)
-        return a + tuple((c if t.op == "+" else -c, m) for c, m in b)
-    raise ParseError(f"{F.term_str(t)} is not a polynomial term")
+    times = partial(_product, cap=cap)
+
+    def neg(a):
+        return tuple((-c, m) for c, m in a)
+
+    def chain(u, vals, spine, args):
+        if u.op == "*":
+            return reduce(times, vals)
+        return tuple(itertools.chain(vals[0], *(
+            b if s.op == "+" else neg(b) for s, b in zip(spine, vals[1:]))))
+
+    def check(u):                   # before the children are read
+        if type(u) not in (F.Var, F.IntLit, F.RatLit, F.Neg, F.Pow, F.BinOp):
+            raise ParseError(f"{F.term_str(u)} is not a polynomial term")
+
+    return F.fold(t, {
+        F.Var: lambda u, vals: ((1, ((u.name, 1),)),),
+        **dict.fromkeys((F.IntLit, F.RatLit), lambda u, vals: ((u.value, ()),)),
+        F.Neg: lambda u, vals: neg(vals[0]),
+        F.Pow: lambda u, vals: P.power(vals[0], u.exp, times, ((1, ()),)),
+        F.BinOp: chain,
+    }, enter=check)
 
 
 def _product(a: tuple, b: tuple, cap: int) -> tuple:
@@ -514,8 +521,9 @@ def zmot_monomial(h, p: int | None = None) -> RatSeries:
     mono = h.as_monomial()
     if mono is None:
         raise UnsupportedH(
-            "the closed form covers single monomials; supply a parametrized "
-            "cell family for other polynomials")
+            "the closed form covers one monomial c*x1^k1*...*xn^kn; for another H, run "
+            "integrate_iterated on a condition with the level as a parameter, then "
+            "series_from_parameter")
     c, powers = mono
     shift = 0
     if abs(c) != 1:

@@ -73,14 +73,35 @@ def test_parse_long_literals_exit_1(capsys):
 def test_deep_input_exit_1(capsys):
     # input that overflows the interpreter's stack while parsing is a JSON
     # parse error rather than a RecursionError traceback
-    chain = " + ".join(["x"] * 2000)
-    for argv in (("parse", "--formula", f"ord({chain}) >= 0"),
-                 ("parse", "--ratfunc", "(" * 2000 + "L" + ")" * 2000),
-                 ("zeta-count", "--H", " + ".join(["x^1"] * 2000),
-                  "--p", "2", "--imax", "1")):
+    for argv in (("parse", "--formula",
+                  "(" * 2000 + "ord(x) >= 0" + ")" * 2000),
+                 ("parse", "--ratfunc", "(" * 2000 + "L" + ")" * 2000)):
         error = error_of(capsys, *argv)
         assert error["code"] == "ParseError"
         assert "nests too deeply" in error["message"]
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_long_chain_equals_its_product(capsys, n):
+    # a sum of n copies of x is read as one chain, at any length, and
+    # every command gives what it gives for n*x, the echoed input aside
+    chain = " + ".join(["x"] * n)
+    for argv, echoed in (
+            (("parse", "--formula", "ord({}) >= 0"), ("input", "canonical")),
+            (("vol", "--cond", "ord({}) >= 0", "--order", "x", "--p", "2",
+              "--count"), ("condition",)),
+            (("count", "--formula", "{} = 0", "--sorts", "x=res:1",
+              "--p", "3"), ("formula",)),
+            (("zeta-count", "--H", "{}", "--p", "2", "--imax", "2"),
+             ("h",))):
+        reports = []
+        for term in (chain, f"{n}*x"):
+            status, out, _ = run(capsys, *(a.format(term) for a in argv),
+                                 "--json")
+            assert status == 0, (argv[0], out)
+            reports.append({k: v for k, v in json.loads(out).items()
+                            if k not in echoed})
+        assert reports[0] == reports[1], argv[0]
 
 
 @pytest.fixture
@@ -442,6 +463,8 @@ def test_zeta_motivic_polynomial_term_unsupported(capsys):
     # (x + y)^2 is a valued-field term, so it parses, but not a monomial
     error = error_of(capsys, "zeta-motivic", "--H", "(x + y)^2")
     assert error["code"] == "UnsupportedH"
+    assert "covers one monomial" in error["message"]
+    assert "series_from_parameter" in error["message"]
 
 
 def test_zeta_count_frozen(capsys):

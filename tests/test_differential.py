@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from motint import formula as F
 from motint.errors import NotIntegrable, OutsideFragment, SortError
-from motint.padic import (GaloisRing, PadicElem, PContext, count_points,
-                          eval_formula, res_term)
+from motint.padic import (GaloisRing, PadicElem, PContext, compile_term,
+                          count_points, eval_formula)
 from motint.vfint import cell_contains, decompose_fragment
 
 CONTEXTS = {(p, d): PContext(p, d) for p in (2, 3) for d in (1, 2)}
@@ -163,6 +163,9 @@ def residue_operations(level):
     x, y = F.Var("x", F.RES(level)), F.Var("y", F.RES(level))
     ops = [F.BinOp(op, x, y) for op in "+-*"] + [F.Neg(x)]
     ops += [F.Pow(x, e) for e in range(4)]
+    # chains of three and four operands take the n-ary closures
+    ops += [F.BinOp(op2, F.BinOp(op1, x, y), x) for op1 in "+-" for op2 in "+-"]
+    ops += [F.BinOp("*", F.BinOp("*", F.BinOp("*", x, y), y), x)]
     if level == 2:
         ops.append(F.Proj(2, 1, F.BinOp("*", x, F.Neg(y))))
     return ops
@@ -172,11 +175,11 @@ def residue_operations(level):
     (p, d, level) for p, d in sorted(CONTEXTS) for level in (1, 2)
     if (p ** d) ** level <= 81])
 def test_residue_operations_match_grelem_on_every_pair(p, d, level):
-    # every closure res_term chooses by degree, on every pair of elements
+    # every closure compile_term chooses by degree, on every pair of elements
     ctx = CONTEXTS[p, d]
     ring = ctx.residue_ring(level)
     for t in residue_operations(level):
-        run = res_term(t, t.sort().depth, ctx, {})
+        run = compile_term(t, ctx, {})
         for a in ring.elements():
             for b in ring.elements():
                 env = {"x": a, "y": b}

@@ -2,13 +2,18 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from motint.errors import ParseError, SortError
 from motint.formula import (
-    VF, VG, RES, And, BinOp, Cong, Eq, FALSE, IntLit, Le, Not,
-    Or, Ord, Pow, Quant, RatLit, TRUE, Var, check_sorts,
+    VF, VG, RES, Ac, And, BinOp, Cong, Eq, FALSE, IntLit, Le, Neg, Not,
+    Or, Ord, Pi, Pow, Proj, Quant, RatLit, TRUE, Var, check_sorts,
     formula_str, frame_of, free_vars, land, lor, parse_formula,
-    parse_term, simplify, substitute, term_str,
+    parse_term, simplify, substitute, term_str, walk,
 )
+from motint.padic import PadicElem, PContext, eval_formula
+from test_differential import SETTINGS
 
 
 def shape(frame) -> tuple:
@@ -248,12 +253,11 @@ DEEP = 2000
 
 
 @pytest.mark.parametrize("inner", [
-    " + ".join(["x"] * DEEP),
     "(" * DEEP + "x" + ")" * DEEP,
     "-" * DEEP + "x",
-], ids=["chain", "parentheses", "negation"])
+], ids=["parentheses", "negation"])
 def test_deep_nesting_is_a_parse_error(inner):
-    # parsing and sort checking recurse once per level; an input that
+    # the parser recurses once per level of nesting; an input that
     # overflows the interpreter's stack is a ParseError, not a traceback
     with pytest.raises(ParseError, match="nests too deeply"):
         parse_formula(f"ord({inner}) >= 0")
@@ -268,7 +272,152 @@ def test_deep_formula_nesting_is_a_parse_error():
 
 
 def test_long_chain_still_parses():
-    chain = " + ".join(["x"] * 900)
+    chain = " + ".join(["x"] * 20000)
     f = parse_formula(f"ord({chain}) >= 0")
-    assert formula_str(f).count("x") == 900
-    assert term_str(parse_term(chain, default_sort=VF)).count("x") == 900
+    assert formula_str(f).count("x") == 20000
+    assert term_str(parse_term(chain, default_sort=VF)).count("x") == 20000
+
+
+# ---------------------------------------------------------------------------
+# the chain view on generated terms of every sort
+
+NAMES = {RES(1): "x", RES(2): "y", VG: "n", VF: "t"}
+SORTS = {name: sort for sort, name in NAMES.items()}
+GRID = [PContext(p, d) for p in (2, 3) for d in (1, 2)]
+
+
+@st.composite
+def vf_atoms(draw):
+    """A nonzero valued-field leaf, so that ord of it is finite."""
+    kind = draw(st.sampled_from(["var", "int", "rat", "pi"]))
+    if kind == "var":
+        return Var("t", VF)
+    if kind == "pi":
+        return Pi()
+    k = draw(st.integers(-6, 6).filter(bool))
+    return IntLit(k, VF) if kind == "int" else RatLit(Fraction(k, draw(st.sampled_from([5, 7]))))
+
+
+@st.composite
+def terms(draw, sort, size):
+    """A term of the given sort: left- and right-nested chains of + - and
+    * with two to six operands, powers, negations and negative literals."""
+    if size <= 0 or draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(["var", "lit", "lit"] + ["call"] * (sort != VF)))
+        if kind == "var":
+            return Var(NAMES[sort], sort)
+        if kind == "lit":
+            return draw(vf_atoms()) if sort == VF else IntLit(draw(st.integers(-5, 7)), sort)
+        if sort == VG:
+            return Ord(draw(vf_atoms()))
+        if sort == RES(1) and draw(st.booleans()):
+            return Proj(2, 1, draw(terms(RES(2), size - 1)))
+        return Ac(sort.depth, draw(terms(VF, size - 1)))
+    kind = draw(st.sampled_from(["+-", "+-", "*", "neg"] + ["pow"] * (sort != VG)))
+    if kind == "neg":
+        return Neg(draw(terms(sort, size - 1)))
+    if kind == "pow":
+        return Pow(draw(terms(sort, size - 1)), draw(st.integers(1, 3)))
+    n = draw(st.integers(2, 6))
+    args = [draw(terms(sort, size - 1)) for _ in range(n)]
+    ops = [draw(st.sampled_from(kind)) for _ in range(n - 1)]
+    if sort == VG and kind == "*":
+        # one factor, first or second, may be any term; the others are literals
+        # (nonnegative: the parser reads -3 as a negation, not a literal)
+        at = draw(st.integers(0, 1))
+        args = [a if i == at else IntLit(draw(st.integers(0, 3)), VG)
+                for i, a in enumerate(args)]
+        return rebuild_left(args, ops)
+    if draw(st.booleans()):
+        return rebuild_left(args, ops)
+    out = args[-1]
+    for a, op in zip(reversed(args[:-1]), reversed(ops)):
+        out = BinOp(op, a, out)
+    return out
+
+
+def rebuild_left(args, ops):
+    out = args[0]
+    for op, a in zip(ops, args[1:]):
+        out = BinOp(op, out, a)
+    return out
+
+
+def chain_of(t):
+    """The operands and operators of the chain topped by t."""
+    kind = "*" if t.op == "*" else "+-"
+    args, ops = [t.right], [t.op]
+    while isinstance(t.left, BinOp) and t.left.op in kind:
+        t = t.left
+        args.append(t.right)
+        ops.append(t.op)
+    return [t.left] + args[::-1], ops[::-1]
+
+
+def balanced(items):
+    """A balanced tree of (sign, term) items whose first sign is +."""
+    if len(items) == 1:
+        return items[0][1]
+    mid = len(items) // 2
+    left, right = items[:mid], items[mid:]
+    if right[0][0] == "-":
+        right = [("+" if s == "-" else "-", a) for s, a in right]
+        return BinOp("-", balanced(left), balanced(right))
+    return BinOp("+", balanced(left), balanced(right))
+
+
+def product_tree(args):
+    if len(args) == 1:
+        return args[0]
+    mid = len(args) // 2
+    return BinOp("*", product_tree(args[:mid]), product_tree(args[mid:]))
+
+
+def reassociate(t):
+    """t with each chain rebuilt as a balanced tree; a value-group product
+    keeps its shape, since only its first two factors may be a term."""
+    if isinstance(t, BinOp):
+        args, ops = chain_of(t)
+        args = [reassociate(a) for a in args]
+        if t.op != "*":
+            return balanced(list(zip(["+"] + ops, args)))
+        return rebuild_left(args, ops) if t.sort() == VG else product_tree(args)
+    if isinstance(t, Neg):
+        return Neg(reassociate(t.arg))
+    if isinstance(t, Pow):
+        return Pow(reassociate(t.base), t.exp)
+    if isinstance(t, Ac):
+        return Ac(t.depth, reassociate(t.arg))
+    if isinstance(t, Proj):
+        return Proj(t.src, t.dst, reassociate(t.arg))
+    return t                       # a leaf; ord is only taken of leaves here
+
+
+ANY_SORT = st.sampled_from([RES(1), RES(2), VG, VF]).flatmap(lambda s: terms(s, 3))
+
+
+@SETTINGS
+@given(ANY_SORT)
+def test_chains_print_and_parse(t):
+    # the printed text is a fixed point of parse . print, and without
+    # negative literals (read back as negations) the parse is the tree
+    f = Eq(t, Var(NAMES[t.sort()], t.sort()))
+    text = formula_str(f)
+    g = parse_formula(text, SORTS)
+    assert formula_str(g) == text
+    if not any(isinstance(u, (IntLit, RatLit)) and u.value < 0 for u in walk(t)):
+        assert g == f
+
+
+@SETTINGS
+@given(st.sampled_from(GRID), ANY_SORT, st.data())
+def test_reassociated_chains_evaluate_equal(ctx, t, data):
+    f = Eq(t, reassociate(t))
+    for _ in range(3):
+        coeffs = st.lists(st.integers(-50, 50), min_size=ctx.d, max_size=ctx.d)
+        nums = data.draw(coeffs.filter(any))
+        env = {"x": ctx.residue_ring(1).make(data.draw(coeffs)),
+               "y": ctx.residue_ring(2).make(data.draw(coeffs)),
+               "n": data.draw(st.integers(-5, 5)),
+               "t": PadicElem.exact(ctx.p, ctx.d, [Fraction(k, 6) for k in nums])}
+        assert eval_formula(f, env, ctx), (formula_str(f), env)
