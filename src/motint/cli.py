@@ -7,12 +7,13 @@ Every option has one channel, the flag on the subcommand that reads it:
 each subcommand declares ``--json`` and those of the shared flags
 (``--p --d --level --imax --cap --q --method``) that it reads, and any
 other flag is a usage error.  Reports are deterministic for given flags,
-and JSON output is key-sorted.
+and JSON output is key-sorted; ``--cap`` sets the points cap for the run.
 
 Exit status: 0 on success (including a verification that matched
 everywhere), 2 when a verification ran to completion and found a
 mismatch, 1 on any error (bad usage, bad input, resource caps); with
-``--json`` every error, usage errors included, is a JSON error object.
+``--json`` every error, usage errors included, is a JSON error object,
+and a ``CapExceeded`` one also holds ``needed`` and ``cap``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import formula as F
 from . import ring_a as R
 from .cplus import specialize
 from .errors import (CapExceeded, MotintError, NotIntegrable, ParseError,
-                     UnsupportedH)
+                     UnsupportedH, points_cap)
 from .padic import PContext, count_points, is_prime
 from .presburger import PFun, sum_fibers
 from .vfint import integrate_iterated
@@ -159,7 +160,7 @@ def _cmd_parse(args) -> tuple:
                   "is_nonneg": R.is_nonneg(a)}
         lines = [report["canonical"]]
     else:
-        h = parse_poly(text, args.cap)
+        h = parse_poly(text)
         mono = h.as_monomial()
         report = {"kind": "poly", "input": text, "canonical": str(h),
                   "variables": list(h.variables()),
@@ -220,7 +221,7 @@ def _cmd_count(args) -> tuple:
             f"count needs residue-sorted free variables; {', '.join(bad)} "
             f"are not (quantify value-group variables with bounded "
             f"quantifiers)")
-    count = count_points(f, ctx, cap=args.cap)
+    count = count_points(f, ctx)
     report = {"formula": F.formula_str(f), "p": args.p, "d": args.d,
               "level": args.level,
               "free_vars": [v.name for v in free],
@@ -250,7 +251,7 @@ def _integrate_common(args, weight) -> tuple:
         if not out.integrable:
             raise NotIntegrable("cannot count a value that is not "
                                 "integrable in some direction")
-        spec = R.number_str(specialize(out.value, ctx, cap=args.cap))
+        spec = R.number_str(specialize(out.value, ctx))
         report["counted"] = {"q": ctx.q, "value": spec}
         lines.append(f"N at q={ctx.q}: {spec}")
     return 0, report, lines
@@ -284,7 +285,7 @@ def _cmd_theta(args) -> tuple:
 
 
 def _cmd_zeta_motivic(args) -> tuple:
-    rs = zmot_monomial(parse_poly(args.H, args.cap), p=args.p)
+    rs = zmot_monomial(parse_poly(args.H), p=args.p)
     report = {"h": args.H, "series": rs.to_json(), "display": str(rs)}
     return 0, report, [str(rs)]
 
@@ -292,8 +293,7 @@ def _cmd_zeta_motivic(args) -> tuple:
 def _cmd_zeta_count(args) -> tuple:
     if args.p is None or args.imax is None:
         raise ParseError("zeta-count needs --p and --imax")
-    cl = zprime_count(args.H, args.p, args.d, args.imax, cap=args.cap,
-                      method=args.method)
+    cl = zprime_count(args.H, args.p, args.d, args.imax, method=args.method)
     report = {"h": args.H, "p": args.p, "d": args.d, "method": args.method,
               "coefficients": cl.to_json()}
     lines = [f"{i}\t{v}" for i, v in enumerate(cl.values)]
@@ -303,7 +303,7 @@ def _cmd_zeta_count(args) -> tuple:
 def _cmd_verify_meuser(args) -> tuple:
     if args.imax is None:
         raise ParseError("verify-meuser needs --imax")
-    h = parse_poly(args.H, args.cap)
+    h = parse_poly(args.H)
     grid = _parse_grid(args.grid, args.p, args.d)
     try:
         series = zmot_monomial(h)      # one closed form for the whole grid
@@ -313,8 +313,8 @@ def _cmd_verify_meuser(args) -> tuple:
     entries = []
     for p, d in grid:
         rs = series if series is not None else zmot_monomial(h, p=p)
-        entries.append(verify_meuser(h, p, d, args.imax, cap=args.cap,
-                                     series=rs, method=args.method))
+        entries.append(verify_meuser(h, p, d, args.imax, series=rs,
+                                     method=args.method))
     all_match = all(e["all_match"] for e in entries)
     report = {"h": str(h), "i_max": args.imax, "entries": entries,
               "all_match": all_match}
@@ -348,7 +348,9 @@ _SHARED = {
               lambda v: v >= 1, "level must be >= 1, got {}"),
     "imax": (dict(type=int, help="largest series index"),
              lambda v: v >= 0, "imax must be >= 0, got {}"),
-    "cap": (dict(type=int, help="enumeration cap (default 10^8)"),
+    "cap": (dict(type=int, help="points cap: ring elements, quantifier "
+                 "values, counting evaluations and term products (default "
+                 "10^8)"),
             lambda v: v >= 1, "cap must be >= 1, got {}"),
     "q": (dict(type=int, help="residue-field size for theta"),
           lambda v: v >= 2, "q must be >= 2, got {}"),
@@ -509,14 +511,14 @@ def _main(argv) -> int:
         args = _build_parser().parse_args(argv)
         json_out = args.json
         _check_shared(args)
-        status, report, lines = args.fn(args)
+        with points_cap(getattr(args, "cap", None)):
+            status, report, lines = args.fn(args)
         _emit(report, lines, json_out)
         return status
     except MotintError as exc:
         error = {"error": {"code": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, CapExceeded):
-            error["error"]["needed"] = exc.needed
-            error["error"]["cap"] = exc.cap
+            error["error"].update(needed=exc.needed, cap=exc.cap)
         if json_out:
             print(json.dumps(error, sort_keys=True, indent=2, default=str))
         else:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import formula as F
 from . import ring_a as R
 from .cells import intersect, subtract
-from .errors import FrameMismatch, MotintError, SortError
+from .errors import CapExceeded, FrameMismatch, MotintError, SortError
 from .padic import GRElem, PContext, eval_formula
 from .presburger import PFun, PTerm, sum_fibers
 from .qplus import (ResClass, ResGen, RewriteLog, count_class, from_formula,
@@ -193,7 +193,8 @@ def _disjoint_pieces(pf: PFun) -> PFun:
     cut a cell along a disjoint cell's constraints (into odd and even
     parts, say), which this skips; on the closed-form workload and the
     golden corpus no disjoint pair was cut, so their outputs are
-    unchanged."""
+    unchanged.  Empty pieces can multiply here, so the pieces held are
+    checked against the pieces cap."""
     done = []
     for cell, terms in pf.pieces:
         rest, nxt = [cell], []
@@ -205,6 +206,8 @@ def _disjoint_pieces(pf: PFun) -> PFun:
             nxt += [(c, old_terms + terms) for c in common]
             nxt += [(c, old_terms) for c in subtract(old, cell)]
             rest = [c for r in rest for c in subtract(r, old)]
+            CapExceeded.check("pieces", len(nxt) + len(rest),
+                              "making the pieces of a function disjoint")
         done = nxt + [(c, terms) for c in rest]
     return PFun(pf.vars, tuple(done))
 
@@ -337,8 +340,7 @@ def is_equal(a: MotFun, b: MotFun) -> str:
 # ---------------------------------------------------------------------------
 # specialization
 
-def specialize(a: MotFun, ctx: PContext, env: dict | None = None,
-               cap: int | None = None) -> Fraction:
+def specialize(a: MotFun, ctx: PContext, env: dict | None = None) -> Fraction:
     """Evaluate at a prime-power context and a point of the base.
 
     A residue parameter takes a ``GRElem`` or an int, a value-group
@@ -367,11 +369,11 @@ def specialize(a: MotFun, ctx: PContext, env: dict | None = None,
         vg_env[name] = val
     total = Fraction(0)
     for t in a.terms:
-        if not eval_formula(t.guard, res_env, ctx, cap=cap):
+        if not eval_formula(t.guard, res_env, ctx):
             continue
         val = t.pf.eval_theta(ctx.q, vg_env)
         if val:
-            total += val * count_class(t.rc, ctx, cap=cap)
+            total += val * count_class(t.rc, ctx)
     return total
 
 

@@ -554,8 +554,13 @@ def _tight(v: tuple, prec: int) -> str:
 
 def _print_chain(u, vals, spine, args) -> tuple:
     if u.op == "*":
+        # -(3*n), not (-3)*n: a value-group product takes no negation
+        neg = [isinstance(a, IntLit) and a.value < 0 for a in args]
+        vals = [(str(-a.value), _ATOM) if n else v
+                for a, v, n in zip(args, vals, neg)]
         rest = [_tight(v, _MUL + 1) for v in vals[1:]]
-        return "*".join([_tight(vals[0], _MUL)] + rest), _MUL
+        text = "*".join([_tight(vals[0], _MUL)] + rest)
+        return (f"-({text})", _ADD) if sum(neg) % 2 else (text, _MUL)
     rest = [f" {s.op} {_tight(v, _ADD + 1)}" for s, v in zip(spine, vals[1:])]
     return "".join([_tight(vals[0], _ADD)] + rest), _ADD
 

@@ -36,8 +36,6 @@ from .errors import CapExceeded, MotintError, SortError
 from . import formula as F
 from .polynomials import power
 
-DEFAULT_CAP = 10 ** 8
-
 
 # ---------------------------------------------------------------------------
 # integer and rational p-adic orders
@@ -223,19 +221,15 @@ class GaloisRing:
     def from_rational(self, c: Fraction) -> "GRElem":
         return self.make((rational_mod(c, self.p, self.level),))
 
-    def tuples(self, cap: int | None = None):
+    def tuples(self):
         """The coefficient tuples of all elements, in lexicographic order;
-        the ring size is checked against the cap at the call."""
-        cap = DEFAULT_CAP if cap is None else cap
-        if self.size > cap:
-            raise CapExceeded(
-                f"enumerating {self.size} elements exceeds the cap {cap}",
-                needed=self.size, cap=cap)
+        the ring size is checked against the points cap at the call."""
+        CapExceeded.check("points", self.size, "enumerating a residue ring")
         return product(range(self.char), repeat=self.degree)
 
-    def elements(self, cap: int | None = None):
+    def elements(self):
         """All elements in lexicographic coefficient order."""
-        for coeffs in self.tuples(cap):
+        for coeffs in self.tuples():
             yield GRElem(self, coeffs)
 
 
@@ -473,7 +467,7 @@ class PContext:
 # ---------------------------------------------------------------------------
 # compiled formula evaluation
 #
-# compile_formula turns a formula into a closure (env, cap) -> bool and
+# compile_formula turns a formula into a closure env -> bool and
 # compile_term a term into a closure env -> value: one formula.fold whose
 # handlers, from _COMPILE keyed on node type and sort kind, make every
 # dispatch once, at compile time.  A chain gets one closure over all its
@@ -693,41 +687,41 @@ def compile_term(t: F.Term, ctx: PContext, local: dict):
 
 
 def compile_formula(f: F.Formula, ctx: PContext, local: dict | None = None):
-    """Closure (env, cap) -> bool of a formula; see the comment above.
+    """Closure env -> bool of a formula; see the comment above.
     ``local`` maps residue variable names to their keys in env."""
     local = {} if local is None else local
     if isinstance(f, F.TrueF):
-        return lambda env, cap: True
+        return lambda env: True
     if isinstance(f, F.FalseF):
-        return lambda env, cap: False
+        return lambda env: False
     if isinstance(f, (F.Eq, F.Le, F.Cong)):
         a, b = compile_term(f.left, ctx, local), compile_term(f.right, ctx, local)
         if isinstance(f, F.Le):
-            return lambda env, cap: a(env) <= b(env)
+            return lambda env: a(env) <= b(env)
         if isinstance(f, F.Cong):
             k = f.modulus
 
-            def cong(env, cap):
+            def cong(env):
                 x, y = a(env), b(env)
                 return x != inf and y != inf and (x - y) % k == 0
             return cong
         if f.left.sort() == F.VF:
-            return lambda env, cap: (a(env) - b(env)).is_zero()
-        return lambda env, cap: a(env) == b(env)
+            return lambda env: (a(env) - b(env)).is_zero()
+        return lambda env: a(env) == b(env)
     if isinstance(f, F.Not):
         body = compile_formula(f.body, ctx, local)
-        return lambda env, cap: not body(env, cap)
+        return lambda env: not body(env)
     if isinstance(f, (F.And, F.Or)):
         parts = [compile_formula(g, ctx, local) for g in f.parts]
         hit = isinstance(f, F.Or)           # the part value that decides
         if len(parts) == 2:                 # the cheapest closures
             a, b = parts
-            return ((lambda env, cap: a(env, cap) or b(env, cap)) if hit else
-                    (lambda env, cap: a(env, cap) and b(env, cap)))
+            return ((lambda env: a(env) or b(env)) if hit else
+                    (lambda env: a(env) and b(env)))
 
-        def junction(env, cap):
+        def junction(env):
             for part in parts:
-                if part(env, cap) == hit:
+                if part(env) == hit:
                     return hit
             return not hit
         return junction
@@ -738,16 +732,16 @@ def compile_formula(f: F.Formula, ctx: PContext, local: dict | None = None):
 
 def _quant(f: F.Quant, ctx: PContext, local: dict):
     """Residue quantifiers enumerate their ring; value-group quantifiers
-    their explicit bounds.  Either range is checked against the cap."""
+    their explicit bounds; either range counts against the points cap."""
     name, sort = f.var.name, f.var.var_sort
     if sort.kind == "res":
         ring = ctx.residue_ring(sort.depth)
         body = compile_formula(f.body, ctx, {**local, name: name})
 
-        def values(env, cap):
-            return ring.tuples(cap)
+        def values(env):
+            return ring.tuples()
     elif f.lo is None or f.hi is None:
-        def missing(env, cap):
+        def missing(env):
             raise MotintError(
                 f"value-group quantifier over {name} needs explicit bounds")
         return missing
@@ -756,24 +750,22 @@ def _quant(f: F.Quant, ctx: PContext, local: dict):
         body = compile_formula(
             f.body, ctx, {k: v for k, v in local.items() if k != name})
 
-        def values(env, cap):
+        what = f"enumerating the values of {name}"
+
+        def values(env):
             a, b = lo(env), hi(env)
             if a == inf or b == inf:
                 raise MotintError("quantifier bounds must be finite")
-            cap = DEFAULT_CAP if cap is None else cap
-            if b - a + 1 > cap:
-                raise CapExceeded(
-                    f"enumerating {b - a + 1} values of {name} exceeds the cap {cap}",
-                    needed=b - a + 1, cap=cap)
+            CapExceeded.check("points", b - a + 1, what)
             return range(a, b + 1)
 
     hit = f.q == "exists"         # the body value that decides the quantifier
 
-    def quant(env, cap):
+    def quant(env):
         sub = dict(env)
-        for v in values(env, cap):
+        for v in values(env):
             sub[name] = v
-            if body(sub, cap) == hit:
+            if body(sub) == hit:
                 return hit
         return not hit
     return quant
@@ -810,10 +802,10 @@ def _clear_compiled() -> None:
 compiled.cache_clear = _clear_compiled
 
 
-def eval_formula(f: F.Formula, env: dict, ctx: PContext, cap: int | None = None) -> bool:
+def eval_formula(f: F.Formula, env: dict, ctx: PContext) -> bool:
     """Evaluate a formula at a point.  Residue quantifiers enumerate their
     ring; value-group quantifiers must carry explicit bounds.  Either
-    range is checked against the cap.
+    range is checked against the points cap.
 
     The closure comes from the ``compiled`` store, specialized on ctx.d
     when it was built.  The last (formula, context, closure) is kept in a
@@ -825,32 +817,27 @@ def eval_formula(f: F.Formula, env: dict, ctx: PContext, cap: int | None = None)
     if last_f is not f or last_ctx is not ctx:
         run = compiled(f, ctx)
         _last = (f, ctx, run)
-    return run(env, cap)
+    return run(env)
 
 
 # ---------------------------------------------------------------------------
 # counting
 
-def count_points(f: F.Formula, ctx: PContext, *,
-                 cap: int | None = None) -> int:
+def count_points(f: F.Formula, ctx: PContext) -> int:
     """Count assignments of the free residue variables satisfying f; this
     is the library's one enumerator of formula points.
 
     Free residue variables range over their residue rings; the frame must
     not contain vf or vg variables.  The size of the whole box is checked
-    against the cap before any point is evaluated.
+    against the points cap before any point is evaluated.
     """
-    cap = DEFAULT_CAP if cap is None else cap
     frame = F.frame_of(f)
     if frame.vf or frame.vg:
         raise SortError("count_points enumerates residue variables only, "
                         f"not {frame.vf + frame.vg}")
     rings = [ctx.residue_ring(depth) for _, depth in frame.res]
-    needed = prod(r.size for r in rings)
-    if needed > cap:
-        raise CapExceeded(f"enumerating {needed} tuples exceeds the cap {cap}",
-                          needed=needed, cap=cap)
+    CapExceeded.check("points", prod(r.size for r in rings), "counting points")
     names = [name for name, _ in frame.res]
     run = compile_formula(f, ctx, {name: name for name in names})
-    return sum(1 for point in product(*(r.tuples(cap) for r in rings))
-               if run(dict(zip(names, point)), cap))
+    return sum(1 for point in product(*(r.tuples() for r in rings))
+               if run(dict(zip(names, point))))

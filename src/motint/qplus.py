@@ -479,13 +479,13 @@ def is_equal(a: ResClass, b: ResClass) -> str:
 # ---------------------------------------------------------------------------
 # counting
 
-def count_class(rc: ResClass, ctx: PContext, cap: int | None = None) -> Fraction:
+def count_class(rc: ResClass, ctx: PContext) -> Fraction:
     """Specialize at a prime power: points are counted and powers of L
     become powers of the residue field size."""
     total = Fraction(0)
     q = ctx.q
     for g in rc.gens:
-        n = count_points(g.phi, ctx, cap=cap)
+        n = count_points(g.phi, ctx)
         # declared variables the formula never mentions range freely
         free = {v.name for v in F.free_vars(g.phi)}
         slack = sum(depth for name, depth in g.vars if name not in free)

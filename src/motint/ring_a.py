@@ -47,7 +47,6 @@ Examples (doctest style, values frozen from hand computation):
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -55,10 +54,6 @@ from math import gcd as int_gcd, isqrt, lcm as int_lcm
 
 from .errors import CapExceeded, NotInA, ParseError, QOutOfRange
 from . import polynomials as P
-
-# The largest degree a power in a ring expression may reach (see
-# parse_ratfunc); powers the library takes itself are not limited.
-MAX_DEGREE = 50_000
 
 
 @lru_cache(maxsize=None)
@@ -584,16 +579,12 @@ def number_str(x) -> str:
     try:
         return str(x)
     except ValueError:          # only past the digit limit
-        pass
-    limit = sys.get_int_max_str_digits()
-    big = max(abs(x.numerator), x.denominator)
-    needed = big.bit_length() * 3010299956 // 10 ** 10   # <= its digits
-    while 10 ** needed <= big:
-        needed += 1
-    raise CapExceeded(
-        f"a number of {needed} digits is too long to print, over "
-        f"the interpreter's limit of {limit} digits",
-        needed=needed, cap=limit)
+        big = max(abs(x.numerator), x.denominator)
+        needed = big.bit_length() * 3010299956 // 10 ** 10   # <= its digits
+        while 10 ** needed <= big:
+            needed += 1
+        CapExceeded.check("digits", needed, "printing a number")
+        raise
 
 
 def _poly_str(p: tuple) -> str:
@@ -636,8 +627,8 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
 
     Evaluation is exact; with strict=True the final value must lie in the
     ring.  Intermediate values may leave it (e.g. "1/(L-2)*(L-2)" is fine).
-    A power whose degree would pass MAX_DEGREE is ``CapExceeded``, raised
-    before the power is taken.
+    A power past the degree cap is ``CapExceeded`` before it is taken;
+    the powers the library takes itself are not limited.
     """
     tokens: list[str] = []
     pos = 0
@@ -689,12 +680,9 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
             if not e.isdigit():
                 raise ParseError(f"integer exponent expected, found {e!r}")
             k = _int(e)
-            degree = k * (max(len(v.numer), len(v.denom)) - 1)
-            if degree > MAX_DEGREE:
-                raise CapExceeded(
-                    f"a power of degree {degree} in a ring expression, over "
-                    f"the limit of {MAX_DEGREE}", needed=degree,
-                    cap=MAX_DEGREE)
+            CapExceeded.check("degree",
+                              k * (max(len(v.numer), len(v.denom)) - 1),
+                              "a power in a ring expression")
             v = _pow_lax(v, sign * k)
         return v
 

@@ -32,15 +32,14 @@ from . import formula as F
 from . import ring_a as R
 from .cells import (AffineForm, from_constraints, intersect, subtract_many,
                     universe)
-from .errors import (FrameMismatch, MotintError, NotCellPresented,
-                     NotIntegrable, OutsideFragment, SortError, ZeroDerivative)
+from .errors import (CapExceeded, FrameMismatch, MotintError,
+                     NotCellPresented, NotIntegrable, OutsideFragment,
+                     SortError, ZeroDerivative)
 from .padic import (PContext, compile_formula, compiled, rational_ac,
                     rational_mod, rational_ord)
 from .presburger import PFun, PTerm
 from .qplus import one as unit_class
 from .cplus import MotFun, CTerm, mu_vg_res, normal_form
-
-_MAX_RES_ATOMS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +720,8 @@ def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
 
             atoms: list = []
             _mini_res_atoms(mini, atoms)
-            if len(atoms) > _MAX_RES_ATOMS:
-                raise MotintError(
-                    f"too many residue conditions ({len(atoms)}) in one "
-                    "cell; split the condition")
+            CapExceeded.check("residue atoms", len(atoms), "one cell of the "
+                              "decomposition", lambda: "split the condition")
 
             structural = [unit_cond]
             lo, hi = piece
@@ -811,7 +808,7 @@ def _cell_test(cell: VFCell, ctx: PContext):
     center = ctx.vf(cell.center)
     if cell.kind == "point":
         cond = compile_formula(cell.cond, ctx)
-        return lambda value, env: (value - center).is_zero() and cond(env, None)
+        return lambda value, env: (value - center).is_zero() and cond(env)
     name, depth = cell.xi_name, cell.depth
     for v in F.free_vars(cell.xi_phi):
         if v.name == name and v.var_sort != F.RES(depth):
@@ -832,7 +829,7 @@ def _cell_test(cell: VFCell, ctx: PContext):
         else:
             return False
         xi = diff.ac_coeffs(depth)
-        return xi_phi({**env, name: xi} if env else {name: xi}, None)
+        return xi_phi({**env, name: xi} if env else {name: xi})
     return test
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 
 from . import formula as F
 from . import polynomials as P
@@ -36,8 +36,8 @@ from .cells import AffineForm, universe
 from .cplus import CTerm, MotFun, normal_form, specialize, unit_class
 from .errors import (CapExceeded, FrameMismatch, MotintError,
                      NonGeometricFamily, ParseError, SortError, UnsupportedH)
-from .padic import (DEFAULT_CAP, PContext, compile_term, rational_mod,
-                    rational_ord, vp_int)
+from .padic import (PContext, compile_term, rational_mod, rational_ord,
+                    vp_int)
 from .presburger import PFun, PTerm, eulerian, progression
 from .vfint import integrate_iterated
 
@@ -155,24 +155,23 @@ class Poly:
         return " ".join([head] + parts[1:])
 
 
-def parse_poly(text: str, cap: int | None = None) -> Poly:
+def parse_poly(text: str) -> Poly:
     """Parse H as a valued-field term of the formula language: variables,
     integer and rational constants (``3``, ``3/4``), +, -, * and powers
     ``^`` or ``**`` with exponents >= 1.  ``pi``, ``ord``, ``ac_n`` and
     ``proj`` are terms but not polynomials, and raise ``ParseError``.
     Expanding a product of an a-term and a b-term polynomial needs a * b
-    term products, checked against the cap before it is built; a
+    term products, checked against the points cap before it is built; a
     coefficient too long to print raises ``ParseError``.
 
     >>> str(parse_poly("(x + y)^2 - 3/2*x*y"))
     '1/2*x*y + x^2 + y^2'
     """
-    cap = DEFAULT_CAP if cap is None else cap
     try:
         term = F.parse_term(text, default_sort=F.VF)
     except SortError as exc:
         raise ParseError(f"H is not a valued-field term: {exc}") from None
-    h = Poly.make(_term_pairs(term, cap))
+    h = Poly.make(_term_pairs(term))
     try:
         str(h)
     except ValueError:                 # the interpreter's int-string limit
@@ -180,16 +179,14 @@ def parse_poly(text: str, cap: int | None = None) -> Poly:
     return h
 
 
-def _term_pairs(t: F.Term, cap: int) -> tuple:
+def _term_pairs(t: F.Term) -> tuple:
     """(coefficient, monomial) pairs that sum to t; products are merged."""
-    times = partial(_product, cap=cap)
-
     def neg(a):
         return tuple((-c, m) for c, m in a)
 
     def chain(u, vals, spine, args):
         if u.op == "*":
-            return reduce(times, vals)
+            return reduce(_product, vals)
         return tuple(itertools.chain(vals[0], *(
             b if s.op == "+" else neg(b) for s, b in zip(spine, vals[1:]))))
 
@@ -201,23 +198,15 @@ def _term_pairs(t: F.Term, cap: int) -> tuple:
         F.Var: lambda u, vals: ((1, ((u.name, 1),)),),
         **dict.fromkeys((F.IntLit, F.RatLit), lambda u, vals: ((u.value, ()),)),
         F.Neg: lambda u, vals: neg(vals[0]),
-        F.Pow: lambda u, vals: P.power(vals[0], u.exp, times, ((1, ()),)),
+        F.Pow: lambda u, vals: P.power(vals[0], u.exp, _product, ((1, ()),)),
         F.BinOp: chain,
     }, enter=check)
 
 
-def _product(a: tuple, b: tuple, cap: int) -> tuple:
-    need = len(a) * len(b)
-    if need > cap:
-        raise CapExceeded(
-            f"expanding a product of {len(a)} and {len(b)} terms needs "
-            f"{need} term products, over the cap {cap}", needed=need, cap=cap)
+def _product(a: tuple, b: tuple) -> tuple:
+    CapExceeded.check("points", len(a) * len(b), "expanding a product")
     return Poly.make((ca * cb, ma + mb) for ca, ma in a
                      for cb, mb in b).terms
-
-
-def _as_poly(h, cap: int | None = None) -> Poly:
-    return parse_poly(h, cap) if isinstance(h, str) else h
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +506,7 @@ def zmot_monomial(h, p: int | None = None) -> RatSeries:
     otherwise the valuation of c shifts the series and a prime must be
     given to compute it.
     """
-    h = _as_poly(h)
+    h = parse_poly(h) if isinstance(h, str) else h
     mono = h.as_monomial()
     if mono is None:
         raise UnsupportedH(
@@ -572,15 +561,15 @@ def _shell_volumes(powers, shift: int, q: int, i_max: int) -> list:
             for i in range(i_max + 1)]
 
 
-def _feasible(i_max: int) -> str:
-    """Cap-error hint: the largest i_max that fits under the cap."""
+def _feasible(level: int, i_max: int) -> str:
+    """Cap-error hint: the level that passed the points cap, and the
+    largest i_max that fits under it."""
     if i_max < 0:
-        return "no i_max fits under the cap"
-    return f"the largest feasible i_max is {i_max}"
+        return f"at level {level}, no i_max fits under the cap"
+    return f"at level {level}, the largest feasible i_max is {i_max}"
 
 
-def _count_cylinders(h: Poly, ctx: PContext, i_max: int, cap: int,
-                     shift: int) -> list:
+def _count_cylinders(h: Poly, ctx: PContext, i_max: int, shift: int) -> list:
     """Volumes of {ord h = shift + i} for i = 0..i_max, h p-integral.
 
     Residue classes a + p^l O^n are refined level by level on integer
@@ -594,8 +583,8 @@ def _count_cylinders(h: Poly, ctx: PContext, i_max: int, cap: int,
     (1 - 1/q) * q^-k over the orders l + e + k.  Only classes whose
     gradient vanishes mod p^l are split further; those still vanishing
     beyond level top + 1 cannot meet any requested coefficient and are
-    dropped.  The cap counts the child classes examined; cap errors count
-    i_max from ord h = shift."""
+    dropped.  The points cap counts the child classes examined; cap
+    errors count i_max from ord h = shift."""
     names = h.variables()
     n = len(names)
     p, d = ctx.p, ctx.d
@@ -609,14 +598,9 @@ def _count_cylinders(h: Poly, ctx: PContext, i_max: int, cap: int,
     visited = 0
     lifts = list(itertools.product(range(p), repeat=d))
     for level in range(1, top + 2):
-        need = len(frontier) * q ** n
-        if visited + need > cap:
-            raise CapExceeded(
-                f"refining {len(frontier)} classes to level {level} needs "
-                f"{visited + need} evaluations, over the cap {cap}; "
-                f"{_feasible(level - 2 - shift)}",
-                needed=visited + need, cap=cap)
-        visited += need
+        visited += len(frontier) * q ** n
+        CapExceeded.check("points", visited, "refining residue classes",
+                          lambda: _feasible(level, level - 2 - shift))
         step = p ** (level - 1)
         modulus = step * p
         hits = [0] * (top + 1)
@@ -659,8 +643,7 @@ def _count_cylinders(h: Poly, ctx: PContext, i_max: int, cap: int,
     return counts[shift:]
 
 
-def _count_enumerate(h: Poly, ctx: PContext, i_max: int, cap: int,
-                     shift: int) -> list:
+def _count_enumerate(h: Poly, ctx: PContext, i_max: int, shift: int) -> list:
     """Per-level full enumeration: count solutions of ord h = shift + i
     over the residue ring at level shift + i + 1 and divide by the ring
     size.  h is p-integral; cap errors count i_max from ord h = shift."""
@@ -670,14 +653,10 @@ def _count_enumerate(h: Poly, ctx: PContext, i_max: int, cap: int,
     vols = []
     for i in range(shift, i_max + shift + 1):
         ring = ctx.residue_ring(i + 1)
-        total = ring.size ** n
-        if total > cap:
-            raise CapExceeded(
-                f"counting at level {i + 1} needs {total} tuples, over the "
-                f"cap {cap}; {_feasible(i - 1 - shift)}",
-                needed=total, cap=cap)
+        CapExceeded.check("points", ring.size ** n, "counting residue tuples",
+                          lambda: _feasible(i + 1, i - 1 - shift))
         count = 0
-        for tup in itertools.product(list(ring.elements(cap=cap)), repeat=n):
+        for tup in itertools.product(list(ring.elements()), repeat=n):
             env = dict(zip(names, tup))
             if h.eval_residue(ring, env).ord_capped() == i:
                 count += 1
@@ -685,7 +664,7 @@ def _count_enumerate(h: Poly, ctx: PContext, i_max: int, cap: int,
     return vols
 
 
-def zprime_count(h, p: int, d: int, i_max: int, *, cap: int | None = None,
+def zprime_count(h, p: int, d: int, i_max: int, *,
                  method: str = "auto") -> CoeffList:
     """Exact volumes of {x : ord H(x) = i} over the unramified degree-d
     extension, for i = 0..i_max.
@@ -702,16 +681,14 @@ def zprime_count(h, p: int, d: int, i_max: int, *, cap: int | None = None,
     (1 - 1/q) * q^-k otherwise.  Only classes whose gradient vanishes mod
     p^l are refined further.  ``shells`` aggregates per-variable valuation
     shells and applies only to monomials; ``auto`` picks shells for
-    monomials and cylinder refinement otherwise.  The cap bounds the
-    residue tuples ``enumerate`` walks and the child classes ``cylinder``
-    examines.
+    monomials and cylinder refinement otherwise.  The points cap bounds
+    the tuples ``enumerate`` walks and the classes ``cylinder`` examines.
 
     Coefficients need not be p-integral: with k = max(0, -min ord of the
     coefficients), the counting methods count p^k * H, whose order is
     ord H + k, and report volumes and cap errors in H's own index.
     """
-    cap = DEFAULT_CAP if cap is None else cap
-    h = _as_poly(h, cap)
+    h = parse_poly(h) if isinstance(h, str) else h
     if i_max < 0:
         raise MotintError("i_max must be >= 0")
     ctx = PContext(p, d)
@@ -734,12 +711,12 @@ def zprime_count(h, p: int, d: int, i_max: int, *, cap: int | None = None,
             vols = _shell_volumes(powers, shift, q, i_max)
     elif method in ("cylinder", "enumerate"):
         if not h.variables():
-            return zprime_count(h, p, d, i_max, cap=cap, method="shells")
+            return zprime_count(h, p, d, i_max, method="shells")
         # ord(p^k * H) = ord H + k, and p^k * H is p-integral
         k = max(0, -min(rational_ord(c, p) for c, _ in h.terms))
         scaled = Poly.make((c * p ** k, mono) for c, mono in h.terms)
         count = _count_cylinders if method == "cylinder" else _count_enumerate
-        vols = count(scaled, ctx, i_max, cap, k)
+        vols = count(scaled, ctx, i_max, k)
     else:
         raise MotintError(f"unknown counting method {method!r}")
     return CoeffList(i_max, tuple(vols))
@@ -749,7 +726,7 @@ def zprime_count(h, p: int, d: int, i_max: int, *, cap: int | None = None,
 # interpolation check
 
 
-def verify_meuser(h, p: int, d: int, i_max: int, *, cap: int | None = None,
+def verify_meuser(h, p: int, d: int, i_max: int, *,
                   series: RatSeries | None = None,
                   method: str = "auto") -> dict:
     """Check that the counted series equals the point-count specialization
@@ -759,11 +736,11 @@ def verify_meuser(h, p: int, d: int, i_max: int, *, cap: int | None = None,
     can serve every degree); otherwise the monomial closed form is
     computed.  The report lists both values for each i.
     """
-    h = _as_poly(h, cap)
+    h = parse_poly(h) if isinstance(h, str) else h
     rs = zmot_monomial(h) if series is None else series
     ctx = PContext(p, d)
     motivic = rs.expand_counts(ctx, i_max)
-    counted = zprime_count(h, p, d, i_max, cap=cap, method=method).values
+    counted = zprime_count(h, p, d, i_max, method=method).values
     rows = []
     for i in range(i_max + 1):
         rows.append({"i": i, "motivic": motivic[i], "counted": counted[i],

@@ -13,6 +13,7 @@ from motint import qplus
 from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell
 from motint.cplus import is_equal, normal_form, specialize
+from motint.errors import points_cap
 from motint.padic import PadicElem, PContext, eval_formula
 from motint.presburger import PFun, PTerm, sum_fibers
 from motint.qplus import (ResClass, ResGen, RewriteLog, count_class,
@@ -83,7 +84,6 @@ FRAGMENT_CORPUS = [
 
 
 def test_criterion_1_interpolation_exact_on_grid():
-    cap = 5 * 10 ** 7
     checked = 0
     for text in ("x", "x^2", "x^3", "x*y", "x^2*y^3"):
         h = parse_poly(text)
@@ -91,7 +91,8 @@ def test_criterion_1_interpolation_exact_on_grid():
         series = zmot_monomial(h)      # one closed form per H
         for p in (2, 3, 5):
             for d in (1, 2):
-                rep = verify_meuser(h, p, d, i_max, cap=cap, series=series)
+                with points_cap(5 * 10 ** 7):
+                    rep = verify_meuser(h, p, d, i_max, series=series)
                 assert rep["all_match"], (text, p, d, rep["rows"])
                 checked += len(rep["rows"])
     print(f"criterion 1 PASS: {checked} series coefficients match exactly "

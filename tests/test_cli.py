@@ -1,13 +1,19 @@
 """Command-line interface: dispatch, flags, exit codes, determinism."""
 
+import io
 import json
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motint import cli
 from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell
+from motint.errors import CAPS
 from motint.presburger import PFun, PTerm
 from motint.zeta import CoeffList, RatSeries
 
@@ -137,10 +143,19 @@ def test_ring_expression_too_long_to_print_exit_1(capsys, digit_limit):
             (("parse", "--ratfunc", "2^20000"), 6021, digit_limit),
             (("theta", "--expr", "3^10000", "--q", "2"), 4772, digit_limit),
             (("theta", "--expr", "L^99999999", "--q", "2"), 99999999,
-             R.MAX_DEGREE)):
+             CAPS["degree"])):
         error = error_of(capsys, *argv)
         assert (error["code"], error["needed"], error["cap"]) == \
             ("CapExceeded", needed, cap), argv
+
+
+def test_residue_atom_limit_is_a_cap_error(capsys):
+    # thirteen residue conditions in one cell, one over the fixed cap
+    atoms = " || ".join(f"ac_4(t) = {k}" for k in range(1, 14))
+    error = error_of(capsys, "vol", "--cond", f"{atoms} && ord(t) >= 0",
+                     "--order", "t", "--p", "2")
+    assert (error["code"], error["needed"], error["cap"]) == \
+        ("CapExceeded", 13, CAPS["residue atoms"]) == ("CapExceeded", 13, 12)
 
 
 def test_parse_poly_honours_cap(capsys):
@@ -631,3 +646,48 @@ def test_closed_stdout_exits_without_traceback(capsys, monkeypatch,
         status = cli.main(["zeta-motivic", "--H", "x^2*y", "--json"])
     assert status == 1
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# the input contract under mutation: exit 0, or exit 1 with a JSON error
+
+GOLDEN_PARSES = Path(__file__).resolve().parent / "data" / "golden_parses.json"
+FORMULAS = sorted({case[len("formula "):].rsplit(" | ", 1)[0]
+                   for case, _ in json.loads(GOLDEN_PARSES.read_text())
+                   if case.startswith("formula ")})
+TOKEN = re.compile(r"\s*(ac_\d+|proj_\d+_\d+|\w+|<=|>=|!=|&&|\|\||\S)")
+VOCABULARY = sorted({tok for text in FORMULAS for tok in TOKEN.findall(text)})
+COMMANDS = [("parse", "--formula", ()), ("vol", "--cond", ("--order", "t")),
+            ("integrate", "--cond", ("--order", "t", "--count")),
+            ("count", "--formula", ())]
+
+
+@st.composite
+def mutated_formulas(draw):
+    """A corpus formula with one to three tokens inserted, deleted or
+    spans reversed."""
+    tokens = TOKEN.findall(draw(st.sampled_from(FORMULAS)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        kind = draw(st.sampled_from(["insert", "delete", "reverse"]))
+        if kind == "insert":
+            tokens.insert(at, draw(st.sampled_from(VOCABULARY)))
+        elif kind == "delete":
+            del tokens[at:at + 1]
+        else:
+            end = draw(st.integers(at, len(tokens)))
+            tokens[at:end] = tokens[at:end][::-1]
+    return " ".join(tokens)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_formulas(), st.sampled_from(COMMANDS))
+def test_mutated_inputs_exit_0_or_with_a_json_error(text, command):
+    name, flag, rest = command
+    argv = [name, flag, text, *rest, "--cap", "10000", "--json"]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        status = cli.main(argv)
+    assert status in (0, 1), argv
+    if status == 1:
+        assert set(json.loads(out.getvalue())) == {"error"}, argv

@@ -1,6 +1,7 @@
 """Constructible functions: semiring, specialization, fiber integration."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from motint.cplus import (
     MotFun, CTerm, _scalar_split, is_equal, mu_vg_res, normal_form,
     specialize,
 )
-from motint.errors import FrameMismatch, MotintError, NotIntegrable, SortError
+from motint.errors import (CAPS, CapExceeded, FrameMismatch, MotintError,
+                           NotIntegrable, SortError)
 from motint.formula import RES, parse_formula
 from motint.padic import PContext
 from motint.presburger import PFun, PTerm
@@ -505,3 +507,25 @@ def test_unit_is_one_cached_value_per_frame():
     cplus._unit.cache_clear()
     assert MotFun.unit(*frame) is not u and MotFun.unit(*frame) == u
     assert unit_class() is unit_class()
+
+
+def test_multiplying_empty_pieces_stop_at_the_pieces_cap():
+    # three copies of the one-point cell a make 47 disjoint pieces; the
+    # one-point cell b as a fourth doubles its remainder at every old piece
+    # it meets, which ran for minutes before the pieces cap stopped it
+    a = PCell(("a", "b"), (VarCell(af({}, -1), af({}, 1), 2, 1),
+                           VarCell(af({}, 1), af({"a": 1}))))
+    b = PCell(("a", "b"), (VarCell(af({}, -1), af({}, 0), 3, 2),
+                           VarCell(af({"a": -1}, 1), af({"a": -1}, 1))))
+
+    def fun(cells):
+        pf = PFun(("a", "b"), tuple((c, (PTerm(R.from_int(k + 1), af()),))
+                                    for k, c in enumerate(cells)))
+        return MotFun((), ("a", "b"), (CTerm(F.TRUE, pf, unit_class()),))
+
+    assert normal_form(fun([a, a, a])).terms
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        normal_form(fun([a, a, a, b]))
+    assert time.perf_counter() - start < 2
+    assert info.value.needed > info.value.cap == CAPS["pieces"]

@@ -323,9 +323,8 @@ def terms(draw, sort, size):
     ops = [draw(st.sampled_from(kind)) for _ in range(n - 1)]
     if sort == VG and kind == "*":
         # one factor, first or second, may be any term; the others are literals
-        # (nonnegative: the parser reads -3 as a negation, not a literal)
         at = draw(st.integers(0, 1))
-        args = [a if i == at else IntLit(draw(st.integers(0, 3)), VG)
+        args = [a if i == at else IntLit(draw(st.integers(-3, 3)), VG)
                 for i, a in enumerate(args)]
         return rebuild_left(args, ops)
     if draw(st.booleans()):
@@ -400,12 +399,15 @@ ANY_SORT = st.sampled_from([RES(1), RES(2), VG, VF]).flatmap(lambda s: terms(s, 
 @given(ANY_SORT)
 def test_chains_print_and_parse(t):
     # the printed text is a fixed point of parse . print, and without
-    # negative literals (read back as negations) the parse is the tree
+    # negative literals (read back as negations) or integral rational ones
+    # (read back as integers) the parse is the tree
     f = Eq(t, Var(NAMES[t.sort()], t.sort()))
     text = formula_str(f)
     g = parse_formula(text, SORTS)
     assert formula_str(g) == text
-    if not any(isinstance(u, (IntLit, RatLit)) and u.value < 0 for u in walk(t)):
+    if not any(isinstance(u, (IntLit, RatLit))
+               and (u.value < 0 or isinstance(u, RatLit) and u.value.denominator == 1)
+               for u in walk(t)):
         assert g == f
 
 

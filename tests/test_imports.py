@@ -2,8 +2,10 @@
 is used, no package module reaches into another one's private
 (underscore) names, every ``lru_cache`` of the package wraps a
 module-level function, every public name and public method of the
-package has a caller outside the tests, and every name the benchmark's
-tracing shim pins exists."""
+package has a caller outside the tests, every name the benchmark's
+tracing shim pins exists, and resource limits have one path: no
+function takes a ``cap`` parameter and only ``CapExceeded.check``
+constructs ``CapExceeded``."""
 
 import ast
 from collections import Counter
@@ -302,3 +304,57 @@ def test_names_the_tracing_shim_pins_exist():
             missing.append(f"{owner} {attr}")
     assert not missing, "names the tracing shim pins are gone:\n" + \
         "\n".join(missing)
+
+
+# ---------------------------------------------------------------------------
+# resource limits: one table and one check, no cap threaded through calls
+
+
+def cap_sites(source: str) -> tuple:
+    """([(line, function)] for each parameter named ``cap`` of a function
+    or lambda, [(line, enclosing definitions)] for each ``CapExceeded(...)``
+    call, the definitions joined by dots)."""
+    params, builds = [], []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, FUNCTIONS + (ast.Lambda,)):
+                a = child.args
+                name = getattr(child, "name", "lambda")
+                params.extend((child.lineno, name)
+                              for arg in a.posonlyargs + a.args + a.kwonlyargs
+                              + [a.vararg, a.kwarg]
+                              if arg is not None and arg.arg == "cap")
+            if isinstance(child, DEFINITIONS):
+                inner = f"{where}.{child.name}" if where else child.name
+            if isinstance(child, ast.Call) and "CapExceeded" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                builds.append((child.lineno, where))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return params, builds
+
+
+def test_cap_sites_are_detected():
+    src = ("class CapExceeded(Exception):\n"
+           "    @staticmethod\n"
+           "    def check(n):\n"
+           "        raise CapExceeded(n)\n"
+           "def f(x, *, cap=None):\n"
+           "    g = lambda env, cap: errors.CapExceeded.check(cap)\n"
+           "    raise errors.CapExceeded('x')\n")
+    assert cap_sites(src) == ([(5, "f"), (6, "lambda")],
+                              [(4, "CapExceeded.check"), (7, "f")])
+
+
+def test_one_cap_check_and_no_cap_parameters():
+    params, builds = [], []
+    for path in PACKAGE:
+        found = cap_sites(path.read_text())
+        params += [f"{path.name}:{line}: {name}" for line, name in found[0]]
+        builds += [f"{path.name}: {where}" for _, where in found[1]]
+    assert not params, "functions with a cap parameter:\n" + "\n".join(params)
+    assert builds == ["errors.py: CapExceeded.check"], builds

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motint import padic
-from motint.errors import CapExceeded, MotintError, SortError
+from motint.errors import CapExceeded, MotintError, SortError, points_cap
 from motint.formula import RES, VF, VG, parse_formula
 from motint.padic import (
     GaloisRing, GRElem, PadicElem, PContext, compiled, count_points,
@@ -60,8 +60,8 @@ def test_enumeration_order_and_cap():
     seq = [e.coeffs for e in ring.elements()]
     assert seq == [(0, 0), (0, 1), (1, 0), (1, 1)]
     big = GaloisRing(2, 10, 3, default_modulus(2, 3))
-    with pytest.raises(CapExceeded) as ei:
-        list(big.elements(cap=1000))
+    with points_cap(1000), pytest.raises(CapExceeded) as ei:
+        list(big.elements())
     assert ei.value.needed == 2 ** 30
     assert ei.value.cap == 1000
 
@@ -118,14 +118,15 @@ def test_count_residue_square_zero():
 
 def test_count_cap():
     f = parse_formula("x = x", defaults={"x": RES(4)})
-    with pytest.raises(CapExceeded):
-        count_points(f, PContext(2, 1), cap=10)
+    with points_cap(10), pytest.raises(CapExceeded):
+        count_points(f, PContext(2, 1))
     # the cap applies to the whole box, not to each coordinate
     g = parse_formula("x = y", defaults={"x": RES(2), "y": RES(2)})
-    with pytest.raises(CapExceeded) as ei:
-        count_points(g, PContext(2, 1), cap=10)
+    with points_cap(10), pytest.raises(CapExceeded) as ei:
+        count_points(g, PContext(2, 1))
     assert (ei.value.needed, ei.value.cap) == (4 * 4, 10)
-    assert count_points(g, PContext(2, 1), cap=16) == 4
+    with points_cap(16):
+        assert count_points(g, PContext(2, 1)) == 4
     # only residue variables are enumerated
     h = parse_formula("x^2 = 0 && 0 <= n", defaults={"x": RES(2), "n": VG})
     with pytest.raises(SortError):

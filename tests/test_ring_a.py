@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from motint import polynomials as P
 from motint import ring_a as R
-from motint.errors import CapExceeded, NotInA, ParseError, QOutOfRange
+from motint.errors import CAPS, CapExceeded, NotInA, ParseError, QOutOfRange
 from motint.ring_a import (
-    ARat, L, L_pow, MAX_DEGREE, ONE, ZERO, _reduce, _split_of, arat,
+    ARat, L, L_pow, ONE, ZERO, _reduce, _split_of, arat,
     fraction_from_json, from_int, from_rational, fsum, in_a, is_nonneg,
     lax, parse_ratfunc, theta,
 )
@@ -192,13 +192,14 @@ def test_parse_ratfunc_long_literals_are_parse_errors():
 
 def test_parse_ratfunc_caps_the_degree_of_a_power():
     # checked before the power is taken, so a huge exponent fails at once
+    max_degree = CAPS["degree"]
     for text, degree in (("L^99999999", 99999999), ("L^-99999999", 99999999),
                          ("(L^2 + 1)^30000", 60000),
-                         (f"1/L^{MAX_DEGREE + 1}", MAX_DEGREE + 1)):
+                         (f"1/L^{max_degree + 1}", max_degree + 1)):
         with pytest.raises(CapExceeded) as info:
             parse_ratfunc(text)
-        assert (info.value.needed, info.value.cap) == (degree, MAX_DEGREE)
-    assert parse_ratfunc(f"L^{MAX_DEGREE}") == L_pow(MAX_DEGREE)
+        assert (info.value.needed, info.value.cap) == (degree, max_degree)
+    assert parse_ratfunc(f"L^{max_degree}") == L_pow(max_degree)
     # a constant has degree 0, whatever its size
     assert parse_ratfunc("2^20000") == from_int(2 ** 20000)
 

@@ -11,7 +11,8 @@ from motint import ring_a as R
 from motint.cells import AffineForm, PCell, VarCell, universe
 from motint.cplus import MotFun, is_equal, normal_form, specialize
 from motint.errors import (CapExceeded, FrameMismatch, MotintError,
-                           NonGeometricFamily, ParseError, UnsupportedH)
+                           NonGeometricFamily, ParseError, UnsupportedH,
+                           points_cap)
 from motint.padic import PContext, rational_ord
 from motint.presburger import PFun, PTerm
 from motint.vfint import integrate_iterated
@@ -73,11 +74,12 @@ def test_power_expansion_checked_against_cap():
     # each product of an a-term and a b-term polynomial is checked against
     # the cap before it is built, so a short H cannot run for minutes
     start = time.perf_counter()
-    with pytest.raises(CapExceeded) as info:
-        parse_poly("(x + y + z + w)^40", cap=10_000)
+    with points_cap(10_000), pytest.raises(CapExceeded) as info:
+        parse_poly("(x + y + z + w)^40")
     assert time.perf_counter() - start < 1
     assert info.value.needed > info.value.cap == 10_000
-    assert len(parse_poly("(x + y + z + w)^4", cap=10_000).terms) == 35
+    with points_cap(10_000):
+        assert len(parse_poly("(x + y + z + w)^4").terms) == 35
 
 
 def test_parse_term_grammar():
@@ -481,37 +483,38 @@ def test_zprime_volumes_bounded():
 
 
 def test_zprime_cap_enumerate():
-    with pytest.raises(CapExceeded) as ei:
-        zprime_count("x*y", 2, 1, 5, cap=100, method="enumerate")
+    with points_cap(100), pytest.raises(CapExceeded) as ei:
+        zprime_count("x*y", 2, 1, 5, method="enumerate")
     err = ei.value
     assert err.needed > err.cap == 100
     assert "i_max is 2" in str(err)
-    with pytest.raises(CapExceeded) as ei:
-        zprime_count("x*y", 2, 1, 3, cap=2, method="enumerate")
+    with points_cap(2), pytest.raises(CapExceeded) as ei:
+        zprime_count("x*y", 2, 1, 3, method="enumerate")
     assert (ei.value.needed, ei.value.cap) == (4, 2)
     assert "no i_max fits under the cap" in str(ei.value)
     assert "-1" not in str(ei.value)
-    with pytest.raises(CapExceeded) as ei:
-        zprime_count("1/2*x*y", 2, 1, 3, cap=100, method="enumerate")
+    with points_cap(100), pytest.raises(CapExceeded) as ei:
+        zprime_count("1/2*x*y", 2, 1, 3, method="enumerate")
     assert "i_max is 1" in str(ei.value)
 
 
 def test_zprime_cap_cylinder():
     # the Hensel step resolves the smooth classes of x*y, leaving one
     # frontier class per level, so the squares are what exceeds the cap
-    vols = zprime_count("x*y", 2, 1, 40, cap=300, method="cylinder").values
+    with points_cap(300):
+        vols = zprime_count("x*y", 2, 1, 40, method="cylinder").values
     assert vols == tuple(Fraction(i + 1, 2 ** (i + 2)) for i in range(41))
-    with pytest.raises(CapExceeded) as ei:
-        zprime_count("x^2*y^2", 2, 1, 40, cap=300, method="cylinder")
+    with points_cap(300), pytest.raises(CapExceeded) as ei:
+        zprime_count("x^2*y^2", 2, 1, 40, method="cylinder")
     assert ei.value.cap == 300
     assert "feasible i_max" in str(ei.value)
-    with pytest.raises(CapExceeded) as ei:
-        zprime_count("x*y", 2, 1, 3, cap=2, method="cylinder")
+    with points_cap(2), pytest.raises(CapExceeded) as ei:
+        zprime_count("x*y", 2, 1, 3, method="cylinder")
     assert (ei.value.needed, ei.value.cap) == (4, 2)
     assert "no i_max fits under the cap" in str(ei.value)
     assert "-1" not in str(ei.value)
-    with pytest.raises(CapExceeded) as ei:
-        zprime_count("1/2*x^2*y^2", 2, 1, 3, cap=40, method="cylinder")
+    with points_cap(40), pytest.raises(CapExceeded) as ei:
+        zprime_count("1/2*x^2*y^2", 2, 1, 3, method="cylinder")
     assert "largest feasible i_max is 0" in str(ei.value)
 
 
