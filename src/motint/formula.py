@@ -19,7 +19,7 @@ integer literal holds a cell until the end of the parse, and each
 operator and comparison unifies the cells of its operands.  The printer
 emits a canonical form on which print . parse is the identity.
 
-Traversal: _children and _rebuild are the only code that reads the fields
+Traversal: _CHILDREN and _REBUILD are the only code that reads the fields
 of a node to visit it, and terms are visited only by loops with an
 explicit stack, so a term of any length is read without recursion: walk,
 the pre-order walk over every node, and fold, the post-order fold, in
@@ -30,15 +30,25 @@ map_formula are tables over fold, and so are the term compilers of padic,
 vfint and zeta.  walk ignores binders.  free_vars skips variables bound
 above them, map_formula leaves a quantifier that binds the named variable
 as it is, and substitute renames a bound variable that would capture.
+
+Interning: a node is built through one table that maps the key (type,
+*fields), children compared by identity, to the live node of that value,
+so equal nodes are one object, == is `is`, and the hash is the identity
+hash: neither reads a field, on a term of any length (the parser's drafts
+alone are built outside it, and never leave the parse).  The table holds
+its nodes weakly, so a node lives as long as its users do, and it has no
+cache_clear: emptied under live nodes, it would give one value two
+objects.  free_vars and frame_of are caches keyed by node.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain as _join
-from operator import is_
 from typing import Iterator, Mapping, Optional
 
 from .errors import MotintError, ParseError, SortError
@@ -71,8 +81,30 @@ def RES(n: int) -> Sort:
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
-class Term:
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_raw = type.__call__                 # a node outside the table: a parser draft
+
+
+class _Interned(type):
+    """Metaclass of the nodes: one live node per key (type, *fields)."""
+
+    def __call__(cls, *values):
+        key = (cls, *values)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = _raw(cls, *values)
+        return node
+
+
+def _reduce(node):
+    """copy and pickle rebuild a node through the table, so a copy is it."""
+    return type(node), tuple(getattr(node, f.name) for f in fields(node))
+
+
+@dataclass(frozen=True, eq=False)
+class Term(metaclass=_Interned):
+    __reduce__ = _reduce
+
     def sort(self) -> Sort:
         """+ - * ^ and negation take the sort of their first leaf, found
         by one loop down the left spine; other nodes have their own."""
@@ -84,7 +116,7 @@ class Term:
         return t.sort()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     name: str
     var_sort: Sort
@@ -93,7 +125,7 @@ class Var(Term):
         return self.var_sort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntLit(Term):
     value: int
     lit_sort: Sort
@@ -102,7 +134,7 @@ class IntLit(Term):
         return self.lit_sort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatLit(Term):
     """Exact rational constant in the valued field."""
     value: Fraction
@@ -111,7 +143,7 @@ class RatLit(Term):
         return VF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pi(Term):
     """The uniformizer."""
 
@@ -119,25 +151,25 @@ class Pi(Term):
         return VF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinOp(Term):
     op: str                # "+" | "-" | "*"
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Term):
     base: Term
     exp: int               # exp >= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ord(Term):
     arg: Term              # vf
 
@@ -145,7 +177,7 @@ class Ord(Term):
         return VG
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ac(Term):
     depth: int
     arg: Term              # vf
@@ -154,7 +186,7 @@ class Ac(Term):
         return RES(self.depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Proj(Term):
     src: int
     dst: int               # dst <= src
@@ -167,17 +199,17 @@ class Proj(Term):
 # ---------------------------------------------------------------------------
 # formulas
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+@dataclass(frozen=True, eq=False)
+class Formula(metaclass=_Interned):
+    __reduce__ = _reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FalseF(Formula):
     pass
 
@@ -186,20 +218,20 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Le(Formula):
     """left <= right on the value group."""
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cong(Formula):
     """left = right mod modulus, on the value group."""
     left: Term
@@ -207,28 +239,22 @@ class Cong(Formula):
     modulus: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     parts: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     parts: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quant(Formula):
     q: str                 # "exists" | "forall"
     var: Var               # res or vg sort
@@ -306,15 +332,6 @@ _REBUILD = {
     Cong: lambda x, k: Cong(k[0], k[1], x.modulus),
     Quant: lambda x, k: Quant(x.q, x.var, *k),
 }
-
-
-def _children(x) -> tuple:
-    get = _CHILDREN.get(type(x))
-    return () if get is None else get(x)
-
-
-def _rebuild(x, kids):
-    return _REBUILD[type(x)](x, kids)
 
 
 def _chain(t: BinOp) -> tuple:
@@ -408,14 +425,12 @@ def fold(x, table: Mapping, enter=None):
 
 
 def _remap(u, vals, *chain):
-    """u, or u rebuilt from its children's values if one is new."""
+    """u rebuilt from its children's values: u itself when none is new,
+    since a node is interned."""
     if not chain:
-        return u if all(map(is_, vals, _children(u))) else _rebuild(u, vals)
-    spine, args = chain
-    if all(map(is_, vals, args)):
-        return u
+        return _REBUILD[type(u)](u, vals) if vals else u
     out = vals[0]
-    for s, v in zip(spine, vals[1:]):
+    for s, v in zip(chain[0], vals[1:]):
         out = BinOp(s.op, out, v)
     return out
 
@@ -434,10 +449,12 @@ _FREE = {
 }
 
 
-def free_vars(x) -> list:
+@lru_cache(maxsize=4096)
+def free_vars(x) -> tuple:
     """Free variables of a term or formula in first-appearance order, as
-    Var (name and sort)."""
-    return list(dict.fromkeys(fold(x, _FREE)))
+    Var (name and sort), folded once per node while the cache holds it:
+    4,096 nodes, least recently used first out, until ``cache_clear()``."""
+    return tuple(dict.fromkeys(fold(x, _FREE)))
 
 
 def map_formula(f: Formula, fn, name: str | None = None) -> Formula:
@@ -453,7 +470,9 @@ def map_formula(f: Formula, fn, name: str | None = None) -> Formula:
     return fold(f, _REMAP, enter)
 
 
+@lru_cache(maxsize=4096)
 def frame_of(f: Formula) -> Frame:
+    """The free variables of f by sort, cached like free_vars."""
     fv = free_vars(f)
     return Frame(tuple(v.name for v in fv if v.var_sort == VF),
                  tuple((v.name, v.var_sort.depth) for v in fv if v.var_sort.kind == "res"),
@@ -752,13 +771,11 @@ def _cell(t: Term) -> _Cell:
     return s if isinstance(s, _Cell) else _Cell(s)
 
 
-_LEAF_SORT = {Var: "var_sort", IntLit: "lit_sort"}   # where a leaf keeps its cell
-
-
 class _Parser:
-    """Recursive descent straight to Term and Formula nodes.  Until resolve,
-    a Var holds its variable's _Cell as var_sort and an IntLit a fresh
-    _Cell as lit_sort; resolve writes the inferred sorts in place."""
+    """Recursive descent straight to draft nodes, built by _raw outside the
+    intern table: until resolve, a Var holds its variable's _Cell as
+    var_sort and an IntLit a fresh _Cell as lit_sort.  resolve rebuilds
+    every draft through the table, with the inferred sorts."""
 
     def __init__(self, text: str, defaults: Mapping[str, Sort] | None, default_sort: Sort | None):
         self.lx = _Lexer(text)
@@ -794,27 +811,27 @@ class _Parser:
             return n
         if t == "-":
             self.lx.take()
-            return Neg(self.primary_pow())
+            return _raw(Neg, self.primary_pow())
         if t == "pi":
             self.lx.take()
             return Pi()
         if t == "ord":
             self.lx.take()
-            return Ord(self.argument(VF))
+            return _raw(Ord, self.argument(VF))
         m = _AC.match(t)
         if m:
             self.lx.take()
             depth = _int(m.group(1))
             arg = self.argument(VF)
             RES(depth)     # rejects depth 0 here, before anything after it
-            return Ac(depth, arg)
+            return _raw(Ac, depth, arg)
         m = _PROJ.match(t)
         if m:
             self.lx.take()
             src, dst = _int(m.group(1)), _int(m.group(2))
             if not (1 <= dst <= src):
                 raise ParseError(f"bad projection proj_{src}_{dst}")
-            return Proj(src, dst, self.argument(RES(src)))
+            return _raw(Proj, src, dst, self.argument(RES(src)))
         if t.isdigit():
             self.lx.take()
             if self.lx.peek() == "/" and self.lx.peek(1).isdigit():
@@ -823,10 +840,10 @@ class _Parser:
                 if den == 0:
                     raise ParseError("rational literal with zero denominator")
                 return RatLit(Fraction(_int(t), den))
-            return IntLit(_int(t), _Cell())
+            return _raw(IntLit, _int(t), _Cell())
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t) and t not in _KEYWORDS:
             self.lx.take()
-            return Var(t, self.var_cell(t))
+            return _raw(Var, t, self.var_cell(t))
         raise ParseError(f"unexpected token {t!r} in term")
 
     def primary_pow(self) -> Term:
@@ -839,7 +856,7 @@ class _Parser:
             exp = _int(e)
             if exp < 1:
                 raise ParseError("power exponent must be >= 1")
-            n = Pow(n, exp)
+            n = _raw(Pow, n, exp)
         return n
 
     def chain(self, ops: tuple, operand) -> Term:
@@ -852,7 +869,7 @@ class _Parser:
             rhs = operand()
             cell = cell or _cell(n)
             _unify(cell, _cell(rhs))
-            n = BinOp(op, n, rhs)
+            n = _raw(BinOp, op, n, rhs)
         return n
 
     def mul_term(self) -> Term:
@@ -893,29 +910,29 @@ class _Parser:
                     raise ParseError(f"positive modulus expected, found {m!r}")
                 _set(_cell(left), VG)
                 _set(_cell(right), VG)
-                a = Cong(left, right, _int(m))
+                a = _raw(Cong, left, right, _int(m))
             else:
                 _unify(_cell(left), _cell(right))
-                a = Eq(left, right)
-            return a if op == "=" else Not(a)
+                a = _raw(Eq, left, right)
+            return a if op == "=" else _raw(Not, a)
         _set(_cell(left), VG)
         _set(_cell(right), VG)
         if op in (">=", ">"):
             left, right = right, left
         if op in ("<=", ">="):
-            return Le(left, right)
+            return _raw(Le, left, right)
         # a < b on integers is a <= b - 1, folded when b is a literal
         if isinstance(right, IntLit):
-            return Le(left, IntLit(right.value - 1, VG))
+            return _raw(Le, left, _raw(IntLit, right.value - 1, VG))
         if isinstance(left, IntLit):
-            return Le(IntLit(left.value + 1, VG), right)
-        return Le(BinOp("+", left, IntLit(1, VG)), right)
+            return _raw(Le, _raw(IntLit, left.value + 1, VG), right)
+        return _raw(Le, _raw(BinOp, "+", left, _raw(IntLit, 1, VG)), right)
 
     def not_formula(self) -> Formula:
         t = self.lx.peek()
         if t == "!":
             self.lx.take()
-            return Not(self.not_formula())
+            return _raw(Not, self.not_formula())
         if t == "true":
             self.lx.take()
             return TRUE
@@ -969,14 +986,14 @@ class _Parser:
         self.env.append({name: _Cell(sort)})
         body = self.formula()
         self.env.pop()
-        return Quant(q, Var(name, sort), lo, hi, body)
+        return _raw(Quant, q, Var(name, sort), lo, hi, body)
 
     def connective(self, tok: str, cls, operand) -> Formula:
         parts = [operand()]
         while self.lx.peek() == tok:
             self.lx.take()
             parts.append(operand())
-        return parts[0] if len(parts) == 1 else cls(tuple(parts))
+        return parts[0] if len(parts) == 1 else _raw(cls, tuple(parts))
 
     def and_formula(self) -> Formula:
         return self.connective("&&", And, self.not_formula)
@@ -987,9 +1004,8 @@ class _Parser:
     # -- resolution ----------------------------------------------------------
     def resolve(self, out: Formula | Term) -> Formula | Term:
         """Finish a parse: reject trailing input, apply the defaults to open
-        free variables, give vg to open integer literals, and write every
-        sort into its leaf.  The leaves are fresh, so writing in place
-        changes no other tree."""
+        free variables, give vg to open integer literals, and rebuild the
+        drafts through the intern table, every leaf holding its sort."""
         if self.lx.peek() != "$":
             raise ParseError(f"trailing input: {self.lx.peek()!r}")
         for name, cell in self.free.items():
@@ -999,19 +1015,21 @@ class _Parser:
                     r.value = self.defaults[name]
                 elif self.default_sort is not None:
                     r.value = self.default_sort
-        leaves = []
         for x in walk(out):
-            field = _LEAF_SORT.get(type(x))
-            if field is not None and isinstance(getattr(x, field), _Cell):
-                leaves.append((x, field, getattr(x, field).find()))
-        for x, field, r in leaves:
-            if r.value is None and field == "lit_sort":
-                r.value = VG
-        for x, field, r in leaves:
-            if r.value is None:
+            if type(x) is IntLit and isinstance(x.lit_sort, _Cell):
+                r = x.lit_sort.find()
+                r.value = r.value or VG
+
+        def leaf(x):
+            if type(x) not in (Var, IntLit):
+                return None
+            sort = x.sort()
+            sort = sort.find().value if isinstance(sort, _Cell) else sort
+            if sort is None:
                 raise SortError(f"cannot infer a sort for {x.name!r}; "
                                 f"annotate via defaults or add context")
-            object.__setattr__(x, field, r.value)
+            return type(x)(x.name if type(x) is Var else x.value, sort)
+        out = fold(out, _REMAP, leaf)
         check_sorts(out)
         return out
 

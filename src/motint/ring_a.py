@@ -622,11 +622,11 @@ def _int(digits: str) -> int:
                          "long") from None
 
 
-def parse_ratfunc(text: str, strict: bool = True) -> ARat:
+def parse_ratfunc(text: str) -> ARat:
     """Parse an expression in L with +, -, *, /, ^ and parentheses.
 
-    Evaluation is exact; with strict=True the final value must lie in the
-    ring.  Intermediate values may leave it (e.g. "1/(L-2)*(L-2)" is fine).
+    Evaluation is exact, and the final value must lie in the ring.
+    Intermediate values may leave it (e.g. "1/(L-2)*(L-2)" is fine).
     A power past the degree cap is ``CapExceeded`` before it is taken;
     the powers the library takes itself are not limited.
     """
@@ -714,8 +714,7 @@ def parse_ratfunc(text: str, strict: bool = True) -> ARat:
                          "parse") from None
     if peek() != "$":
         raise ParseError(f"trailing input in ring expression: {peek()!r}")
-    if strict:
-        _require_in_a(out)
+    _require_in_a(out)
     return out
 
 

@@ -527,8 +527,7 @@ class _Rewriter:
 
 def _mini_res_atoms(m, out: list) -> None:
     if m[0] == "res":
-        key = F.formula_str(m[1])
-        if key not in [F.formula_str(g) for g in out]:
+        if m[1] not in out:
             out.append(m[1])
     elif m[0] in ("and", "or"):
         for part in m[1]:
@@ -545,7 +544,7 @@ def _mini_cells(m, sigma: dict, frame) -> list:
     if m[0] == "vg":
         return from_constraints(frame, [m[1]])
     if m[0] == "res":
-        return [universe(frame)] if sigma[F.formula_str(m[1])] else []
+        return [universe(frame)] if sigma[m[1]] else []
     if m[0] == "and":
         acc = [universe(frame)]
         for part in m[1]:
@@ -740,8 +739,7 @@ def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
 
             for sigma_bits in itertools.product(
                     (True, False), repeat=len(atoms)):
-                sigma = {F.formula_str(a): b
-                         for a, b in zip(atoms, sigma_bits)}
+                sigma = dict(zip(atoms, sigma_bits))
                 xi_parts = list(structural)
                 for a, b in zip(atoms, sigma_bits):
                     xi_parts.append(a if b else F.simplify(F.Not(a)))

@@ -110,6 +110,18 @@ def test_long_chain_equals_its_product(capsys, n):
         assert reports[0] == reports[1], argv[0]
 
 
+@pytest.mark.parametrize("n", [330, 3000, 20000])
+def test_long_residue_chain_gives_a_volume(capsys, n):
+    # a formula node hashes and compares without reading its fields, so
+    # the class of a long residue chain goes through the normal forms
+    chain = " + ".join(["ac_1(x)"] * n)
+    status, out, _ = run(capsys, "vol", "--cond",
+                         f"{chain} = 0 && ord(x) >= 0", "--order", "x",
+                         "--p", "3", "--json")
+    assert status == 0, out
+    assert json.loads(out)["value"]
+
+
 @pytest.fixture
 def digit_limit():
     """The interpreter's default int-to-string limit, 4,300 digits."""

@@ -1,7 +1,9 @@
 """Differential checks of the compiled evaluator on generated inputs.
 
 Residue formulas: ``count_points`` against a brute-force count written
-here with ``GRElem`` operators, which the compiled evaluator does not use.
+here with ``GRElem`` operators, which the compiled evaluator does not use,
+and ``qplus.count_class`` of the formula's normal form against
+``count_points``.
 Fragment conditions: a point satisfies the condition iff exactly one cell
 of its ``decompose_fragment`` decomposition holds it, and no cell holds it
 otherwise.  Failures that hypothesis found and shrank are kept below as
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from motint import formula as F
+from motint import qplus
 from motint.errors import NotIntegrable, OutsideFragment, SortError
 from motint.padic import (GaloisRing, PadicElem, PContext, compile_term,
                           count_points, eval_formula)
@@ -132,8 +135,8 @@ def res_formulas(draw, level, scope, size):
 
 
 @st.composite
-def residue_cases(draw):
-    p, d = draw(st.sampled_from(sorted(CONTEXTS)))
+def residue_cases(draw, grid=tuple(sorted(CONTEXTS))):
+    p, d = draw(st.sampled_from(grid))
     level = 1 if d >= 3 else draw(st.integers(1, 2))
     # two free variables only where the box stays small
     names = ("x", "y") if (p ** d) ** level <= 9 else ("x",)
@@ -157,6 +160,18 @@ def test_eval_formula_matches_grelem_brute_force_pointwise(case):
     for point in box_points(f, ctx):
         assert eval_formula(f, point, ctx) == brute_holds(f, point, ctx), (
             F.formula_str(f), point)
+
+
+@SETTINGS
+@given(residue_cases([(p, d) for p in (2, 3) for d in (1, 2)]))
+def test_class_normal_form_counts_like_the_formula(case):
+    # literals 0-10 are unreduced at p = 2 and 3, and the normal form's
+    # rewrites (simplify among them) must keep the count all the same;
+    # its sets, == and cache keys read the formulas by identity
+    f, ctx = case
+    rc = qplus.normal_form(qplus.from_formula(F.frame_of(f).res, f))
+    assert qplus.count_class(rc, ctx) == count_points(f, ctx), \
+        F.formula_str(f)
 
 
 def residue_operations(level):

@@ -1,4 +1,6 @@
+import copy
 from fractions import Fraction
+import pickle
 
 import pytest
 
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from motint.errors import ParseError, SortError
 from motint.formula import (
-    VF, VG, RES, Ac, And, BinOp, Cong, Eq, FALSE, IntLit, Le, Neg, Not,
-    Or, Ord, Pi, Pow, Proj, Quant, RatLit, TRUE, Var, check_sorts,
+    VF, VG, RES, Ac, And, BinOp, Cong, Eq, FALSE, Formula, IntLit, Le, Neg,
+    Not, Or, Ord, Pi, Pow, Proj, Quant, RatLit, TRUE, Term, Var, check_sorts,
     formula_str, frame_of, free_vars, land, lor, parse_formula,
     parse_term, simplify, substitute, term_str, walk,
 )
@@ -276,6 +278,71 @@ def test_long_chain_still_parses():
     f = parse_formula(f"ord({chain}) >= 0")
     assert formula_str(f).count("x") == 20000
     assert term_str(parse_term(chain, default_sort=VF)).count("x") == 20000
+
+
+# ---------------------------------------------------------------------------
+# interning: one object per value
+
+def one_of_each_node() -> list:
+    """One node of every node type, every field built afresh."""
+    x, r = Var("x", VF), Var("r", RES(2))
+    n, one = Var("n", VG), IntLit(1, VG)
+    eq = Eq(Ac(2, x), r)
+    return [x, one, RatLit(Fraction(1, 2)), Pi(), BinOp("+", x, Pi()),
+            Neg(x), Pow(x, 2), Ord(x), eq.left, Proj(2, 1, r), TRUE, FALSE, eq,
+            Le(one, Ord(x)), Cong(n, one, 3), Not(eq), And((eq, TRUE)),
+            Or((eq, FALSE)), Quant("exists", n, None, one, Le(n, Ord(x)))]
+
+
+def test_every_node_type_is_built_once_per_value():
+    node_types = {*Term.__subclasses__(), *Formula.__subclasses__()}
+    first, second = one_of_each_node(), one_of_each_node()
+    assert {type(u) for u in first} == node_types
+    for a, b in zip(first, second):
+        assert a is b, a
+        assert a == b and hash(a) == hash(b)
+        assert copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
+    assert Var("x", VF) != Var("x", VG) and IntLit(1, VG) != IntLit(2, VG)
+
+
+def test_parsing_the_same_text_twice_gives_the_same_object():
+    for text in ("ord(t - 1) >= 2 && ac_2(t - 1) = 3 && ord(t) <= 4",
+                 "exists s : res(1) . s*s = -proj_2_1(ac_2(t))^2",
+                 "forall n : vg in [0, k] . n = 0 mod 2 || n < k",
+                 "!(z < 3 && 2 < z) || ord(pi*t - 1/2) > z"):
+        f = parse_formula(text)
+        assert f is parse_formula(text)
+        # no draft node of the parser is left in the result
+        for u in walk(f):
+            assert copy.copy(u) is u and copy.copy(getattr(u, "var", u)) is \
+                getattr(u, "var", u), u
+    # a literal's sort is inferred, so the same text may give two values
+    assert parse_formula("x = 1", default_sort=VG) is not \
+        parse_formula("x = 1", default_sort=RES(1))
+
+
+def test_free_vars_are_computed_once_per_value():
+    text = "ac_2(x) = xi && ord(x) = z && exists s : res(1) . s = proj_2_1(xi)"
+    free_vars.cache_clear()
+    frame_of.cache_clear()
+    for _ in range(3):
+        assert frame_of(parse_formula(text)).res == (("xi", 2),)
+        assert [v.name for v in free_vars(parse_formula(text))] == ["x", "xi", "z"]
+    assert free_vars.cache_info().misses == frame_of.cache_info().misses == 1
+
+
+def test_hash_and_equality_on_a_long_chain_do_not_recurse():
+    # under the default recursion limit, a 20,000-term chain built twice
+    # is one object, and == and hash read no field of it
+    def chain(last):
+        t = Var("x", VF)
+        for _ in range(19998):
+            t = BinOp("+", t, Var("x", VF))
+        return Eq(BinOp("+", t, last), IntLit(0, VF))
+    a, b, c = chain(Var("x", VF)), chain(Var("x", VF)), chain(Pi())
+    assert a is b and a == b and hash(a) == hash(b)
+    assert a != c and {a: 1}.get(c) is None
+    assert parse_formula(formula_str(a), {"x": VF}) is a
 
 
 # ---------------------------------------------------------------------------

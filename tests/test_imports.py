@@ -3,9 +3,10 @@ is used, no package module reaches into another one's private
 (underscore) names, every ``lru_cache`` of the package wraps a
 module-level function, every public name and public method of the
 package has a caller outside the tests, every name the benchmark's
-tracing shim pins exists, and resource limits have one path: no
-function takes a ``cap`` parameter and only ``CapExceeded.check``
-constructs ``CapExceeded``."""
+tracing shim pins exists, resource limits have one path (no function
+takes a ``cap`` parameter and only ``CapExceeded.check`` constructs
+``CapExceeded``), and every formula node class is a frozen dataclass
+with identity equality that nothing writes after construction."""
 
 import ast
 from collections import Counter
@@ -358,3 +359,44 @@ def test_one_cap_check_and_no_cap_parameters():
         builds += [f"{path.name}: {where}" for _, where in found[1]]
     assert not params, "functions with a cap parameter:\n" + "\n".join(params)
     assert builds == ["errors.py: CapExceeded.check"], builds
+
+
+# ---------------------------------------------------------------------------
+# formula nodes: interned, so equality is identity and nothing writes a node
+
+
+def node_class_faults(source: str) -> list:
+    """(line, text) for each class of the source that is ``Term``,
+    ``Formula`` or derives from one of them and is not decorated
+    ``dataclass(frozen=True, eq=False)``, and for each call of
+    ``object.__setattr__``."""
+    tree = ast.parse(source)
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    nodes = {"Term", "Formula"}
+    for cls in classes:          # bases come before the classes they found
+        if any(isinstance(b, ast.Name) and b.id in nodes for b in cls.bases):
+            nodes.add(cls.name)
+    want = "dataclass(frozen=True, eq=False)"
+    found = [(cls.lineno, cls.name) for cls in classes if cls.name in nodes
+             and want not in map(ast.unparse, cls.decorator_list)]
+    return sorted(found + [(node.lineno, ast.unparse(node))
+                           for node in ast.walk(tree)
+                           if isinstance(node, ast.Call)
+                           and ast.unparse(node.func) == "object.__setattr__"])
+
+
+def test_node_class_faults_are_detected():
+    src = ("@dataclass(frozen=True, eq=False)\nclass Term:\n    pass\n"
+           "@dataclass(frozen=True)\nclass Formula:\n    pass\n"
+           "@dataclass(frozen=True, eq=False)\nclass Var(Term):\n    pass\n"
+           "class Eq(Formula):\n"
+           "    def __post_init__(self):\n"
+           "        object.__setattr__(self, 'left', 1)\n"
+           "@dataclass(frozen=True)\nclass Sort:\n    pass\n")
+    assert node_class_faults(src) == [
+        (5, "Formula"), (10, "Eq"), (12, "object.__setattr__(self, 'left', 1)")]
+
+
+def test_formula_nodes_are_frozen_identity_dataclasses():
+    source = (ROOT / "src" / "motint" / "formula.py").read_text()
+    assert not node_class_faults(source)
