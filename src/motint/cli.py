@@ -89,7 +89,7 @@ def _parse_weight(items) -> tuple:
         try:
             mult = int(parts[0])
             center = Fraction(parts[2])
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad weight numbers in {item!r}") from None
         out.append((mult, parts[1].strip(), center))
     return tuple(out)
@@ -240,7 +240,7 @@ def _integrate_common(args, weight) -> tuple:
     out = integrate_iterated(cond, order, ctx, weight=weight, strict=strict)
     report = {"condition": F.formula_str(cond), "order": list(order),
               "p": args.p, "d": args.d,
-              "weight": [[m, v, str(c)] for m, v, c in weight],
+              "weight": [[m, v, R.number_str(c)] for m, v, c in weight],
               "result": out.to_json(),
               "value": _fun_str(out.value) if out.integrable else None}
     lines = [f"value = {report['value']}" if out.integrable

@@ -253,39 +253,29 @@ def _scalar_split(rc: ResClass) -> tuple:
     items with all scalar content extracted, iterating until stable.
 
     Returns the tuple of items and the tuple of rewrite events the class
-    normal form recorded on the way.  Memoized on the class itself (equal
+    normal form recorded on the way, in a ``RewriteLog`` of its own.  Memoized on the class itself (equal
     classes share an entry), at most 1,024 entries, least recently used
     first out; ``_scalar_split.cache_clear()`` empties it."""
-    log = RewriteLog()
-    work = [(R.ONE, (), g) for g in class_normal_form(rc, log).gens]
-    out = []
-    while work:
-        coef0, ground0, gen = work.pop()
-        coef, ground, reduced = _extract_gen(gen)
-        coef = coef0 * coef
-        ground = ground0 + tuple(ground)
-        if reduced is None:
-            out.append((coef, ground, None))
-            continue
-        renorm = class_normal_form(ResClass((reduced,)), log)
-        if renorm.gens == (reduced,):
-            out.append((coef, ground, reduced))
-        else:
-            work.extend((coef, ground, g) for g in renorm.gens)
+    with RewriteLog() as log:
+        work = [(R.ONE, (), g) for g in class_normal_form(rc).gens]
+        out = []
+        while work:
+            coef0, ground0, gen = work.pop()
+            coef, ground, reduced = _extract_gen(gen)
+            coef = coef0 * coef
+            ground = ground0 + tuple(ground)
+            if reduced is None:
+                out.append((coef, ground, None))
+                continue
+            renorm = class_normal_form(ResClass((reduced,)))
+            if renorm.gens == (reduced,):
+                out.append((coef, ground, reduced))
+            else:
+                work.extend((coef, ground, g) for g in renorm.gens)
     return tuple(out), tuple(log.events)
 
 
-def _reduce_tensor(rc: ResClass, log: RewriteLog | None) -> tuple:
-    """The items of ``_scalar_split``; its events are replayed, in order,
-    into the log when one is given."""
-    items, events = _scalar_split(rc)
-    if log is not None:
-        for event in events:
-            log.record(*event)
-    return items
-
-
-def normal_form(a: MotFun, log: RewriteLog | None = None) -> MotFun:
+def normal_form(a: MotFun) -> MotFun:
     """Canonical presentation: residue classes normalized with scalar
     content (L-powers, torus factors, closed conjuncts) moved to the
     Presburger side, terms grouped by guard and class, pieces made
@@ -294,8 +284,8 @@ def normal_form(a: MotFun, log: RewriteLog | None = None) -> MotFun:
     The class side is memoized: each term's class is split by
     ``_scalar_split``, an LRU cache keyed on the ``ResClass`` with room
     for 1,024 classes, and the rewrite events recorded on its first split
-    are replayed into ``log`` on every call, so a log sees the same
-    events with a cold or a warm cache.  ``_scalar_split.cache_clear()``
+    are replayed into the open ``RewriteLog`` on every call, so a log
+    sees the same events with a cold or a warm cache.  ``_scalar_split.cache_clear()``
     empties it.
 
     The normal form is idempotent: ``normal_form(normal_form(a))`` equals
@@ -306,7 +296,9 @@ def normal_form(a: MotFun, log: RewriteLog | None = None) -> MotFun:
     forms, to answer them without normalizing."""
     buckets: dict = {}
     for t in a.terms:
-        for coef, ground, reduced in _reduce_tensor(t.rc, log):
+        items, events = _scalar_split(t.rc)
+        RewriteLog.replay(events)
+        for coef, ground, reduced in items:
             guard = F.simplify(F.land(t.guard, *ground))
             if isinstance(guard, F.FalseF):
                 continue
@@ -396,15 +388,12 @@ def _split_guard(guard: F.Formula, out_names: set):
     return F.land(*kept), F.land(*moved)
 
 
-def mu_vg_res(a: MotFun, vg_out=None, res_out=None,
-              log: RewriteLog | None = None) -> MotFun:
+def mu_vg_res(a: MotFun, vg_out, res_out) -> MotFun:
     """Sum over the named value-group variables (an innermost block) and
     the named residue parameters.  Value-group sums go through the exact
     Presburger engine and raise NotIntegrable on divergence; residue
     parameters move into the class side as fresh fiber variables."""
-    vg_out = tuple(a.vg_vars if vg_out is None else vg_out)
-    res_out = tuple(n for n, _ in a.res_vars) if res_out is None \
-        else tuple(res_out)
+    vg_out, res_out = tuple(vg_out), tuple(res_out)
     if vg_out and tuple(a.vg_vars[-len(vg_out):]) != vg_out:
         raise FrameMismatch(
             f"{vg_out} is not an innermost block of {a.vg_vars}")
@@ -427,4 +416,4 @@ def mu_vg_res(a: MotFun, vg_out=None, res_out=None,
             rc = rc * from_formula(out_vars, moved)
         terms.append(CTerm(guard, pf, rc))
     out = MotFun(kept_res, kept_vg, tuple(terms))
-    return normal_form(out, log)
+    return normal_form(out)

@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import chain as _join
 from typing import Iterator, Mapping, Optional
 
-from .errors import MotintError, ParseError, SortError
+from .errors import ParseError, SortError
 
 
 # ---------------------------------------------------------------------------
@@ -368,60 +368,46 @@ def fold(x, table: Mapping, enter=None):
     one node: table[BinOp](u, vals, spine, args) gets its top BinOp u, its
     operands args with their values vals, and its spine, the BinOps that
     join them.  A value enter(u) that is not None is u's, and u's children
-    are not visited; enter is not asked about inner BinOps.  Errors come
-    as pairwise evaluation from the left raises them: when operand j of a
-    chain raises a MotintError, the handler first runs on the operands
-    before j, and an error it raises wins."""
+    are not visited; enter is not asked about inner BinOps."""
     # the frame being filled: a node, its handler, the children to visit
     # from position i on, the values got and its chain; stack holds the rest
     node = h = chain = None
     kids, i, got = (x,), 0, []
     stack: list = []
     handler, children = table.get, _CHILDREN.get
-    try:
-        while True:
-            if i < len(kids):
-                u = kids[i]
-                i += 1
-                if u is None:
-                    got.append(None)
-                    continue
-                if enter is not None:
-                    v = enter(u)
-                    if v is not None:
-                        got.append(v)
-                        continue
-                cls = type(u)
-                hu = handler(cls)
-                if hu is None:
-                    raise SortError(f"no rule for a {cls.__name__} node here")
-                if cls is BinOp:
-                    uchain = _chain(u)
-                    ukids = uchain[1]
-                else:
-                    ukids = children(cls)
-                    if ukids is None:
-                        got.append(hu(u, ()))
-                        continue
-                    uchain, ukids = None, ukids(u)
-                stack.append((node, h, kids, i, got, chain))
-                node, h, kids, i, got, chain = u, hu, ukids, 0, [], uchain
+    while True:
+        if i < len(kids):
+            u = kids[i]
+            i += 1
+            if u is None:
+                got.append(None)
                 continue
-            if not stack:
-                return got[0]
-            v = h(node, got) if chain is None else h(node, got, *chain)
-            node, h, kids, i, got, chain = stack.pop()
-            got.append(v)
-    except MotintError as exc:
-        err = exc
-        for node, h, _, _, got, chain in [*stack, (node, h, kids, i, got, chain)][::-1]:
-            if chain is not None and len(got) > 1:
-                spine, args = chain
-                try:
-                    h(spine[len(got) - 2], got, spine[:len(got) - 1], args[:len(got)])
-                except MotintError as e:
-                    err = e
-        raise err
+            if enter is not None:
+                v = enter(u)
+                if v is not None:
+                    got.append(v)
+                    continue
+            cls = type(u)
+            hu = handler(cls)
+            if hu is None:
+                raise SortError(f"no rule for a {cls.__name__} node here")
+            if cls is BinOp:
+                uchain = _chain(u)
+                ukids = uchain[1]
+            else:
+                ukids = children(cls)
+                if ukids is None:
+                    got.append(hu(u, ()))
+                    continue
+                uchain, ukids = None, ukids(u)
+            stack.append((node, h, kids, i, got, chain))
+            node, h, kids, i, got, chain = u, hu, ukids, 0, [], uchain
+            continue
+        if not stack:
+            return got[0]
+        v = h(node, got) if chain is None else h(node, got, *chain)
+        node, h, kids, i, got, chain = stack.pop()
+        got.append(v)
 
 
 def _remap(u, vals, *chain):

@@ -13,11 +13,13 @@ The normal form applies counting-preserving rewrites:
   eq2  merging two generators that differ by one complemented conjunct
   eq3  eliminating a variable seen only through projections (or not at
        all), trading depth for powers of L
-Every applied rewrite can be logged for external auditing.
+Inside a ``with RewriteLog() as log:`` block every applied rewrite is
+recorded in ``log.events``, for external auditing.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -142,21 +144,40 @@ def _tensor(a: ResGen, b: ResGen) -> ResGen:
 # ---------------------------------------------------------------------------
 # rewrite log
 
+_LOG: ContextVar = ContextVar("rewrite log", default=None)
+
+
 @dataclass
 class RewriteLog:
+    """The rewrites applied inside ``with RewriteLog() as log:``, in order,
+    as (rule, before class, after class) events.  The open log is held in
+    a ``contextvars`` context; an inner block shadows an outer one until
+    it exits.  Outside every block nothing is recorded."""
     events: list = field(default_factory=list)
 
-    def record(self, rule: str, before: ResClass, after: ResClass) -> None:
-        self.events.append((rule, before, after))
+    def __enter__(self) -> RewriteLog:
+        self._token = _LOG.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _LOG.reset(self._token)
+
+    @staticmethod
+    def replay(events) -> None:
+        """Record the events, in order, into the open log, if any."""
+        log = _LOG.get()
+        if log is not None:
+            log.events.extend(events)
 
 
-def _log(log: RewriteLog | None, rule: str, before, after) -> None:
+def _log(rule: str, before, after) -> None:
+    log = _LOG.get()
     if log is not None:
         if isinstance(before, ResGen):
             before = ResClass((before,))
         if isinstance(after, ResGen):
             after = ResClass((after,))
-        log.record(rule, before, after)
+        log.events.append((rule, before, after))
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +215,14 @@ def _lower_projections(phi: F.Formula, name: str, dst: int) -> F.Formula:
     return F.map_formula(phi, lower, name)
 
 
-def _eq3_once(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
+def _eq3_once(gen: ResGen) -> ResGen | None:
     """One depth-reduction step, or None when no rule applies."""
     for name, depth in gen.vars:
         occs = _occurrences(gen.phi, name)
         if not occs:
             after = ResGen(tuple((n, d) for n, d in gen.vars if n != name),
                            gen.phi, gen.lpow + depth)
-            _log(log, "eq3", gen, after)
+            _log("eq3", gen, after)
             return after
         if "bare" in occs or depth == 1:
             continue
@@ -211,12 +232,12 @@ def _eq3_once(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
         phi2 = _lower_projections(gen.phi, name, top)
         after = ResGen(tuple((n, top if n == name else d) for n, d in gen.vars),
                        phi2, gen.lpow + (depth - top))
-        _log(log, "eq3", gen, after)
+        _log("eq3", gen, after)
         return after
     return None
 
 
-def _pin_once(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
+def _pin_once(gen: ResGen) -> ResGen | None:
     """Drop a variable pinned by a single graph conjunct.
 
     When some conjunct reads v = t with t not mentioning v and v occurring
@@ -240,7 +261,7 @@ def _pin_once(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
                 continue
             after = ResGen(tuple((n, d) for n, d in gen.vars if n != name),
                            F.land(*rest) if rest else F.TRUE, gen.lpow)
-            _log(log, "eq0", gen, after)
+            _log("eq0", gen, after)
             return after
     return None
 
@@ -282,17 +303,17 @@ def _components(gen: ResGen) -> list:
     return out, ground
 
 
-def _canonical_gen(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
+def _canonical_gen(gen: ResGen) -> ResGen | None:
     """Simplify, split into components, rename each canonically, reassemble
     sorted.  Returns None for a provably empty generator."""
     phi = F.simplify(gen.phi)
     if isinstance(phi, F.FalseF):
-        _log(log, "eq0", gen, ResClass(()))
+        _log("eq0", gen, ResClass(()))
         return None
     base = ResGen(gen.vars, phi, gen.lpow)
     comps, ground = _components(base)
     if any(isinstance(g, F.FalseF) for g in ground):
-        _log(log, "eq0", gen, ResClass(()))
+        _log("eq0", gen, ResClass(()))
         return None
     # closed conjuncts (e.g. quantified solvability conditions) are kept
     # as a variable-free component
@@ -332,7 +353,7 @@ def _canonical_gen(gen: ResGen, log: RewriteLog | None) -> ResGen | None:
     after = ResGen(tuple(new_vars), F.land(*new_parts) if new_parts else F.TRUE,
                    gen.lpow)
     if after != gen:
-        _log(log, "eq0", gen, after)
+        _log("eq0", gen, after)
     return after
 
 
@@ -343,7 +364,7 @@ def _complementary(a: F.Formula, b: F.Formula) -> bool:
     return F.simplify(F.Not(a)) == b or F.simplify(F.Not(b)) == a
 
 
-def _eq1_once(gen: ResGen, log: RewriteLog | None):
+def _eq1_once(gen: ResGen):
     parts = F.conjuncts(gen.phi)
     for i, p in enumerate(parts):
         if not isinstance(p, F.Or):
@@ -364,7 +385,7 @@ def _eq1_once(gen: ResGen, log: RewriteLog | None):
         rest = parts[:i] + parts[i + 1:]
         gens = tuple(ResGen(gen.vars, F.land(*(rest + (br,))), gen.lpow)
                      for br in branches)
-        _log(log, "eq1", gen, ResClass(gens))
+        _log("eq1", gen, ResClass(gens))
         return gens
     return None
 
@@ -410,13 +431,13 @@ def _merge_pair(a: ResGen, b: ResGen) -> ResGen | None:
     return None
 
 
-def _eq2_once(gens: list, log: RewriteLog | None):
+def _eq2_once(gens: list):
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             a, b = gens[i], gens[j]
             merged = _merge_pair(a, b)
             if merged is not None:
-                _log(log, "eq2", ResClass((a, b)), merged)
+                _log("eq2", ResClass((a, b)), merged)
                 return [g for k, g in enumerate(gens) if k not in (i, j)] + [merged]
     return None
 
@@ -424,7 +445,7 @@ def _eq2_once(gens: list, log: RewriteLog | None):
 # ---------------------------------------------------------------------------
 # the normal form
 
-def normal_form(rc: ResClass, log: RewriteLog | None = None) -> ResClass:
+def normal_form(rc: ResClass) -> ResClass:
     work = list(rc.gens)
     out = []
     while work:
@@ -433,17 +454,17 @@ def normal_form(rc: ResClass, log: RewriteLog | None = None) -> ResClass:
         changed = True
         while changed and g is not None:
             changed = False
-            step = _eq3_once(g, log)
+            step = _eq3_once(g)
             if step is not None:
                 g = step
                 changed = True
                 continue
-            step = _pin_once(g, log)
+            step = _pin_once(g)
             if step is not None:
                 g = step
                 changed = True
                 continue
-            canon = _canonical_gen(g, log)
+            canon = _canonical_gen(g)
             if canon is None:
                 g = None
                 break
@@ -451,7 +472,7 @@ def normal_form(rc: ResClass, log: RewriteLog | None = None) -> ResClass:
                 g = canon
                 changed = True
                 continue
-            split = _eq1_once(g, log)
+            split = _eq1_once(g)
             if split is not None:
                 work.extend(split)
                 g = None
@@ -459,11 +480,11 @@ def normal_form(rc: ResClass, log: RewriteLog | None = None) -> ResClass:
         if g is not None:
             out.append(g)
     while True:
-        merged = _eq2_once(out, log)
+        merged = _eq2_once(out)
         if merged is None:
             break
         # merged generators may expose further reductions
-        again = normal_form(ResClass((merged[-1],)), log)
+        again = normal_form(ResClass((merged[-1],)))
         out = merged[:-1] + list(again.gens)
     out.sort(key=lambda g: g.key())
     return ResClass(tuple(out))

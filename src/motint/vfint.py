@@ -835,8 +835,7 @@ def _cell_test(cell: VFCell, ctx: PContext):
 # integration
 
 
-def integrate_cell_family(dec: CellDecomposition, *,
-                          log=None) -> IntegrationResult:
+def integrate_cell_family(dec: CellDecomposition) -> IntegrationResult:
     """Integrate the values over the valued-field variable of a family.
 
     Each ball cell contributes sum over (z, xi) of value * L^(-z-depth);
@@ -869,12 +868,11 @@ def integrate_cell_family(dec: CellDecomposition, *,
                        (CTerm(cell.xi_phi, PFun(frame_vg, pieces),
                               unit_class()),))
         contribs.append(mu_vg_res(value * shell, vg_out=(cell.z_name,),
-                                  res_out=(cell.xi_name,), log=log))
+                                  res_out=(cell.xi_name,)))
     if len(contribs) == 1:
         return IntegrationResult(contribs[0], True, tuple(discarded))
     total = sum(contribs, MotFun.zero(dec.base_res, dec.base_vg))
-    return IntegrationResult(normal_form(total, log), True,
-                             tuple(discarded))
+    return IntegrationResult(normal_form(total), True, tuple(discarded))
 
 
 def _split_stages(cond: F.Formula, order) -> list:
@@ -894,7 +892,7 @@ def _split_stages(cond: F.Formula, order) -> list:
 
 
 def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
-                       weight=(), base_vg=(), log=None,
+                       weight=(), base_vg=(),
                        strict: bool = True) -> IntegrationResult:
     """Iterated integral over several valued-field variables.
 
@@ -908,7 +906,9 @@ def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
     L^(-mult*ord(var - center)), given as (mult, var, center) triples.
     A divergent integral raises ``NotIntegrable``; with ``strict=False``
     it gives a result with no value and the loci discarded before the
-    divergent family was reached.
+    divergent family was reached.  The class rewrites of the normal forms
+    on the way are recorded in the open ``qplus.RewriteLog``, if any.
+    A multiplier past the degree cap raises ``CapExceeded``.
     """
     order = tuple(order)
     if not order or len(set(order)) != len(order):
@@ -917,7 +917,8 @@ def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
     base_vg = tuple(base_vg)
     staged = _split_stages(cond, order)
     weight = tuple((int(m), v, Fraction(c)) for m, v, c in weight)
-    for _, v, _ in weight:
+    for m, v, _ in weight:
+        CapExceeded.check("degree", abs(m), "a weight multiplier")
         if v not in order:
             raise MotintError(f"weight variable {v} is not being integrated")
 
@@ -953,7 +954,7 @@ def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
             if idx + 1 < len(order):
                 val = val * stage(idx + 1, {**outer, var: rs}, ext_res, ext_vg)
             values.append(val)
-        out = integrate_cell_family(dec.with_values(values), log=log)
+        out = integrate_cell_family(dec.with_values(values))
         discarded.extend(out.discarded)
         return out.value
 

@@ -39,8 +39,8 @@ def full_sum(pf: PFun) -> R.ARat:
     return pf.eval_arat({})
 
 
-def integral(cond, order, ctx, weight=(), log=None):
-    out = integrate_iterated(cond, order, ctx, weight=weight, log=log)
+def integral(cond, order, ctx, weight=()):
+    out = integrate_iterated(cond, order, ctx, weight=weight)
     assert out.integrable
     return out.value
 
@@ -405,18 +405,18 @@ def _split_merge_classes():
 
 
 def test_criterion_6_rewrites_preserve_counting():
-    log = RewriteLog()
     rng = random.Random(606)
-    for _ in range(40):
-        qplus.normal_form(_random_class(rng), log)
-    for rc in _split_merge_classes():
-        qplus.normal_form(rc, log)
     integrable = [t for t in FRAGMENT_CORPUS[:10]
                   if t != "ac_2(t - 1) = 3 && ord(t - 1) <= 4"]
     integrable.append("ac_2(t - 1) = 3 && ord(t - 1) <= 4 && ord(t - 1) >= 0")
-    for text in integrable:
-        out = integrate_iterated(vf(text), ("t",), PContext(2, 1), log=log)
-        normal_form(out.value, log)
+    with RewriteLog() as log:
+        for _ in range(40):
+            qplus.normal_form(_random_class(rng))
+        for rc in _split_merge_classes():
+            qplus.normal_form(rc)
+        for text in integrable:
+            out = integrate_iterated(vf(text), ("t",), PContext(2, 1))
+            normal_form(out.value)
     seen = set()
     instances = []
     for rule, before, after in log.events:

@@ -405,6 +405,15 @@ def test_nonprime_p_rejected(capsys):
     assert "must be prime" in err
 
 
+def test_large_prime_p_is_a_cap_error(capsys):
+    # the primality test of p = 10^18 + 3 is immediate; counting its
+    # residue field is past the points cap
+    error = error_of(capsys, "count", "--formula", "x = 0", "--sorts",
+                     "x=res:1", "--p", "1000000000000000003")
+    assert (error["code"], error["needed"], error["cap"]) == \
+        ("CapExceeded", 10 ** 18 + 3, 10 ** 8)
+
+
 def test_threads_option_rejected(capsys):
     status, _, err = run(capsys, "count", "--formula", "x = 0",
                          "--threads", "2")
@@ -472,6 +481,22 @@ def test_integrate_bad_weight(capsys):
                          "--order", "t", "--weight", "t:1")
     assert status == 1
     assert "mult:var:center" in err
+
+
+def test_integrate_weight_out_of_contract_exit_1(capsys, digit_limit):
+    # a zero denominator, a center too long to print, and multipliers past
+    # the degree cap: the last two used to overflow or run for minutes
+    argv = ("integrate", "--cond", "ord(x) >= 0", "--order", "x", "--p", "2",
+            "--weight")
+    assert error_of(capsys, *argv, "1:x:1/0")["code"] == "ParseError"
+    for weight, needed, cap in (
+            ("1:x:1e5000", 5001, digit_limit),
+            ("99999999999999999999:x:0", 99999999999999999999,
+             CAPS["degree"]),
+            ("100000:x:0", 100000, CAPS["degree"])):
+        error = error_of(capsys, *argv, weight)
+        assert (error["code"], error["needed"], error["cap"]) == \
+            ("CapExceeded", needed, cap), weight
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,18 @@ def test_check_sorts_on_vg_products():
         check_sorts(Le(bad, IntLit(0, VG)))
 
 
+def test_check_sorts_reports_the_first_fault_in_fold_order():
+    # a + b + ord(c) with b and c of the value group has two faults: the
+    # fold reaches ord(c) before it joins the chain, so ord's error wins
+    a, d = Var("a", VF), Var("d", VF)
+    b, c = Var("b", VG), Var("c", VG)
+    with pytest.raises(SortError,
+                       match="^ord applies to valued-field terms$"):
+        check_sorts(Eq(BinOp("+", BinOp("+", a, b), Ord(c)), d))
+    with pytest.raises(SortError, match="operands of \\+ have sorts vf and vg"):
+        check_sorts(Eq(BinOp("+", BinOp("+", a, b), Ord(a)), d))
+
+
 def test_proj_validation():
     with pytest.raises(ParseError):
         parse_formula("proj_1_2(xi) = 0")

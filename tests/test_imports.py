@@ -308,13 +308,14 @@ def test_names_the_tracing_shim_pins_exist():
 
 
 # ---------------------------------------------------------------------------
-# resource limits: one table and one check, no cap threaded through calls
+# resource limits: one table and one check, no cap threaded through calls;
+# the rewrite log is a scope too, so no log is threaded through calls either
 
 
 def cap_sites(source: str) -> tuple:
-    """([(line, function)] for each parameter named ``cap`` of a function
-    or lambda, [(line, enclosing definitions)] for each ``CapExceeded(...)``
-    call, the definitions joined by dots)."""
+    """([(line, function)] for each parameter named ``cap`` or ``log`` of
+    a function or lambda, [(line, enclosing definitions)] for each
+    ``CapExceeded(...)`` call, the definitions joined by dots)."""
     params, builds = [], []
 
     def visit(node, where):
@@ -326,7 +327,7 @@ def cap_sites(source: str) -> tuple:
                 params.extend((child.lineno, name)
                               for arg in a.posonlyargs + a.args + a.kwonlyargs
                               + [a.vararg, a.kwarg]
-                              if arg is not None and arg.arg == "cap")
+                              if arg is not None and arg.arg in ("cap", "log"))
             if isinstance(child, DEFINITIONS):
                 inner = f"{where}.{child.name}" if where else child.name
             if isinstance(child, ast.Call) and "CapExceeded" in (
@@ -346,8 +347,11 @@ def test_cap_sites_are_detected():
            "        raise CapExceeded(n)\n"
            "def f(x, *, cap=None):\n"
            "    g = lambda env, cap: errors.CapExceeded.check(cap)\n"
-           "    raise errors.CapExceeded('x')\n")
-    assert cap_sites(src) == ([(5, "f"), (6, "lambda")],
+           "    raise errors.CapExceeded('x')\n"
+           "def normal_form(rc, log=None):\n"
+           "    return lambda log: rc\n")
+    assert cap_sites(src) == ([(5, "f"), (6, "lambda"), (8, "normal_form"),
+                               (9, "lambda")],
                               [(4, "CapExceeded.check"), (7, "f")])
 
 
@@ -357,7 +361,8 @@ def test_one_cap_check_and_no_cap_parameters():
         found = cap_sites(path.read_text())
         params += [f"{path.name}:{line}: {name}" for line, name in found[0]]
         builds += [f"{path.name}: {where}" for _, where in found[1]]
-    assert not params, "functions with a cap parameter:\n" + "\n".join(params)
+    assert not params, \
+        "functions with a cap or log parameter:\n" + "\n".join(params)
     assert builds == ["errors.py: CapExceeded.check"], builds
 
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +194,24 @@ def test_context_needs_prime_and_degree():
         zprime_count("x*y + 1", 4, 1, 2)
     assert [n for n in range(30) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_on_large_numbers():
+    # exact against trial division on small n; Miller-Rabin to the first
+    # 13 prime bases decides below 3.3 * 10^24, and past that bound the
+    # trial division it needs counts against the points cap
+    assert [n for n in range(-5, 5000) if is_prime(n)] == [
+        n for n in range(2, 5000) if all(n % k for k in range(2, n))]
+    assert is_prime(10 ** 18 + 3) and is_prime(1_000_000_007)
+    # strong pseudoprimes to the bases 2 to 23 and 2 to 37
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
+    with pytest.raises(CapExceeded) as info:
+        is_prime(2 ** 89 - 1)
+    assert info.value.needed == isqrt(2 ** 89 - 1) > info.value.cap
+    with points_cap(10):       # no trial division below the bound
+        assert is_prime(2 ** 40 + 15) and not is_prime(2 ** 40 + 17)
 
 
 def test_vol_ord_equals_two():

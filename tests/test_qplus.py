@@ -126,8 +126,8 @@ def test_eq2_merges_generators_on_the_same_variables():
     vars_ = (("x", 1), ("y", 1))
     rc = (from_formula(vars_, res_formula("x = 1 && x*y = 1", x=1, y=1))
           + from_formula(vars_, res_formula("x != 1 && x*y = 1", x=1, y=1)))
-    log = RewriteLog()
-    nf = normal_form(rc, log)
+    with RewriteLog() as log:
+        nf = normal_form(rc)
     assert "eq2" in [rule for rule, _, _ in log.events]
     assert [F.formula_str(g.phi) for g in nf.gens] == ["r1*r2 = 1"]
     for ctx, count in zip(GRID, (1, 2, 3, 8)):      # q - 1 units
@@ -191,19 +191,40 @@ def test_rewrite_log_preserves_counts():
         ("proj_2_1(x) = 1 && (exists x : res(2) . proj_2_1(x) = 0)", {"x": 2}),
         ("y = x + 1 && (exists y : res(1) . y * y = x)", {"x": 1, "y": 1}),
     ]
-    log = RewriteLog()
-    for text, sorts in texts:
-        phi = res_formula(text, **{k: v for k, v in sorts.items()})
-        vars_ = tuple((k, v) for k, v in sorts.items())
-        rc = from_formula(vars_, phi, lpow=rng.randint(-1, 2))
-        nf = normal_form(rc, log)
-        for ctx in GRID:
-            assert count_class(rc, ctx) == count_class(nf, ctx), (text, ctx.p)
+    with RewriteLog() as log:
+        for text, sorts in texts:
+            phi = res_formula(text, **{k: v for k, v in sorts.items()})
+            vars_ = tuple((k, v) for k, v in sorts.items())
+            rc = from_formula(vars_, phi, lpow=rng.randint(-1, 2))
+            nf = normal_form(rc)
+            for ctx in GRID:
+                assert count_class(rc, ctx) == count_class(nf, ctx), \
+                    (text, ctx.p)
     assert log.events
     for rule, before, after in log.events:
         for ctx in GRID:
             assert count_class(before, ctx) == count_class(after, ctx), \
                 f"{rule} changed the count at p={ctx.p}, d={ctx.d}"
+
+
+def test_rewrite_log_is_a_scope():
+    rc = from_formula((("x", 1),), res_formula("x = 0 || x != 0", x=1))
+    with RewriteLog() as outer:
+        normal_form(rc)
+        first = list(outer.events)
+        assert first
+        with RewriteLog() as inner:
+            normal_form(rc)
+        assert inner.events == first and outer.events == first
+        normal_form(rc)
+        assert outer.events == first + first
+    with pytest.raises(ZeroDivisionError):
+        with RewriteLog() as failed:
+            normal_form(rc)
+            1 / 0
+    normal_form(rc)              # no block is open: nothing records
+    assert failed.events == first and outer.events == first + first
+    assert inner.events == first
 
 
 def test_residue_literal_equality_holds_at_some_p():
