@@ -10,14 +10,15 @@ denominator in lowest terms, so equal forms are equal tuples and every
 bound, shift and comparison runs on ints.  A bound is compared with a
 point by scaling the coordinate, and form <= 0 holds exactly when its
 integer numerator is <= 0.  The rational coefficients stay readable
-through the Fraction accessors ``terms``, ``const``, ``coeff`` and
-``evaluate``:
+through the accessors ``terms``, ``const`` and ``evaluate``, which give
+Fractions, and ``coeff``, which gives an int for an integral coefficient
+and a Fraction otherwise:
 
 >>> f = AffineForm.make({"i": Fraction(1, 2), "j": -1}, Fraction(1, 3))
 >>> f.ints, f.cnum, f.den
 ((('i', 3), ('j', -6)), 2, 6)
->>> f.coeff("i"), f.const, f.evaluate({"i": 1, "j": 0})
-(Fraction(1, 2), Fraction(1, 3), Fraction(5, 6))
+>>> f.coeff("i"), f.coeff("j"), f.const, f.evaluate({"i": 1, "j": 0})
+(Fraction(1, 2), -1, Fraction(1, 3), Fraction(5, 6))
 >>> str(f), (f + f.scale(-1)).den
 ('1/2*i - j + 1/3', 1)
 
@@ -141,11 +142,14 @@ class AffineForm:
     def const(self) -> Fraction:
         return Fraction(self.cnum, self.den)
 
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str):
+        """The coefficient of name: an int when it is integral, else a
+        Fraction."""
         for n, k in self.ints:
             if n == name:
-                return Fraction(k, self.den)
-        return Fraction(0)
+                q, r = divmod(k, self.den)
+                return Fraction(k, self.den) if r else q
+        return 0
 
     def names(self) -> tuple:
         return tuple(n for n, _ in self.ints)

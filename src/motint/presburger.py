@@ -13,7 +13,13 @@ congruence class is reindexed as an arithmetic progression
 n = start + m*k, and ``progression`` expands the factor product in k;
 geometric directions then contribute Eulerian-polynomial closed forms
 (``eulerian``, shared with the zeta series), and flat directions
-Stirling/binomial closed forms.
+Stirling/binomial closed forms.  Slopes, products of slopes, class
+offsets and Faulhaber weights stay ints; a Fraction is made only where a
+denominator remains.  Two memo tables skip repeated work: ``_tail_coef``
+holds the coefficient of each geometric tail, which many branches
+share, and ``_theta`` holds theta_q of a term's coefficient, which every
+point reads.  Both are module-level ``lru_cache``s, so the benchmark
+clears them before every pass.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ class PTerm:
         """theta_q of the term at env as an unreduced integer pair
         (numerator, positive denominator)."""
         e = self._exponent(env)
-        val = R.theta(self.coef, q)
+        val = _theta(self.coef, q)
         num, den = self._factor_product(env)
         if type(q) is not int:
             q = Fraction(q)
@@ -225,6 +231,12 @@ class PFun:
             raise ParseError(f"malformed function JSON: {exc!r}") from None
 
 
+@lru_cache(maxsize=1024)
+def _theta(coef: ARat, q) -> Fraction:
+    """theta_q of a term's coefficient, the same at every point."""
+    return R.theta(coef, q)
+
+
 # ---------------------------------------------------------------------------
 # closed forms for one-variable sums
 
@@ -257,32 +269,48 @@ def _stirling2(t: int, j: int) -> int:
     return j * _stirling2(t - 1, j) + _stirling2(t - 1, j - 1)
 
 
+def _ratio(n: int, d: int):
+    """n / d: an int when d divides n, else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def progression(term: PTerm, var: str, start: AffineForm, m: int):
     """Expand the factor product of a term along n = start + m*k.
 
     Each factor a(n) becomes u + g*k with u = a(start).  Yields triples
     (t, g, rest), one per set of t factors taken in k, with g the product
     of their slopes and rest the values u of the other factors, so that
-    prod(factors) = sum of g * k^t * prod(rest) over the triples.
+    prod(factors) = sum of g * k^t * prod(rest) over the triples.  g is an
+    int when every slope in it is.
     """
     pairs = [(f.substitute(var, start), f.coeff(var) * m) for f in term.factors]
     growing = [i for i, (_, g) in enumerate(pairs) if g != 0]
     for size in range(len(growing) + 1):
         for S in combinations(growing, size):
-            gmul = Fraction(1)
+            gmul = 1
             for i in S:
                 gmul *= pairs[i][1]
             yield size, gmul, tuple(u for i, (u, _) in enumerate(pairs)
                                     if i not in S)
 
 
-def _tail_terms(term: PTerm, var: str, start: AffineForm, m: int, e: int):
-    """Terms for sum over n = start + m*k, k >= 0, of the given term;
-    e = (coefficient of var in lpow) * m < 0."""
+@lru_cache(maxsize=1024)
+def _tail_coef(coef: ARat, g, e: int, t: int) -> ARat:
+    """coef * g * sum_{k>=0} k^t L^(e*k); one value for many branches."""
+    return coef * R.from_rational(g) * _geom_power_sum(e, t)
+
+
+def _tail_terms(term: PTerm, var: str, start: AffineForm, m: int, e: int,
+                sign: int):
+    """Terms for sign * sum over n = start + m*k, k >= 0, of the given
+    term; e = (coefficient of var in lpow) * m < 0."""
     beta0 = term.lpow.substitute(var, start)
-    return [PTerm(term.coef * R.from_rational(g) * _geom_power_sum(e, t),
-                  beta0, rest)
-            for t, g, rest in progression(term, var, start, m)]
+    out = []
+    for t, g, rest in progression(term, var, start, m):
+        coef = _tail_coef(term.coef, g, e, t)
+        out.append(PTerm(coef if sign > 0 else -coef, beta0, rest))
+    return out
 
 
 def _flat_terms(term: PTerm, var: str, start: AffineForm, m: int,
@@ -297,7 +325,7 @@ def _flat_terms(term: PTerm, var: str, start: AffineForm, m: int,
             s2 = _stirling2(t, j)
             if s2 == 0:
                 continue
-            coef = term.coef * R.from_rational(g * Fraction(s2, j + 1))
+            coef = term.coef * R.from_rational(_ratio(g * s2, j + 1))
             falling = tuple(kmax.shift(1 - s) for s in range(j + 1))
             out.append(PTerm(coef, beta0, rest + falling))
     return out
@@ -309,8 +337,7 @@ def _flat_terms(term: PTerm, var: str, start: AffineForm, m: int,
 def _first_in_class(lo: AffineForm, d: int, val: int, m: int, res: int) -> AffineForm:
     """Smallest point >= lo in the class res mod m, given that d*lo is
     congruent to val modulo d*m on the branch."""
-    delta = Fraction((d * res - val) % (d * m), d)
-    return lo.shift(delta)
+    return lo.shift(_ratio((d * res - val) % (d * m), d))
 
 
 def _sum_cell_term(cell: PCell, term: PTerm, var: str):
@@ -350,7 +377,7 @@ def _sum_cell_term(cell: PCell, term: PTerm, var: str):
         out = []
         for pc, d, val in ensure_known_value_mod(prefix, slot.lo, m):
             n0 = _first_in_class(slot.lo, d, val, m, res)
-            out.append((pc, tuple(_tail_terms(term, var, n0, m, int(c * m)))))
+            out.append((pc, tuple(_tail_terms(term, var, n0, m, int(c * m), 1))))
         return out
 
     if c > 0:
@@ -367,16 +394,15 @@ def _sum_cell_term(cell: PCell, term: PTerm, var: str):
             # branch where the fiber is nonempty: n0 <= hi
             gap = n0 - slot.hi
             for pc3 in add_ineq(pc2, gap.numer()):
-                eps = Fraction((v2 - d2 * res) % (d2 * m), d2)
+                eps = _ratio((v2 - d2 * res) % (d2 * m), d2)
                 top = slot.hi.shift(-eps)   # last class point <= hi
                 if c < 0:
                     up = top.shift(m)       # first class point > hi
-                    terms = (_tail_terms(term, var, n0, m, int(c * m))
-                             + [t.scale(-R.ONE)
-                                for t in _tail_terms(term, var, up, m, int(c * m))])
+                    terms = (_tail_terms(term, var, n0, m, int(c * m), 1)
+                             + _tail_terms(term, var, up, m, int(c * m), -1))
                 else:
                     # flat direction: Faulhaber up to the class top
-                    kmax = (top - n0).scale(Fraction(1, m))
+                    kmax = (top - n0).scale(_ratio(1, m))
                     terms = _flat_terms(term, var, n0, m, kmax)
                 out.append((pc3, tuple(terms)))
     return out

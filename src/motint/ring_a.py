@@ -60,16 +60,29 @@ from . import polynomials as P
 def _cyclotomic_indices(n: int) -> tuple:
     """Every (j, phi(j)) with phi(j) <= n, by ascending j.
 
-    j is grown one prime at a time, as phi(p^a) = (p - 1) * p^(a - 1);
-    only primes p <= n + 1 take part."""
-    out = [(1, 1)] if n >= 1 else []
-    for p in range(2, n + 2):
-        if all(p % q for q in range(2, isqrt(p) + 1)):
-            for j, phi in list(out):
-                q, f = p, p - 1
-                while phi * f <= n:
-                    out.append((j * q, phi * f))
-                    q, f = q * p, f * p
+    j is grown depth first, one prime larger than its largest at a time,
+    as phi(p^a) = (p - 1) * p^(a - 1); the primes p <= n + 1 come from a
+    sieve of Eratosthenes, and a prime with phi * (p - 1) > n ends the
+    scan, as every later one does too."""
+    sieve = bytearray([1]) * (n + 2)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n + 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 2, p)))
+    primes = [p for p in range(2, n + 2) if sieve[p]]
+    out = []
+    stack = [(0, 1, 1)] if n >= 1 else []
+    while stack:
+        i, j, phi = stack.pop()
+        out.append((j, phi))
+        for k in range(i, len(primes)):
+            p = primes[k]
+            if phi * (p - 1) > n:
+                break
+            q, f = p, p - 1
+            while phi * f <= n:
+                stack.append((k + 1, j * q, phi * f))
+                q, f = q * p, f * p
     return tuple(sorted(out))
 
 
@@ -507,7 +520,10 @@ def from_int(k: int) -> ARat:
     return ARat(P.trim([int(k)]), (1,), _UNIT)
 
 
-def from_rational(q: Fraction) -> ARat:
+def from_rational(q) -> ARat:
+    """An int or a rational number as a constant."""
+    if type(q) is int:
+        return from_int(q)
     q = Fraction(q)
     if not q:
         return ZERO

@@ -292,7 +292,10 @@ SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 @st.composite
 def bounded_pfuns(draw):
     """Functions on 2-3 variables whose pieces have rational affine bounds
-    in the earlier variables, congruences, integer L-powers and factors."""
+    in the earlier variables, congruences, integer L-powers and factors.
+    A factor w/den with den 2 or 3 comes with the constant factor den, so
+    the product stays integral while slopes and Faulhaber weights in the
+    sums keep a denominator."""
     nvars = draw(st.integers(2, 3))
     names = ("x", "y", "z")[:nvars]
     slopes = (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1)
@@ -316,9 +319,11 @@ def bounded_pfuns(draw):
                                    draw(st.integers(-1, 1)))
             factors = ()
             if draw(st.booleans()):
-                factors = (AffineForm.make(
-                    {n: draw(st.integers(0, 1)) for n in names},
-                    draw(st.integers(0, 2))),)
+                w = AffineForm.make({n: draw(st.integers(0, 1)) for n in names},
+                                    draw(st.integers(0, 2)))
+                den = draw(st.sampled_from((1, 2, 3)))
+                factors = (w,) if den == 1 else (
+                    w.scale(Fraction(1, den)), AffineForm.const_form(den))
             terms.append(PTerm(draw(st.sampled_from(COEFS)), lpow, factors))
         pieces.append((PCell(names, tuple(tower)), tuple(terms)))
     return PFun(names, tuple(pieces))

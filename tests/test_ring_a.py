@@ -1,6 +1,7 @@
 import random
 from contextlib import nullcontext
 from fractions import Fraction
+from math import isqrt
 from unittest import mock
 
 import pytest
@@ -423,3 +424,25 @@ def test_monomial_product_matches_reduce(a, m):
     assert a * m == expected
     assert m * a == expected
     assert ZERO * m == m * ZERO == ZERO
+
+
+def _indices_by_trial_division(n: int) -> tuple:
+    """Every (j, phi(j)) with phi(j) <= n, growing j one prime p <= n + 1
+    at a time, each prime found by trial division."""
+    out = [(1, 1)] if n >= 1 else []
+    for p in range(2, n + 2):
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            for j, phi in list(out):
+                q, f = p, p - 1
+                while phi * f <= n:
+                    out.append((j * q, phi * f))
+                    q, f = q * p, f * p
+    return tuple(sorted(out))
+
+
+def test_cyclotomic_indices_match_trial_division():
+    # the indices for n are those for 3,000 with phi(j) <= n
+    ref = _indices_by_trial_division(3000)
+    indices = R._cyclotomic_indices.__wrapped__      # uncached
+    for n in [*range(64), *range(64, 3000, 97), 2999, 3000]:
+        assert indices(n) == tuple(x for x in ref if x[1] <= n), n
