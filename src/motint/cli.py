@@ -285,7 +285,8 @@ def _cmd_theta(args) -> tuple:
 
 
 def _cmd_zeta_motivic(args) -> tuple:
-    rs = zmot_monomial(parse_poly(args.H), p=args.p)
+    ctx = None if args.p is None else PContext(args.p, 1)
+    rs = zmot_monomial(parse_poly(args.H), ctx)
     report = {"h": args.H, "series": rs.to_json(), "display": str(rs)}
     return 0, report, [str(rs)]
 
@@ -312,7 +313,7 @@ def _cmd_verify_meuser(args) -> tuple:
 
     entries = []
     for p, d in grid:
-        rs = series if series is not None else zmot_monomial(h, p=p)
+        rs = series if series is not None else zmot_monomial(h, PContext(p, d))
         entries.append(verify_meuser(h, p, d, args.imax, series=rs,
                                      method=args.method))
     all_match = all(e["all_match"] for e in entries)

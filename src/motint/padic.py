@@ -21,6 +21,9 @@ tuples only.  Compiled objects live in one small bounded store keyed by
 identity, read through ``compiled``: ``eval_formula`` keeps its formula
 closures there, and ``vfint.cell_contains`` the membership test of each
 cell.  ``count_points`` compiles once and runs the closure over its box.
+
+``PContext.ord``, ``.ac`` and ``.mod`` are the only place the symbolic
+side (``vfint``, ``zeta``'s closed forms) reads a rational constant at p.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .polynomials import power
 
 
 # ---------------------------------------------------------------------------
-# integer and rational p-adic orders
+# primality, integer p-adic orders and residues
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -84,30 +87,12 @@ def vp_int(n: int, p: int) -> int:
     return v
 
 
-def rational_ord(c: Fraction, p: int):
-    """Order of a rational number; +inf for 0."""
-    c = Fraction(c)
-    if c == 0:
-        return inf
-    return vp_int(c.numerator, p) - vp_int(c.denominator, p)
-
-
-def rational_mod(c: Fraction, p: int, n: int) -> int:
-    """Reduce a rational with nonnegative order modulo p^n."""
-    c = Fraction(c)
+def _residue(c, p: int, n: int) -> int:
+    """An int or Fraction integral at p, reduced modulo p^n."""
     m = p ** n
     if c.denominator % p == 0:
-        raise ValueError(f"{c} is not integral at {p}")
+        raise MotintError(f"{c} is not integral at {p}")
     return c.numerator * pow(c.denominator, -1, m) % m
-
-
-def rational_ac(c: Fraction, p: int, n: int) -> int:
-    """Angular component of depth n: the unit part modulo p^n; ac(0) = 0."""
-    c = Fraction(c)
-    if c == 0:
-        return 0
-    v = rational_ord(c, p)
-    return rational_mod(c / Fraction(p) ** v, p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +232,7 @@ class GaloisRing:
         return self.make((k,))
 
     def from_rational(self, c: Fraction) -> "GRElem":
-        return self.make((rational_mod(c, self.p, self.level),))
+        return self.make((_residue(c, self.p, self.level),))
 
     def tuples(self):
         """The coefficient tuples of all elements, in lexicographic order;
@@ -459,7 +444,11 @@ class PadicElem:
 
 @dataclass(frozen=True)
 class PContext:
-    """A prime power: the degree-d unramified extension of Q_p."""
+    """A prime power: the degree-d unramified extension of Q_p.
+
+    ``ord``, ``ac`` and ``mod`` are the only place the symbolic side reads
+    a rational constant c at p: ord(c) (+inf at 0), ac_n(c) (0 at 0), and
+    c mod p^n (a ``MotintError`` when c is not integral at p)."""
 
     p: int
     d: int
@@ -490,6 +479,20 @@ class PContext:
         if isinstance(c, PadicElem):
             return c
         return PadicElem.exact(self.p, self.d, (c,), self.modulus)
+
+    def ord(self, c):
+        """The order of an int or Fraction c."""
+        if not c:
+            return inf
+        return vp_int(c.numerator, self.p) - vp_int(c.denominator, self.p)
+
+    def ac(self, c, n: int) -> int:
+        """The unit part of c modulo p^n."""
+        return self.mod(c / Fraction(self.p) ** self.ord(c), n) if c else 0
+
+    def mod(self, c, n: int) -> int:
+        """c modulo p^n, for c integral at p."""
+        return _residue(c, self.p, n)
 
 
 # ---------------------------------------------------------------------------

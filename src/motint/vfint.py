@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import inf
 
 from . import formula as F
@@ -35,8 +36,7 @@ from .cells import (AffineForm, from_constraints, intersect, subtract_many,
 from .errors import (CapExceeded, FrameMismatch, MotintError,
                      NotCellPresented, NotIntegrable, OutsideFragment,
                      SortError, ZeroDerivative)
-from .padic import (PContext, compile_formula, compiled, rational_ac,
-                    rational_mod, rational_ord)
+from .padic import PContext, compile_formula, compiled
 from .presburger import PFun, PTerm
 from .qplus import one as unit_class
 from .cplus import MotFun, CTerm, mu_vg_res, normal_form
@@ -226,9 +226,10 @@ def _affine_in(t: F.Term, var: str | None):
     return F.fold(t, _AFFINE, enter=leaf)
 
 
+@lru_cache(maxsize=4096)
 def _arg_of(t: F.Term):
-    """Read the argument of an Ord or Ac term as u*name + v, with name
-    None for a constant; (name, u, v) with u, v exact rationals."""
+    """The argument of an Ord or Ac term as (name, u, v), u*name + v with
+    u, v exact rationals and name None for a constant; cached by node."""
     names = list(dict.fromkeys(u.name for u in F.walk(t.arg)
                                if isinstance(u, F.Var) and u.var_sort == F.VF))
     if len(names) > 1:
@@ -242,9 +243,9 @@ def _arg_of(t: F.Term):
 # extended value-group values: an AffineForm, inf or -inf
 
 
-def _x_ord(c: Fraction, p: int):
+def _x_ord(c: Fraction, ctx: PContext):
     """The order of a rational constant as an extended order."""
-    o = rational_ord(c, p)
+    o = ctx.ord(c)
     return o if o == inf else AffineForm.const_form(o)
 
 
@@ -270,20 +271,20 @@ def _x_scale(a, c: Fraction):
 # ---------------------------------------------------------------------------
 # per-cell resolvers for ord(t - c) and ac_m(t - c)
 #
-# A resolver reads one variable on one cell: ord_of(center) gives
-# ord(t - center) as an extended order, ac_of(center, m) gives
-# ac_m(t - center) as a residue term.
+# A resolver holds the context and reads one variable on one cell:
+# ord_of(center) gives ord(t - center) as an extended order, and
+# ac_of(center, m) gives ac_m(t - center) as a residue term.
 
 
 class _BallResolver:
     def __init__(self, anchor: Fraction, depth: int, z_name: str,
-                 xi_name: str, links: tuple, p: int):
+                 xi_name: str, links: tuple, ctx: PContext):
         self.anchor = anchor
         self.depth = depth
         self.z_name = z_name
         self.xi_name = xi_name
         self.links = {c: (rel, d, zv) for c, rel, d, zv in links}
-        self.p = p
+        self.ctx = ctx
 
     def _xi(self, m: int) -> F.Term:
         v = F.Var(self.xi_name, F.RES(self.depth))
@@ -313,36 +314,32 @@ class _BallResolver:
         if center == self.anchor:
             return self._xi(m)
         rel, dist, zval = self._link(center)
-        diff = self.anchor - center
-        p = self.p
-        if rel == "below":
-            if zval is None or dist - zval >= m:
-                return self._xi(m)
-            r = rational_mod(diff / Fraction(p) ** zval, p, m)
-            return F.BinOp("+", self._xi(m), F.IntLit(r, F.RES(m)))
-        if rel == "at":
-            r = rational_mod(diff / Fraction(p) ** dist, p, m)
-            return F.BinOp("+", self._xi(m), F.IntLit(r, F.RES(m)))
+        if rel == "below" and (zval is None or dist - zval >= m):
+            return self._xi(m)
+        # read at the lower order of t - anchor and anchor - center
+        p = self.ctx.p
+        shift = zval if rel == "below" else dist
+        diff = (self.anchor - center) / Fraction(p) ** shift
+        r = F.IntLit(self.ctx.mod(diff, m), F.RES(m))
+        if rel != "above":
+            return F.BinOp("+", self._xi(m), r)
         # rel == "above": ord(t - center) = dist exactly
-        r = rational_mod(diff / Fraction(p) ** dist, p, m)
         if zval is None or zval - dist >= m:
-            return F.IntLit(r, F.RES(m))
-        scale = p ** (zval - dist)
-        return F.BinOp("+", F.IntLit(r, F.RES(m)),
-                       F.BinOp("*", F.IntLit(scale, F.RES(m)), self._xi(m)))
+            return r
+        scale = F.IntLit(p ** (zval - dist), F.RES(m))
+        return F.BinOp("+", r, F.BinOp("*", scale, self._xi(m)))
 
 
 class _PointResolver:
-    def __init__(self, center: Fraction, p: int):
+    def __init__(self, center: Fraction, ctx: PContext):
         self.center = center
-        self.p = p
+        self.ctx = ctx
 
     def ord_of(self, center: Fraction):
-        return _x_ord(self.center - center, self.p)
+        return _x_ord(self.center - center, self.ctx)
 
     def ac_of(self, center: Fraction, m: int) -> F.Term:
-        return F.IntLit(rational_ac(self.center - center, self.p, m),
-                        F.RES(m))
+        return F.IntLit(self.ctx.ac(self.center - center, m), F.RES(m))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +379,7 @@ _VG_FORM = {
 class _Rewriter:
     def __init__(self, resolvers: dict, ctx: PContext):
         self.rs = resolvers
-        self.p = ctx.p
+        self.ctx = ctx
 
     # -- terms ---------------------------------------------------------
 
@@ -402,16 +399,16 @@ class _Rewriter:
     def _resolve_ord(self, t: F.Ord):
         name, u, v = self._arg(t)
         if name is None:
-            return _x_ord(v, self.p)
-        return _x_add(self.rs[name].ord_of(-v / u), _x_ord(u, self.p))
+            return _x_ord(v, self.ctx)
+        return _x_add(self.rs[name].ord_of(-v / u), _x_ord(u, self.ctx))
 
     def _resolve_ac(self, t: F.Ac) -> F.Term:
         m = t.depth
         name, u, v = self._arg(t)
         if name is None:
-            return F.IntLit(rational_ac(v, self.p, m), F.RES(m))
+            return F.IntLit(self.ctx.ac(v, m), F.RES(m))
         base = self.rs[name].ac_of(-v / u, m)
-        mult = rational_ac(u, self.p, m)
+        mult = self.ctx.ac(u, m)
         if mult == 1:
             return base
         return F.BinOp("*", F.IntLit(mult, F.RES(m)), base)
@@ -433,8 +430,8 @@ class _Rewriter:
         if isinstance(t, F.IntLit):
             # a residue literal means its class mod p^depth; reduce it, so
             # that literal equalities fold as evaluation reads them
-            m = self.p ** t.lit_sort.depth
-            return t if 0 <= t.value < m else F.IntLit(t.value % m, t.lit_sort)
+            r = self.ctx.mod(t.value, t.lit_sort.depth)
+            return t if r == t.value else F.IntLit(r, t.lit_sort)
         if isinstance(t, (F.Ord, F.RatLit, F.Pi)):
             raise OutsideFragment(
                 f"unsupported residue term {F.term_str(t)}")
@@ -608,8 +605,9 @@ def _mini_to_formula(m) -> F.Formula:
 # scanning a condition for centers and depths
 
 
+@lru_cache(maxsize=1024)
 def _scan_var(f: F.Formula, var: str):
-    """Collect the centers and the angular depth a variable needs."""
+    """The centers (a tuple) and the angular depth a variable needs."""
     centers: list = []
     depth = 1
     for t in F.walk(f):
@@ -624,7 +622,7 @@ def _scan_var(f: F.Formula, var: str):
                 centers.append(c)
             if isinstance(t, F.Ac):
                 depth = max(depth, t.depth)
-    return centers, depth
+    return tuple(centers), depth
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +681,7 @@ def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
     for i, ci in enumerate(centers):
         for j, cj in enumerate(centers):
             if i != j:
-                dists[(i, j)] = rational_ord(ci - cj, p)
+                dists[(i, j)] = ctx.ord(ci - cj)
 
     frame = base_vg + (z_name,)
     ext_res = base_res + ((xi_name, depth),)
@@ -713,7 +711,7 @@ def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
 
         for piece in pieces:
             links = _piece_links(centers, i, piece, dists, depth)
-            res = _BallResolver(ci, depth, z_name, xi_name, links, p)
+            res = _BallResolver(ci, depth, z_name, xi_name, links, ctx)
             rw = _Rewriter({**outer, var: res}, ctx)
             mini = rw.mini(cond)
 
@@ -728,7 +726,7 @@ def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
                 for cj, rel, d, zv in links:
                     j = centers.index(cj)
                     if j > i and rel == "at":
-                        bad = (p - rational_ac(ci - cj, p, 1)) % p
+                        bad = (p - ctx.ac(ci - cj, 1)) % p
                         structural.append(
                             F.Not(F.Eq(xi1, F.IntLit(bad, F.RES(1)))))
 
@@ -758,7 +756,7 @@ def _decompose(cond: F.Formula, var: str, ctx: PContext, base_res, base_vg,
 
     base_unit = MotFun.unit(base_res, base_vg)
     for ci in centers:
-        rw = _Rewriter({**outer, var: _PointResolver(ci, p)}, ctx)
+        rw = _Rewriter({**outer, var: _PointResolver(ci, ctx)}, ctx)
         cond_pt = F.simplify(_mini_to_formula(rw.mini(cond)))
         if isinstance(cond_pt, F.FalseF):
             continue
@@ -925,7 +923,7 @@ def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
     scans = {v: _scan_var(cond, v) for v in order}
     for _, v, c in weight:
         if c not in scans[v][0]:
-            scans[v][0].append(c)
+            scans[v] = (scans[v][0] + (c,), scans[v][1])
 
     discarded: list = []
 
@@ -942,7 +940,7 @@ def integrate_iterated(cond: F.Formula, order, ctx: PContext, *,
                 values.append(MotFun.unit(res_cur, vg_cur))
                 continue
             rs = _BallResolver(cell.center, cell.depth, cell.z_name,
-                               cell.xi_name, cell.links, ctx.p)
+                               cell.xi_name, cell.links, ctx)
             wform = AffineForm.make()
             for m, wv, c in weight:
                 if wv != var:
@@ -988,7 +986,7 @@ def change_of_variables_1d(u, c, cond: F.Formula, var: str,
     image = F.BinOp("+", F.BinOp("*", F.RatLit(u), F.Var(var, F.VF)),
                     F.RatLit(c))
     new_cond = F.substitute(cond, {var: image})
-    vu = rational_ord(u, ctx.p)
+    vu = ctx.ord(u)
     new_weight = []
     extra = 0
     for m, wv, ctr in weight:

@@ -36,8 +36,7 @@ from .cells import AffineForm, universe
 from .cplus import CTerm, MotFun, normal_form, specialize, unit_class
 from .errors import (CapExceeded, FrameMismatch, MotintError,
                      NonGeometricFamily, ParseError, SortError, UnsupportedH)
-from .padic import (PContext, compile_term, rational_mod, rational_ord,
-                    vp_int)
+from .padic import PContext, compile_term, vp_int
 from .presburger import PFun, PTerm, eulerian, progression
 from .vfint import integrate_iterated
 
@@ -128,7 +127,7 @@ class Poly:
         sort = F.RES(level)
         total = None
         for c, mono in self.terms:
-            c = rational_mod(c, ctx.p, level)
+            c = ctx.mod(c, level)
             factors = [F.Var(v, sort) if e == 1 else F.Pow(F.Var(v, sort), e)
                        for v, e in mono]
             if c != 1 or not factors:
@@ -499,12 +498,12 @@ def series_from_parameter(fun: MotFun) -> RatSeries:
 # motivic series
 
 
-def zmot_monomial(h, p: int | None = None) -> RatSeries:
+def zmot_monomial(h, ctx: PContext | None = None) -> RatSeries:
     """Closed-form series for a monomial c*x1^k1*...*xn^kn.
 
-    The result is independent of the residue characteristic when c = +-1;
-    otherwise the valuation of c shifts the series and a prime must be
-    given to compute it.
+    The series is integrated at ``ctx`` and shifted by ``ctx.ord(c)``.
+    Its only center is the origin, so for c = +-1 it is the same at every
+    prime and needs no context; any other c raises ``UnsupportedH`` then.
     """
     h = parse_poly(h) if isinstance(h, str) else h
     mono = h.as_monomial()
@@ -516,11 +515,11 @@ def zmot_monomial(h, p: int | None = None) -> RatSeries:
     c, powers = mono
     shift = 0
     if abs(c) != 1:
-        if p is None:
+        if ctx is None:
             raise UnsupportedH(
                 f"the coefficient {c} is not a unit at every prime; give a "
                 "prime to value it")
-        shift = rational_ord(c, p)
+        shift = ctx.ord(c)
     if not powers:
         if shift < 0:
             return RatSeries((), ())
@@ -534,9 +533,7 @@ def zmot_monomial(h, p: int | None = None) -> RatSeries:
     if shift:
         total = F.BinOp("+", total, F.IntLit(shift, F.VG))
     parts.append(F.Eq(total, F.Var("i", F.VG)))
-    # centers are all at the origin, so the decomposition is the same over
-    # every residue characteristic; any context works as scaffolding
-    out = integrate_iterated(F.land(*parts), names, PContext(2, 1),
+    out = integrate_iterated(F.land(*parts), names, ctx or PContext(2, 1),
                              base_vg=("i",))
     return series_from_parameter(out.value)
 
@@ -692,7 +689,6 @@ def zprime_count(h, p: int, d: int, i_max: int, *,
     if i_max < 0:
         raise MotintError("i_max must be >= 0")
     ctx = PContext(p, d)
-    q = p ** d
     if h.is_zero():
         return CoeffList(i_max, tuple([Fraction(0)] * (i_max + 1)))
     mono = h.as_monomial()
@@ -704,16 +700,16 @@ def zprime_count(h, p: int, d: int, i_max: int, *,
                 "shell counting applies to monomials only; use the "
                 "cylinder or enumerate method")
         c, powers = mono
-        shift = rational_ord(c, p)
+        shift = ctx.ord(c)
         if not powers:
             vols = [Fraction(int(i == shift)) for i in range(i_max + 1)]
         else:
-            vols = _shell_volumes(powers, shift, q, i_max)
+            vols = _shell_volumes(powers, shift, ctx.q, i_max)
     elif method in ("cylinder", "enumerate"):
         if not h.variables():
             return zprime_count(h, p, d, i_max, method="shells")
         # ord(p^k * H) = ord H + k, and p^k * H is p-integral
-        k = max(0, -min(rational_ord(c, p) for c, _ in h.terms))
+        k = max(0, -min(ctx.ord(c) for c, _ in h.terms))
         scaled = Poly.make((c * p ** k, mono) for c, mono in h.terms)
         count = _count_cylinders if method == "cylinder" else _count_enumerate
         vols = count(scaled, ctx, i_max, k)

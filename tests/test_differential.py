@@ -6,8 +6,9 @@ and ``qplus.count_class`` of the formula's normal form against
 ``count_points``.
 Fragment conditions: a point satisfies the condition iff exactly one cell
 of its ``decompose_fragment`` decomposition holds it, and no cell holds it
-otherwise.  Failures that hypothesis found and shrank are kept below as
-named regression cases.
+otherwise; and the whole integral over O, specialized, is the truncated
+Haar sum of ``tests/haar.py`` within its truncation bound.  Failures that
+hypothesis found and shrank are kept below as named regression cases.
 """
 
 from fractions import Fraction
@@ -19,9 +20,12 @@ from hypothesis import strategies as st
 from motint import formula as F
 from motint import qplus
 from motint.errors import NotIntegrable, OutsideFragment, SortError
+from motint.cplus import specialize
 from motint.padic import (GaloisRing, PadicElem, PContext, compile_term,
                           count_points, eval_formula)
-from motint.vfint import cell_contains, decompose_fragment
+from motint.vfint import cell_contains, decompose_fragment, integrate_iterated
+
+from haar import haar_sum
 
 CONTEXTS = {(p, d): PContext(p, d) for p in (2, 3) for d in (1, 2)}
 # the generic path of degree d >= 3, at level 1 only; at p = 2 and level 1
@@ -290,3 +294,39 @@ def test_fragment_regression_non_default_modulus():
     # membership test over another defining polynomial mixed two fields
     check_fragment("ord(t - 1) >= 1", OTHER_MODULUS,
                    [(Fraction(4), 0), (Fraction(2), 0), (Fraction(1), 0)])
+
+
+# ---------------------------------------------------------------------------
+# whole one-variable integrals over O against the truncated Haar sum
+
+
+def check_integral(text, ctx, level):
+    """The integral of the condition over O equals the Haar sum at the
+    level within k * q^-(level - m + 1), for k centers and m the largest
+    ac depth (1 if none): outside the balls of that radius around the
+    centers, the level decides ord and ac_m of every atom."""
+    cond = F.land(F.parse_formula(text, {"t": F.VF}),
+                  F.parse_formula("ord(t) >= 0", {"t": F.VF}))
+    try:
+        value = integrate_iterated(cond, ("t",), ctx).value
+    except (OutsideFragment, NotIntegrable):
+        reject()
+    atoms = [u for u in F.walk(cond) if isinstance(u, (F.Ord, F.Ac))]
+    k = len({u.arg for u in atoms})
+    m = max((u.depth for u in atoms if isinstance(u, F.Ac)), default=1)
+    got, want = specialize(value, ctx), haar_sum(cond, (), ctx, level)
+    assert abs(got - want) <= k * Fraction(ctx.q) ** -(level - m + 1), (
+        text, ctx.p, ctx.d, got, want)
+
+
+@pytest.mark.parametrize("p, d, level", [(2, 1, 10), (3, 1, 6), (2, 2, 5),
+                                         (5, 1, 4)])
+def test_fragment_integrals_match_haar_sums(p, d, level):
+    ctx = PContext(p, d)
+
+    @settings(SETTINGS, max_examples=100)
+    @given(fragment_conditions())
+    def check(text):
+        check_integral(text, ctx, level)
+
+    check()

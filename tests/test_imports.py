@@ -5,8 +5,9 @@ module-level function, every public name and public method of the
 package has a caller outside the tests, every name the benchmark's
 tracing shim pins exists, resource limits have one path (no function
 takes a ``cap`` parameter and only ``CapExceeded.check`` constructs
-``CapExceeded``), and every formula node class is a frozen dataclass
-with identity equality that nothing writes after construction."""
+``CapExceeded``), the symbolic side reads a constant at p only through
+its context, and every formula node class is a frozen dataclass with
+identity equality that nothing writes after construction."""
 
 import ast
 from collections import Counter
@@ -364,6 +365,71 @@ def test_one_cap_check_and_no_cap_parameters():
     assert not params, \
         "functions with a cap or log parameter:\n" + "\n".join(params)
     assert builds == ["errors.py: CapExceeded.check"], builds
+
+
+# ---------------------------------------------------------------------------
+# valuation through the context: vfint and zeta read the order, angular
+# component or residue of a constant at p only through PContext.ord, .ac
+# and .mod, never through a helper of padic that takes a bare prime
+
+VALUATION_HELPERS = {"vp_int", "rational_ord", "rational_ac", "rational_mod"}
+SYMBOLIC = ("vfint.py", "zeta.py")
+# the cylinder counter is oracle work: orders of residue coordinates
+VALUATION_ALLOWED = {("vp_int", "_count_cylinders")}
+
+
+def valuation_reads(source: str) -> list:
+    """[(line, helper, enclosing definitions)] for each read of a valuation
+    helper, as a name (under its import alias, if any) or an attribute;
+    the definitions are joined by dots."""
+    tree = ast.parse(source)
+    alias = {a.asname or a.name: a.name
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names if a.name in VALUATION_HELPERS}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id in alias:
+                found.append((child.lineno, alias[child.id], where))
+            elif (isinstance(child, ast.Attribute)
+                  and child.attr in VALUATION_HELPERS):
+                found.append((child.lineno, child.attr, where))
+            inner = where
+            if isinstance(child, DEFINITIONS):
+                inner = f"{where}.{child.name}" if where else child.name
+            visit(child, inner)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_valuation_reads_are_detected():
+    src = ("from .padic import PContext, rational_ord, vp_int as v\n"
+           "from . import padic\n"
+           "def f(c, p):\n    return rational_ord(c, p)\n"
+           "def _count_cylinders(n, p):\n    return [v(k, p) for k in n]\n"
+           "class R:\n    def g(self, c):\n"
+           "        return padic.rational_ac(c, 2, 1)\n"
+           "def h(ctx: PContext, c):\n    return ctx.ord(c), ctx.mod(c, 1)\n")
+    assert valuation_reads(src) == [(4, "rational_ord", "f"),
+                                    (6, "vp_int", "_count_cylinders"),
+                                    (9, "rational_ac", "R.g")]
+
+
+def test_symbolic_side_reads_constants_through_the_context():
+    found = [f"{name}:{line}: {helper} in {where or 'the module'}"
+             for name in SYMBOLIC
+             for line, helper, where in valuation_reads(
+                 (ROOT / "src" / "motint" / name).read_text())
+             if (helper, where) not in VALUATION_ALLOWED]
+    assert not found, ("valuation read with a bare prime, not through "
+                       "the context:\n" + "\n".join(found))
+    gone = VALUATION_HELPERS - {"vp_int"}
+    left = [f"{path.name}: {name}" for path in PACKAGE
+            for name in sorted(gone & identifiers(ast.parse(path.read_text())))]
+    assert not left, "bare-prime helpers still in the library:\n" + \
+        "\n".join(left)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from motint.errors import CapExceeded, MotintError, SortError, points_cap
 from motint.formula import RES, VF, VG, parse_formula
 from motint.padic import (
     GaloisRing, GRElem, PadicElem, PContext, compiled, count_points,
-    default_modulus, eval_formula, is_prime, rational_ac, rational_mod,
-    rational_ord,
+    default_modulus, eval_formula, is_prime,
 )
 from motint.zeta import zprime_count
 
@@ -73,14 +72,55 @@ def test_mixing_rings_rejected():
         r1.one() + r2.one()
 
 
-def test_rational_ord_and_ac():
-    assert rational_ord(Fraction(12), 2) == 2
-    assert rational_ord(Fraction(3, 4), 2) == -2
-    assert rational_ord(Fraction(0), 2) == inf
-    assert rational_ac(Fraction(12), 2, 1) == 1
-    assert rational_ac(Fraction(12), 2, 2) == 3
-    assert rational_ac(Fraction(3, 4), 2, 2) == 3
-    assert rational_ac(Fraction(0), 2, 3) == 0
+def test_context_ord_ac_and_mod():
+    ctx = PContext(2, 1)
+    assert ctx.ord(Fraction(12)) == 2
+    assert ctx.ord(Fraction(3, 4)) == -2
+    assert ctx.ord(Fraction(0)) == inf
+    assert ctx.ac(Fraction(12), 1) == 1
+    assert ctx.ac(Fraction(12), 2) == 3
+    assert ctx.ac(Fraction(3, 4), 2) == 3
+    assert ctx.ac(Fraction(0), 3) == 0
+    assert ctx.mod(Fraction(1, 3), 2) == 3
+    assert ctx.mod(-1, 3) == 7
+    with pytest.raises(MotintError, match="not integral at 2"):
+        ctx.mod(Fraction(1, 2), 1)
+
+
+@st.composite
+def context_constants(draw):
+    """A context on {2,3,5,7}x{1,2}, a rational constant built from
+    powers of p and cofactors prime to p (0 included), and a depth."""
+    ctx = draw(st.sampled_from([PContext(p, d) for p in (2, 3, 5, 7)
+                                for d in (1, 2)]))
+    p = ctx.p
+    unit = st.integers(-60, 60).filter(lambda k: k % p)
+    num = draw(st.one_of(st.just(0), unit))
+    den = draw(unit.filter(lambda k: k > 0))
+    c = Fraction(num, den) * Fraction(p) ** draw(st.integers(-3, 3))
+    return ctx, c, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(context_constants())
+def test_context_reads_match_element_arithmetic(case):
+    # PadicElem computes ord and ac from its own integer representation
+    ctx, c, n = case
+    x = ctx.vf(c)
+    assert ctx.ord(c) == x.ord()
+    head, *rest = x.ac_coeffs(n)
+    assert ctx.ac(c, n) == head and not any(rest)
+    v = ctx.ord(c)
+    if c == 0:
+        assert (v, ctx.ac(c, n), ctx.mod(c, n)) == (inf, 0, 0)
+    elif v >= 0:
+        m = ctx.p ** n
+        assert ctx.mod(c, n) == ctx.p ** v * head % m
+    else:
+        with pytest.raises(MotintError):
+            ctx.mod(c, n)
+    with pytest.raises(MotintError):
+        ctx.mod(Fraction(1, ctx.p), 1)
 
 
 def test_exact_elem_ord_ac():
@@ -457,14 +497,14 @@ def field_operands(draw):
 
 
 def model_ord(coords, p):
-    return min(rational_ord(c, p) for c in coords)
+    return min(PContext(p, 1).ord(c) for c in coords)
 
 
 def model_ac(coords, p, n):
     if not any(coords):
         return (0,) * len(coords)
     shift = Fraction(p) ** model_ord(coords, p)
-    return tuple(rational_mod(c / shift, p, n) for c in coords)
+    return tuple(PContext(p, 1).mod(c / shift, n) for c in coords)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -13,7 +13,7 @@ from motint.cplus import MotFun, is_equal, normal_form, specialize
 from motint.errors import (CapExceeded, FrameMismatch, MotintError,
                            NonGeometricFamily, ParseError, UnsupportedH,
                            points_cap)
-from motint.padic import PContext, rational_ord
+from motint.padic import PContext
 from motint.presburger import PFun, PTerm
 from motint.vfint import integrate_iterated
 from motint.zeta import (CoeffList, Poly, RatSeries, parse_poly,
@@ -168,19 +168,21 @@ def test_zmot_nonunit_coefficient_needs_prime():
 
 
 def test_zmot_coefficient_shift():
-    rs = zmot_monomial("2*x", p=2)
+    rs = zmot_monomial("2*x", PContext(2, 1))
     assert rs.expand(0)[0].terms == ()        # no i=0 mass
     assert is_equal(rs.expand(1)[1], point(U)) == "equal"
     # at p=3 the coefficient 2 is a unit, so there is no shift
-    assert zmot_monomial("2*x", p=3) == zmot_monomial("x")
+    assert zmot_monomial("2*x", PContext(3, 1)) == zmot_monomial("x")
+    # the origin is the only center, so the context changes nothing else
+    assert zmot_monomial("x^2*y", PContext(5, 2)) == zmot_monomial("x^2*y")
 
 
 def test_zmot_constant():
-    rs = zmot_monomial("4", p=2)
+    rs = zmot_monomial("4", PContext(2, 1))
     assert rs.denominator == ()
     assert [i for i, _ in rs.numerator] == [2]
     assert zmot_monomial("1").numerator[0][0] == 0
-    assert zmot_monomial("1/2", p=2).is_zero()
+    assert zmot_monomial("1/2", PContext(2, 1)).is_zero()
 
 
 def test_zmot_rejects_sums_and_zero():
@@ -376,7 +378,7 @@ def test_zprime_non_integral_coefficients():
         a = zprime_count(h, p, d, imax, method="cylinder").values
         b = zprime_count(h, p, d, imax, method="enumerate").values
         assert a == b, (h, p, d)
-        k = -min(rational_ord(c, p) for c, _ in parse_poly(h).terms)
+        k = -min(PContext(p, d).ord(c) for c, _ in parse_poly(h).terms)
         integral = Poly.make((c * p ** k, m) for c, m in parse_poly(h).terms)
         shifted = zprime_count(integral, p, d, imax + k, method="cylinder").values
         assert a == shifted[k:], (h, p, d)
@@ -456,7 +458,7 @@ def test_cylinder_matches_enumerate(data, p, d):
                   for c, den, exps in terms)
     n = len(h.variables())
     assume(n >= 2)
-    k = max(0, -min(rational_ord(c, p) for c, _ in h.terms))
+    k = max(0, -min(PContext(p, d).ord(c) for c, _ in h.terms))
     i_max = _enumerable_i_max(p ** d, n, k)
     assume(i_max is not None)
     got = zprime_count(h, p, d, i_max, method="cylinder").values
